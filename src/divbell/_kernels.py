@@ -24,7 +24,6 @@ Conventions shared by both backends:
   dtt = (phi_v/v)/2, m = phi_uv/2.
 """
 
-import math
 import os
 
 import numpy as np
@@ -43,14 +42,6 @@ USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
 
 # Floor applied to moduli before raising them to negative powers.
 MOD_FLOOR = 1e-150
-
-# log-tau search bracket and termination (relative width of the tau bracket).
-TAU_LOG_LO = math.log(1e-6)
-TAU_LOG_HI = math.log(1e6)
-# Bracket width log(1e12) ~ 27.6 shrinks by the golden ratio per iteration;
-# 40 iterations push the relative tau width below 1e-6.
-TAU_GOLDEN_ITERS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def backend_name() -> str:
@@ -122,21 +113,6 @@ def prop_i_slack_np(p, q, delta, u, v):
 # quadratic / bilinear forms of -d2Q
 # ---------------------------------------------------------------------------
 
-def direction_forms_np(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2):
-    """H values of <-d2Q s, s> for every point (axis 0) x direction (axis 1)."""
-    x1 = np.real(np.conj(ph1)[:, None] * s1[None, :])
-    x2 = np.real(np.conj(ph2)[:, None] * s2[None, :])
-    a1 = (s1.real * s1.real + s1.imag * s1.imag)[None, :]
-    a2 = (s2.real * s2.real + s2.imag * s2.imag)[None, :]
-    return (
-        ctt[:, None] * a1
-        + (crr - ctt)[:, None] * x1 * x1
-        + 2.0 * m[:, None] * x1 * x2
-        + dtt[:, None] * a2
-        + (drr - dtt)[:, None] * x2 * x2
-    )
-
-
 def bilinear_forms_np(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
     """<-d2Q (a1,a2), (b1,b2)> elementwise over points."""
     xa1 = np.real(np.conj(ph1) * a1)
@@ -171,49 +147,6 @@ def form_sum_over_axes_np(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2):
         + (drr - dtt)[:, None] * x2 * x2
     )
     return terms.sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# shared-tau maximin search
-# ---------------------------------------------------------------------------
-
-def _slack_eval_np(H, a1sq, a2sq, drift, u2, v2, delta, tau):
-    sl = H - delta * (tau[:, None] * a1sq[None, :] + a2sq[None, :] / tau[:, None])
-    md = sl.min(axis=1)
-    dd = drift - delta * (tau * u2 + v2 / tau)
-    return np.minimum(md, dd)
-
-
-def tau_maximin_np(H, a1sq, a2sq, drift, u2, v2, delta):
-    """Golden-section maximin over log tau of the combined slack.
-
-    H has shape (npoints, ndirections); a1sq/a2sq are the per-direction
-    |s1|^2, |s2|^2; (drift, u2, v2) give the drift slack triple per point.
-    Returns (tau, margin_dir, margin_drift, worst_dir_index).
-    """
-    npts = H.shape[0]
-    lo = np.full(npts, TAU_LOG_LO)
-    hi = np.full(npts, TAU_LOG_HI)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = _slack_eval_np(H, a1sq, a2sq, drift, u2, v2, delta, np.exp(x1))
-    f2 = _slack_eval_np(H, a1sq, a2sq, drift, u2, v2, delta, np.exp(x2))
-    for _ in range(TAU_GOLDEN_ITERS):
-        left = f1 >= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1n = np.where(left, hi - _INVPHI * (hi - lo), x2)
-        x2n = np.where(left, x1, lo + _INVPHI * (hi - lo))
-        fresh = np.where(left, np.exp(x1n), np.exp(x2n))
-        ffresh = _slack_eval_np(H, a1sq, a2sq, drift, u2, v2, delta, fresh)
-        f1, f2 = np.where(left, ffresh, f2), np.where(left, f1, ffresh)
-        x1, x2 = x1n, x2n
-    tau = np.exp(0.5 * (lo + hi))
-    sl = H - delta * (tau[:, None] * a1sq[None, :] + a2sq[None, :] / tau[:, None])
-    worst = np.argmin(sl, axis=1)
-    margin_dir = sl[np.arange(npts), worst]
-    margin_drift = drift - delta * (tau * u2 + v2 / tau)
-    return tau, margin_dir, margin_drift, worst
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +209,6 @@ if HAVE_NUMBA:
                 out[i] = delta * ((1.0 - 2.0 / p) * up + (2.0 - 2.0 / q) * vq)
 
     @njit(cache=False)
-    def _direction_forms_kernel(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2, out):
-        nd = s1.size
-        for i in range(crr.size):
-            p1r = ph1[i].real
-            p1i = ph1[i].imag
-            p2r = ph2[i].real
-            p2i = ph2[i].imag
-            for k in range(nd):
-                x1 = s1[k].real * p1r + s1[k].imag * p1i
-                x2 = s2[k].real * p2r + s2[k].imag * p2i
-                a1 = s1[k].real * s1[k].real + s1[k].imag * s1[k].imag
-                a2 = s2[k].real * s2[k].real + s2[k].imag * s2[k].imag
-                out[i, k] = (
-                    ctt[i] * a1
-                    + (crr[i] - ctt[i]) * x1 * x1
-                    + 2.0 * m[i] * x1 * x2
-                    + dtt[i] * a2
-                    + (drr[i] - dtt[i]) * x2 * x2
-                )
-
-    @njit(cache=False)
     def _bilinear_forms_kernel(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2, out):
         for i in range(crr.size):
             p1r = ph1[i].real
@@ -342,52 +254,6 @@ if HAVE_NUMBA:
                 )
             out[i] = acc
 
-    @njit(cache=False)
-    def _slack_min_nb(Hrow, a1sq, a2sq, dval, uu2, vv2, delta, tau):
-        best = dval - delta * (tau * uu2 + vv2 / tau)
-        for k in range(Hrow.size):
-            s = Hrow[k] - delta * (tau * a1sq[k] + a2sq[k] / tau)
-            if s < best:
-                best = s
-        return best
-
-    @njit(cache=False)
-    def _tau_maximin_kernel(H, a1sq, a2sq, drift, u2, v2, delta,
-                            tau_out, mdir_out, mdrift_out, worst_out):
-        invphi = _INVPHI
-        for i in range(H.shape[0]):
-            lo = TAU_LOG_LO
-            hi = TAU_LOG_HI
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1 = _slack_min_nb(H[i], a1sq, a2sq, drift[i], u2[i], v2[i], delta, math.exp(x1))
-            f2 = _slack_min_nb(H[i], a1sq, a2sq, drift[i], u2[i], v2[i], delta, math.exp(x2))
-            for _ in range(TAU_GOLDEN_ITERS):
-                if f1 >= f2:
-                    hi = x2
-                    x2 = x1
-                    f2 = f1
-                    x1 = hi - invphi * (hi - lo)
-                    f1 = _slack_min_nb(H[i], a1sq, a2sq, drift[i], u2[i], v2[i], delta, math.exp(x1))
-                else:
-                    lo = x1
-                    x1 = x2
-                    f1 = f2
-                    x2 = lo + invphi * (hi - lo)
-                    f2 = _slack_min_nb(H[i], a1sq, a2sq, drift[i], u2[i], v2[i], delta, math.exp(x2))
-            tau = math.exp(0.5 * (lo + hi))
-            tau_out[i] = tau
-            best = 1e300
-            worst = 0
-            for k in range(H.shape[1]):
-                s = H[i, k] - delta * (tau * a1sq[k] + a2sq[k] / tau)
-                if s < best:
-                    best = s
-                    worst = k
-            mdir_out[i] = best
-            mdrift_out[i] = drift[i] - delta * (tau * u2[i] + v2[i] / tau)
-            worst_out[i] = worst
-
     def bellman_tables_nb(p, q, delta, u, v):
         u = np.ascontiguousarray(u, dtype=np.float64).ravel()
         v = np.ascontiguousarray(v, dtype=np.float64).ravel()
@@ -402,20 +268,6 @@ if HAVE_NUMBA:
         out = np.empty(u.size)
         _prop_i_kernel(p, q, delta, u, v, out)
         return out.reshape(shape)
-
-    def direction_forms_nb(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2):
-        out = np.empty((crr.size, s1.size))
-        _direction_forms_kernel(
-            np.ascontiguousarray(crr), np.ascontiguousarray(ctt),
-            np.ascontiguousarray(drr), np.ascontiguousarray(dtt),
-            np.ascontiguousarray(m),
-            np.ascontiguousarray(ph1, dtype=np.complex128),
-            np.ascontiguousarray(ph2, dtype=np.complex128),
-            np.ascontiguousarray(s1, dtype=np.complex128),
-            np.ascontiguousarray(s2, dtype=np.complex128),
-            out,
-        )
-        return out
 
     def bilinear_forms_nb(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
         out = np.empty(crr.size)
@@ -447,44 +299,20 @@ if HAVE_NUMBA:
         )
         return out
 
-    def tau_maximin_nb(H, a1sq, a2sq, drift, u2, v2, delta):
-        H = np.ascontiguousarray(H, dtype=np.float64)
-        npts = H.shape[0]
-        tau = np.empty(npts)
-        mdir = np.empty(npts)
-        mdrift = np.empty(npts)
-        worst = np.empty(npts, dtype=np.int64)
-        _tau_maximin_kernel(
-            H,
-            np.ascontiguousarray(a1sq, dtype=np.float64),
-            np.ascontiguousarray(a2sq, dtype=np.float64),
-            np.ascontiguousarray(drift, dtype=np.float64),
-            np.ascontiguousarray(u2, dtype=np.float64),
-            np.ascontiguousarray(v2, dtype=np.float64),
-            delta, tau, mdir, mdrift, worst,
-        )
-        return tau, mdir, mdrift, worst
-
 else:  # pragma: no cover - no-numba fallback aliases
     bellman_tables_nb = None
     prop_i_slack_nb = None
-    direction_forms_nb = None
     bilinear_forms_nb = None
     form_sum_over_axes_nb = None
-    tau_maximin_nb = None
 
 
 if USE_NUMBA:
     bellman_tables = bellman_tables_nb
     prop_i_slack = prop_i_slack_nb
-    direction_forms = direction_forms_nb
     bilinear_forms = bilinear_forms_nb
     form_sum_over_axes = form_sum_over_axes_nb
-    tau_maximin = tau_maximin_nb
 else:
     bellman_tables = bellman_tables_np
     prop_i_slack = prop_i_slack_np
-    direction_forms = direction_forms_np
     bilinear_forms = bilinear_forms_np
     form_sum_over_axes = form_sum_over_axes_np
-    tau_maximin = tau_maximin_np

@@ -153,17 +153,24 @@ def _phi_branch(params: BellmanParams, u: float, v: float, region1: bool) -> flo
 
 
 def eval_phi(params: BellmanParams, u: float, v: float) -> float:
-    """Piecewise value of phi; on the interface both branches are evaluated
-    and asserted to agree to relative 1e-12."""
+    """Piecewise value of phi; on the interface band both branches are
+    evaluated, averaged, and checked against the band's mismatch bound
+    (AccuracyError when they differ by more)."""
     u, v = _check_nonneg(u, v)
     label = classify(params, u, v)
     if label is RegionLabel.INTERFACE:
         b1 = _phi_branch(params, u, v, True)
         b2 = _phi_branch(params, u, v, False)
-        # normalized like the classification threshold, so points swept into
-        # the interface band near the origin (tiny absolute values) pass too
-        assert abs(b1 - b2) <= 1e-12 * max(abs(b1), abs(b2), 1.0), \
-            f"interface branch mismatch at ({u}, {v}): {b1} vs {b2}"
+        # b2 - b1 = delta*(AM - GM) of (u^p, v^q) with weights (2/p, 1-2/p),
+        # which is at most delta*|u^p - v^q|: the band's width.  Near the
+        # origin the band's floor of 1 makes this absolute, not relative.
+        t1 = u ** params.p
+        t2 = v ** params.q
+        tol = (params.delta * INTERFACE_REL_THRESHOLD * max(t1, t2, 1.0)
+               + 1e-15 * max(abs(b1), abs(b2)))
+        if abs(b1 - b2) > tol:
+            raise AccuracyError(f"interface branch mismatch at ({u}, {v}): "
+                                f"{b1} vs {b2} (> {tol:.3e})")
         return 0.5 * (b1 + b2)
     return _phi_branch(params, u, v, label is RegionLabel.REGION1)
 
@@ -481,7 +488,7 @@ def mollified_second_form(params: BellmanParams, eps: float, xi: ComplexPair,
 
 
 # ---------------------------------------------------------------------------
-# direction sweeps and tau certification
+# tau certification, and the direction sweep kept as a test oracle
 # ---------------------------------------------------------------------------
 
 # Kronecker (R3) low-discrepancy sequence on [0,1)^3; the generator is the
@@ -491,7 +498,9 @@ _R3_ALPHA = np.array([0.7548776662466927, 0.5698402909980532, 0.4301597090019468
 
 def unit_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic sweep of n low-discrepancy unit directions in C^2, with
-    the four coordinate directions prepended.
+    the four coordinate directions prepended.  The certificate itself is
+    exact; tests use this sweep as an oracle that bounds its margin from
+    above.
 
     Returns two complex arrays (s1, s2) of length n + 4.
     """
@@ -515,20 +524,120 @@ def _near_interface(params: BellmanParams, u: float, v: float, margin_rel: float
     return abs(t1 - t2) <= margin_rel * max(t1, t2, 1.0)
 
 
-def find_tau(params: BellmanParams, xi: ComplexPair, direction_samples: int = 256,
-             *, mollify: str | bool = "auto", eps: float | None = None,
-             order: int = 8) -> TauCertificate:
-    """Search for a shared weight tau certifying the convexity and drift
+# log-tau search bracket.  Its width log(1e12) ~ 27.6 shrinks by the golden
+# ratio per iteration; 40 iterations push the relative tau width below 1e-6.
+_TAU_LOG_LO = math.log(1e-6)
+_TAU_LOG_HI = math.log(1e6)
+_TAU_GOLDEN_ITERS = 40
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _maximize_over_tau(objective, n: int) -> np.ndarray:
+    """Golden-section search over log tau in [1e-6, 1e6], one bracket per
+    point.  ``objective`` maps an array of n weights to n values and must be
+    unimodal in log tau; every objective used here is concave in tau."""
+    lo = np.full(n, _TAU_LOG_LO)
+    hi = np.full(n, _TAU_LOG_HI)
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1 = objective(np.exp(x1))
+    f2 = objective(np.exp(x2))
+    for _ in range(_TAU_GOLDEN_ITERS):
+        left = f1 >= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x1n = np.where(left, hi - _INVPHI * (hi - lo), x2)
+        x2n = np.where(left, x1, lo + _INVPHI * (hi - lo))
+        fresh = objective(np.exp(np.where(left, x1n, x2n)))
+        f1, f2 = np.where(left, fresh, f2), np.where(left, f1, fresh)
+        x1, x2 = x1n, x2n
+    return np.exp(0.5 * (lo + hi))
+
+
+def _margin_parts(coeffs, delta: float, tau) -> np.ndarray:
+    """The eigenvalues of -d2Q - delta*diag(tau, tau, 1/tau, 1/tau) that can
+    be the smallest, from the radial coefficients (crr, ctt, drr, dtt, m).
+
+    In phase-aligned coordinates (the radial and tangential parts of s1 and
+    s2) the form splits into the tangential scalars ctt - delta*tau and
+    dtt - delta/tau and the radial block [[a, m], [m, b]] with
+    a = crr - delta*tau, b = drr - delta/tau.  Returns a (3, n) array: the
+    block's smallest eigenvalue, then the two scalars.  The block eigenvalue
+    (a+b)/2 - hypot((a-b)/2, m) is evaluated as
+    min(a, b) - m^2/(hypot((a-b)/2, m) + |a-b|/2), which does not cancel when
+    a and b differ by many orders of magnitude (near the v = 0 ray).
+    """
+    crr, ctt, drr, dtt, m = coeffs
+    a = crr - delta * tau
+    b = drr - delta / tau
+    half = 0.5 * np.abs(a - b)
+    r = np.hypot(half, m)
+    gap = np.divide(m * m, r + half, out=np.zeros_like(r), where=r > 0.0)
+    return np.stack([np.minimum(a, b) - gap, ctt - delta * tau, dtt - delta / tau])
+
+
+def _worst_direction(coeffs, delta: float, tau, parts, ph1, ph2):
+    """Unit eigenvectors (s1, s2) of the smallest entry of ``parts``."""
+    crr, _, drr, _, m = coeffs
+    # the block's top eigenvector is (cos theta, sin theta), so the bottom
+    # one is (-sin theta, cos theta)
+    theta = 0.5 * np.arctan2(2.0 * m, (crr - delta * tau) - (drr - delta / tau))
+    k = parts.argmin(axis=0)
+    s1 = np.select([k == 0, k == 1], [-np.sin(theta) * ph1, 1j * ph1], 0.0)
+    s2 = np.select([k == 0, k == 2], [np.cos(theta) * ph2, 1j * ph2], 0.0)
+    return s1, s2
+
+
+def _exact_certificates(params: BellmanParams, zetas, etas):
+    """Per point, the tau maximizing the smaller of the exact Hessian margin
+    (smallest eigenvalue) and the drift slack.
+
+    Returns (tau, margin_hessian, margin_drift, s1, s2).  A vanishing
+    modulus is clamped to ZERO_MODULUS and given phase 1: its block of -d2Q
+    is then evaluated in the radial limit.
+    """
+    u, v, ph1, ph2 = _phases(zetas, etas)
+    ph1 = np.where(u > ZERO_MODULUS, ph1, 1.0)
+    ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)
+    coeffs = _form_coeffs(params, np.maximum(u, ZERO_MODULUS), np.maximum(v, ZERO_MODULUS))
+    drift = drift_slack_base(params, u, v)
+    delta = params.delta
+    u2 = u * u
+    v2 = v * v
+
+    def shared(tau):
+        hess = _margin_parts(coeffs, delta, tau).min(axis=0)
+        return np.minimum(hess, drift - delta * (tau * u2 + v2 / tau))
+
+    tau = _maximize_over_tau(shared, u.size)
+    parts = _margin_parts(coeffs, delta, tau)
+    s1, s2 = _worst_direction(coeffs, delta, tau, parts, ph1, ph2)
+    return tau, parts.min(axis=0), drift - delta * (tau * u2 + v2 / tau), s1, s2
+
+
+def _weighted_neg_hess(mat: np.ndarray, delta: float, tau) -> np.ndarray:
+    """(n, 4, 4) stack mat - delta*diag(tau, tau, 1/tau, 1/tau)."""
+    w = np.stack([tau, tau, 1.0 / tau, 1.0 / tau], axis=-1)
+    return mat - delta * w[:, :, None] * np.eye(4)
+
+
+def find_tau(params: BellmanParams, xi: ComplexPair, *, mollify: str | bool = "auto",
+             eps: float | None = None, order: int = 8) -> TauCertificate:
+    """Find the shared weight tau certifying the convexity and drift
     inequalities at xi.
 
-    The search runs a golden-section sweep over log tau in [1e-6, 1e6]
-    (refined to relative width 1e-6) maximizing the minimum slack over
-    ``direction_samples`` low-discrepancy unit directions plus the four
-    coordinate directions, jointly with the drift slack.  Negative margins
-    are reported, not raised.
+    The Hessian margin is exact: the smallest eigenvalue of
+    -d2Q - delta*diag(tau, tau, 1/tau, 1/tau), i.e. the minimum of
+    <-d2Q s, s> - delta(tau|s1|^2 + |s2|^2/tau) over all unit s in C^2.
+    A golden-section search over log tau in [1e-6, 1e6] (refined to relative
+    width 1e-6) maximizes the smaller of that margin and the drift slack;
+    both are concave in tau.  ``worst_direction`` is the unit eigenvector
+    attaining the Hessian margin.  Negative margins are reported, not raised.
 
     ``mollify="auto"`` switches to the mollified Hessian when xi is within
     the interface classification threshold; True forces it, False forbids it.
+    There the margin is the smallest eigenvalue of the weighted mollified
+    4x4 matrix.
 
     Points with a vanishing modulus are evaluated in the radial limit: the
     corresponding block of -d2Q becomes isotropic as |zeta| -> 0 (the phase
@@ -542,38 +651,36 @@ def find_tau(params: BellmanParams, xi: ComplexPair, direction_samples: int = 25
     v = abs(eta)
     if u <= ZERO_MODULUS and v <= ZERO_MODULUS:
         return TauCertificate(tau=1.0, margin_hessian=0.0, margin_drift=0.0, trivial=True)
-    s1, s2 = unit_directions(direction_samples)
     want_moll = (mollify is True) or (
         mollify == "auto" and min(u, v) > ZERO_MODULUS
         and _near_interface(params, u, v, INTERFACE_REL_THRESHOLD))
-    if want_moll:
-        if eps is None:
-            eps = min(1e-2 * max(u, v), 0.45 * min(u, v))
-        mat = mollified_neg_hess_matrix(params, eps, xi, order)
-        dirs4 = np.stack([s1.real, s1.imag, s2.real, s2.imag], axis=1)
-        H = np.einsum("di,ij,dj->d", dirs4, mat, dirs4)[None, :]
-    else:
-        uu, vv, ph1, ph2 = _phases([zeta], [eta])
-        crr, ctt, drr, dtt, m = _form_coeffs(params, np.maximum(uu, ZERO_MODULUS),
-                                             np.maximum(vv, ZERO_MODULUS))
-        H = _kernels.direction_forms(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2)
-    a1sq = (s1.real ** 2 + s1.imag ** 2)
-    a2sq = (s2.real ** 2 + s2.imag ** 2)
+    if not want_moll:
+        tau, mh, md, s1, s2 = _exact_certificates(params, [zeta], [eta])
+        return TauCertificate(tau=float(tau[0]), margin_hessian=float(mh[0]),
+                              margin_drift=float(md[0]),
+                              worst_direction=ComplexPair(complex(s1[0]), complex(s2[0])))
+    if eps is None:
+        eps = min(1e-2 * max(u, v), 0.45 * min(u, v))
+    mat = mollified_neg_hess_matrix(params, eps, xi, order)
     drift = drift_slack_base(params, np.array([u]), np.array([v]))
-    tau, mdir, mdrift, worst = _kernels.tau_maximin(
-        np.ascontiguousarray(H), a1sq, a2sq, drift,
-        np.array([u * u]), np.array([v * v]), params.delta)
-    k = int(worst[0])
+    delta = params.delta
+
+    def shared(tau):
+        hess = np.linalg.eigvalsh(_weighted_neg_hess(mat, delta, tau))[:, 0]
+        return np.minimum(hess, drift - delta * (tau * u * u + v * v / tau))
+
+    tau = _maximize_over_tau(shared, 1)
+    lam, vecs = np.linalg.eigh(_weighted_neg_hess(mat, delta, tau)[0])
+    s = vecs[:, 0]
     return TauCertificate(
         tau=float(tau[0]),
-        margin_hessian=float(mdir[0]),
-        margin_drift=float(mdrift[0]),
-        worst_direction=ComplexPair(complex(s1[k]), complex(s2[k])),
+        margin_hessian=float(lam[0]),
+        margin_drift=float(drift[0] - delta * (tau[0] * u * u + v * v / tau[0])),
+        worst_direction=ComplexPair(complex(s[0], s[1]), complex(s[2], s[3])),
     )
 
 
-def check_bejaz(params: BellmanParams, xi: ComplexPair,
-                direction_samples: int = 256) -> BejazReport:
+def check_bejaz(params: BellmanParams, xi: ComplexPair) -> BejazReport:
     """Check the range bound and the tau-certified convexity/drift bounds at
     a single point; failures are encoded in the report, never raised."""
     zeta = complex(xi[0])
@@ -582,38 +689,32 @@ def check_bejaz(params: BellmanParams, xi: ComplexPair,
     v = abs(eta)
     slack_i = float(_kernels.prop_i_slack(params.p, params.q, params.delta,
                                           np.array([u]), np.array([v]))[0])
-    cert = find_tau(params, xi, direction_samples)
+    cert = find_tau(params, xi)
     return BejazReport(xi=ComplexPair(zeta, eta), prop_i_slack=slack_i,
                        prop_ii=cert, prop_iii_slack=cert.margin_drift)
 
 
-def certify_batch(params: BellmanParams, zetas, etas,
-                  direction_samples: int = 256) -> dict:
+def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     """Vectorized certification over arrays of points.
 
     Points are evaluated with the exact branch formulas; the caller is
     responsible for excluding interface margins and zero rays (see
-    ``sample_certification_points``).  Returns a dict of flat arrays.
+    ``sample_certification_points``).  Returns a dict of flat arrays;
+    ``worst_direction`` has shape (n, 2) and holds the unit eigenvectors
+    (s1, s2) attaining ``margin_hessian``.
     """
     zetas = np.asarray(zetas, dtype=np.complex128).ravel()
     etas = np.asarray(etas, dtype=np.complex128).ravel()
-    u, v, ph1, ph2 = _phases(zetas, etas)
-    slack_i = _kernels.prop_i_slack(params.p, params.q, params.delta, u, v)
-    crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
-    s1, s2 = unit_directions(direction_samples)
-    H = _kernels.direction_forms(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2)
-    a1sq = s1.real ** 2 + s1.imag ** 2
-    a2sq = s2.real ** 2 + s2.imag ** 2
-    drift = drift_slack_base(params, u, v)
-    tau, mdir, mdrift, worst = _kernels.tau_maximin(H, a1sq, a2sq, drift,
-                                                    u * u, v * v, params.delta)
+    slack_i = _kernels.prop_i_slack(params.p, params.q, params.delta,
+                                    np.abs(zetas), np.abs(etas))
+    tau, mdir, mdrift, s1, s2 = _exact_certificates(params, zetas, etas)
     valid = (slack_i >= 0.0) & (mdir >= -1e-10) & (mdrift >= -1e-10)
     return {
         "prop_i_slack": np.asarray(slack_i),
         "tau": tau,
         "margin_hessian": mdir,
         "margin_drift": mdrift,
-        "worst_direction": worst,
+        "worst_direction": np.stack([s1, s2], axis=1),
         "valid": valid,
     }
 

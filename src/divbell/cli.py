@@ -71,7 +71,7 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
         params = bl.BellmanParams(p)
         rng = ps.rng_for(args.seed, f"bellman-points-p{p}")
         zetas, etas = bl.sample_certification_points(params, args.points, rng)
-        res = bl.certify_batch(params, zetas, etas, args.directions)
+        res = bl.certify_batch(params, zetas, etas)
         for i in range(len(zetas)):
             rows.append((p, i, zetas[i].real, zetas[i].imag, etas[i].real,
                          etas[i].imag, res["prop_i_slack"][i], res["tau"][i],
@@ -82,7 +82,7 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
         shared = np.minimum(res["margin_hessian"], res["margin_drift"])
         summary.add(f"convexity+drift-tau(p={p:g})", float(shared.min()),
                     bool((shared >= -1e-10).all()),
-                    note=f"{args.points} points, {args.directions} directions")
+                    note=f"{args.points} points, exact")
     return summary, {"bellman": (header, rows)}
 
 
@@ -323,8 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--preset", choices=ps.PRESET_NAMES, default=None)
     ap.add_argument("--points", type=int, default=10000,
                     help="sample count for bellman-verify")
-    ap.add_argument("--directions", type=int, default=256,
-                    help="direction sweep size for bellman-verify")
     ap.add_argument("--quiet", action="store_true")
     ap.add_argument("--version", action="version", version=__version__)
     return ap

@@ -70,7 +70,7 @@ def test_criterion_01_bellman_certification():
         params = BellmanParams(p)
         rng = ps.rng_for(7, f"acceptance-bellman-p{p}")
         zetas, etas = bl.sample_certification_points(params, 10_000, rng)
-        res = bl.certify_batch(params, zetas, etas, 256)
+        res = bl.certify_batch(params, zetas, etas)
         assert res["prop_i_slack"].min() >= 0.0
         shared = np.minimum(res["margin_hessian"], res["margin_drift"])
         assert shared.min() >= -1e-10, f"p={p}: worst shared margin {shared.min()}"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divbell.bellman as bl
@@ -37,6 +37,12 @@ def fd_hessian_Q(params, xi, h=1e-4):
                        - q_at(x0 - e_i + e_j) + q_at(x0 - e_i - e_j)) / (4 * h**2)
             H[i, j] = H[j, i] = val
     return H
+
+
+def weight(tau):
+    """D(tau) = diag(tau, tau, 1/tau, 1/tau), the weight of the convexity
+    bound, in the coordinates (Re zeta, Im zeta, Re eta, Im eta)."""
+    return np.diag([tau, tau, 1.0 / tau, 1.0 / tau])
 
 
 def interior_points(params, rng, n, lo=0.1, hi=3.0, margin=1e-3):
@@ -118,6 +124,27 @@ class TestPhi:
         P = BellmanParams(p)
         val = bl.eval_phi(P, u, v)
         assert 0.0 <= val <= (1.0 + P.delta) * (u**P.p + v**P.q) * (1 + 1e-13) + 1e-300
+
+    def test_interface_band_near_origin(self):
+        # the band's floor of 1 sweeps (0, 1e-9) into the interface for p=9,
+        # where the branches differ by 1.03e-12 absolute: inside the band's
+        # mismatch bound delta*1e-9, and outside a 1e-12 tolerance
+        P = BellmanParams(9.0)
+        assert bl.classify(P, 0.0, 1e-9) is RegionLabel.INTERFACE
+        b1 = bl._phi_branch(P, 0.0, 1e-9, True)
+        b2 = bl._phi_branch(P, 0.0, 1e-9, False)
+        assert abs(b1 - b2) > 1e-12
+        assert bl.eval_phi(P, 0.0, 1e-9) == 0.5 * (b1 + b2)
+
+    def test_interface_mismatch_raises_accuracy_error(self, monkeypatch):
+        P = BellmanParams(4.0)
+        v = 1.3
+        u = v ** (P.q / P.p)
+        exact = bl._phi_branch
+        monkeypatch.setattr(bl, "_phi_branch",
+                            lambda P_, u_, v_, r1: exact(P_, u_, v_, r1) * (1.0 + 1e-6 * r1))
+        with pytest.raises(AccuracyError):
+            bl.eval_phi(P, u, v)
 
 
 class TestQ:
@@ -314,14 +341,10 @@ class TestMollified:
         v = 1.3
         u = v ** (P.q / P.p)
         nearby = ComplexPair(0.98 * u, v)
-        cert = bl.find_tau(P, nearby, 128)
+        cert = bl.find_tau(P, nearby)
         assert cert.valid()
         mat = bl.mollified_neg_hess_matrix(P, 0.05, ComplexPair(u, v))
-        s1, s2 = bl.unit_directions(256)
-        dirs = np.stack([s1.real, s1.imag, s2.real, s2.imag], axis=1)
-        hvals = np.einsum("di,ij,dj->d", dirs, mat, dirs)
-        bound = P.delta * (cert.tau * (np.abs(s1) ** 2) + (np.abs(s2) ** 2) / cert.tau)
-        assert (hvals - bound).min() >= -1e-8
+        assert np.linalg.eigvalsh(mat - P.delta * weight(cert.tau))[0] >= -1e-8
 
     def test_requires_positive_eps(self):
         with pytest.raises(DomainError):
@@ -361,15 +384,36 @@ class TestFindTau:
         c2 = bl.find_tau(P, ComplexPair(2.0, 4.0))
         assert c1.valid() and c2.valid()
 
-    def test_fewer_directions_can_only_loosen(self):
-        # the margin over a direction subset dominates the full-sweep margin
-        P = BellmanParams(4.0)
-        xi = ComplexPair(0.7 + 0.1j, 1.4)
-        full = bl.find_tau(P, xi, 256)
-        small = bl.find_tau(P, xi, 2)
-        assert small.valid()
-        assert min(small.margin_hessian, small.margin_drift) >= \
-            min(full.margin_hessian, full.margin_drift) - 1e-12
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0])
+    def test_exact_margin_matches_eigvalsh(self, p):
+        # the closed form is the smallest eigenvalue of -d2Q - delta*D(tau)
+        P = BellmanParams(p)
+        zetas, etas = bl.sample_certification_points(P, 200, np.random.default_rng(59))
+        res = bl.certify_batch(P, zetas, etas)
+        for i in range(zetas.size):
+            mat = bl.neg_hess_matrix(P, ComplexPair(zetas[i], etas[i]))
+            lam = np.linalg.eigvalsh(mat - P.delta * weight(res["tau"][i]))
+            assert abs(res["margin_hessian"][i] - lam[0]) <= 1e-13 * np.abs(lam).max()
+
+    @given(st.floats(min_value=2.0, max_value=16.0),
+           st.floats(min_value=-6.9, max_value=2.3),
+           st.floats(min_value=-6.9, max_value=2.3),
+           st.floats(min_value=0.0, max_value=6.3),
+           st.floats(min_value=0.0, max_value=6.3))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_margin_bounds_exact_margin(self, p, log_u, log_v, a, b):
+        # at the certificate's tau, no sampled direction does worse than the
+        # exact minimum over all unit directions
+        P = BellmanParams(p)
+        u, v = np.exp(log_u), np.exp(log_v)
+        assume(not bl._near_interface(P, u, v, 1e-6))
+        xi = ComplexPair(u * np.exp(1j * a), v * np.exp(1j * b))
+        cert = bl.find_tau(P, xi)
+        form = bl.neg_hess_matrix(P, xi) - P.delta * weight(cert.tau)
+        s1, s2 = bl.unit_directions(256)
+        dirs = np.stack([s1.real, s1.imag, s2.real, s2.imag], axis=1)
+        sampled = np.einsum("di,ij,dj->d", dirs, form, dirs).min()
+        assert sampled >= cert.margin_hessian - 1e-13 * np.abs(form).sum()
 
     def test_deterministic(self):
         P = BellmanParams(3.0)
@@ -377,6 +421,27 @@ class TestFindTau:
         a = bl.find_tau(P, xi)
         b = bl.find_tau(P, xi)
         assert a.tau == b.tau and a.margin_hessian == b.margin_hessian
+
+    @pytest.mark.parametrize("p, xi, mollified", [
+        (3.0, (0.5, 0.9), False),
+        (2.0, (0.3 - 0.4j, 2.0j), False),
+        (8.0, (1.7 + 0.2j, 0.1 - 0.05j), False),
+        (4.0, (1.3 ** (1.0 / 3.0), 1.3), True),   # on the interface u^4 = v^(4/3)
+    ])
+    def test_worst_direction_attains_margin(self, p, xi, mollified):
+        P = BellmanParams(p)
+        xi = ComplexPair(*xi)
+        cert = bl.find_tau(P, xi, mollify=mollified, eps=0.01)
+        if mollified:
+            mat = bl.mollified_neg_hess_matrix(P, 0.01, xi)
+        else:
+            mat = bl.neg_hess_matrix(P, xi)
+        form = mat - P.delta * weight(cert.tau)
+        s = bl.pair_to_real4(cert.worst_direction)
+        assert abs(s @ s - 1.0) <= 1e-12
+        assert abs(s @ form @ s - cert.margin_hessian) <= 1e-13 * np.abs(form).sum()
+        assert cert.margin_hessian == pytest.approx(np.linalg.eigvalsh(form)[0],
+                                                    abs=1e-13 * np.abs(form).sum())
 
     def test_certificate_reports_worst_direction_and_failure_semantics(self):
         cert = bl.find_tau(BellmanParams(3.0), ComplexPair(0.5, 0.9))
@@ -404,9 +469,12 @@ class TestFindTauSingularSets:
             z = u * np.exp(1j * rng.uniform(0, 2 * np.pi))
             e = v * np.exp(1j * rng.uniform(0, 2 * np.pi))
             a, b = rng.uniform(0, 2 * np.pi, 2)
-            c1 = bl.find_tau(P, ComplexPair(z, e), 64)
-            c2 = bl.find_tau(P, ComplexPair(z * np.exp(1j * a), e * np.exp(1j * b)), 64)
+            c1 = bl.find_tau(P, ComplexPair(z, e))
+            c2 = bl.find_tau(P, ComplexPair(z * np.exp(1j * a), e * np.exp(1j * b)))
             assert c1.valid() and c2.valid()
+            # the exact margins depend on the moduli only
+            assert c2.tau == pytest.approx(c1.tau, rel=1e-6)
+            assert c2.margin_hessian == pytest.approx(c1.margin_hessian, rel=1e-6, abs=1e-12)
 
 
 class TestCheckBejaz:
@@ -440,9 +508,12 @@ class TestCheckBejaz:
         rng = np.random.default_rng(37)
         zetas, etas = bl.sample_certification_points(P, 20, rng)
         res = bl.certify_batch(P, zetas, etas)
+        assert res["worst_direction"].shape == (20, 2)
         for i in range(20):
             rep = bl.check_bejaz(P, ComplexPair(zetas[i], etas[i]))
             assert rep.prop_ii.tau == pytest.approx(res["tau"][i], rel=1e-12)
+            assert rep.prop_ii.worst_direction == pytest.approx(tuple(res["worst_direction"][i]),
+                                                                abs=1e-12)
             assert rep.prop_i_slack == pytest.approx(res["prop_i_slack"][i], rel=1e-12)
 
 

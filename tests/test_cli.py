@@ -5,6 +5,7 @@ import filecmp
 import numpy as np
 import pytest
 
+import divbell.bellman as bl
 import divbell.presets as ps
 from divbell.cli import main
 from divbell.errors import ConfigError
@@ -132,6 +133,26 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "bellman.csv").exists()
         assert (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_bellman_valid_rows_have_exact_margin(self, tmp_path, seed):
+        # the benchmark's seeds and point count: every row marked valid has
+        # a smallest eigenvalue of -d2Q - delta*diag(tau, tau, 1/tau, 1/tau)
+        # >= -1e-10 at the tau it reports, by an eigvalsh oracle
+        rc = main(["bellman-verify", "--points", "2500", "--seed", str(seed),
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        rows = np.loadtxt(tmp_path / "bellman.csv", delimiter=",", skiprows=1)
+        for p in (2.0, 3.0, 4.0, 8.0):
+            sel = rows[(rows[:, 0] == p) & (rows[:, 10] == 1)]
+            assert sel.shape[0] == 2500
+            params = bl.BellmanParams(p)
+            u, v, ph1, ph2 = bl._phases(sel[:, 2] + 1j * sel[:, 3], sel[:, 4] + 1j * sel[:, 5])
+            mats = bl._assemble_neg_hess(*bl._form_coeffs(params, u, v), ph1, ph2)
+            tau = sel[:, 7]
+            w = np.stack([tau, tau, 1.0 / tau, 1.0 / tau], axis=1)
+            lam = np.linalg.eigvalsh(mats - params.delta * w[:, :, None] * np.eye(4))
+            assert lam[:, 0].min() >= -1e-10, f"p={p}"
 
     def test_negative_potential_in_config_exits_two(self, tmp_path):
         cfg = tmp_path / "bad.scenario"

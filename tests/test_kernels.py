@@ -40,17 +40,6 @@ def _coeffs(u, v):
     return 0.5 * t[4], 0.5 * t[7], 0.5 * t[6], 0.5 * t[8], 0.5 * t[5]
 
 
-def test_direction_forms_parity():
-    u, v, ph1, ph2 = _points(seed=2)
-    crr, ctt, drr, dtt, m = _coeffs(u, v)
-    rng = np.random.default_rng(3)
-    s1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    s2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    a = K.direction_forms_np(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2)
-    b = K.direction_forms_nb(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
 def test_bilinear_forms_parity():
     u, v, ph1, ph2 = _points(seed=4)
     crr, ctt, drr, dtt, m = _coeffs(u, v)
@@ -70,25 +59,3 @@ def test_form_sum_over_axes_parity():
     a = K.form_sum_over_axes_np(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2)
     b = K.form_sum_over_axes_nb(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_tau_maximin_parity():
-    u, v, ph1, ph2 = _points(n=200, seed=8)
-    crr, ctt, drr, dtt, m = _coeffs(u, v)
-    rng = np.random.default_rng(9)
-    raw1 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    raw2 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    norm = np.sqrt(np.abs(raw1) ** 2 + np.abs(raw2) ** 2)
-    s1, s2 = raw1 / norm, raw2 / norm
-    H = K.direction_forms_np(crr, ctt, drr, dtt, m, ph1, ph2, s1, s2)
-    a1sq = np.abs(s1) ** 2
-    a2sq = np.abs(s2) ** 2
-    t = K.bellman_tables_np(P, Q, DELTA, u, v)
-    drift = 0.5 * (u * t[2] + v * t[3] - t[1])
-    out_np = K.tau_maximin_np(H, a1sq, a2sq, drift, u * u, v * v, DELTA)
-    out_nb = K.tau_maximin_nb(H, a1sq, a2sq, drift, u * u, v * v, DELTA)
-    # identical update rule, so the searches agree to tight tolerance
-    np.testing.assert_allclose(out_np[0], out_nb[0], rtol=1e-10)
-    np.testing.assert_allclose(out_np[1], out_nb[1], rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(out_np[2], out_nb[2], rtol=1e-9, atol=1e-12)
-    assert np.array_equal(out_np[3], out_nb[3])
