@@ -52,34 +52,26 @@ def backend_name() -> str:
 # derivative tables
 # ---------------------------------------------------------------------------
 
-def bellman_tables_np(p, q, delta, u, v):
-    """Region mask plus phi and its radial derivatives, vectorized.
+def second_order_np(p, q, delta, u, v, r1=None):
+    """Second-order radial derivatives of phi, vectorized.
 
-    Returns (r1, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, phi_u_over_u,
-    phi_v_over_v) as flat arrays; r1 is a boolean region-1 mask.
+    Returns (phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v) as flat
+    arrays.  r1 is the region-1 mask; it is computed when not given.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    up = u ** p
-    vq = v ** q
-    r1 = up <= vq
+    if r1 is None:
+        r1 = u ** p <= v ** q
     vc = np.maximum(v, MOD_FLOOR)
-
-    up1 = u ** (p - 1.0)
     up2 = u ** (p - 2.0)
-    vq1 = v ** (q - 1.0)
     v2q = v ** (2.0 - q)      # exponent in [0, 1)
     v1q = vc ** (1.0 - q)     # negative exponent, clamped
     vq2 = vc ** (q - 2.0)
     vmq = vc ** (-q)
     u2 = u * u
-
     c2p = p + 2.0 * delta
     c2q = q + delta * (2.0 - q)
 
-    phi = up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
-    phi_u = np.where(r1, p * up1 + 2.0 * delta * u * v2q, c2p * up1)
-    phi_v = np.where(r1, q * vq1 + delta * (2.0 - q) * u2 * v1q, c2q * vq1)
     phi_uu = np.where(r1, p * (p - 1.0) * up2 + 2.0 * delta * v2q, c2p * (p - 1.0) * up2)
     phi_uv = np.where(r1, 2.0 * delta * (2.0 - q) * u * v1q, 0.0)
     phi_vv = np.where(
@@ -89,7 +81,36 @@ def bellman_tables_np(p, q, delta, u, v):
     )
     phi_u_over_u = np.where(r1, p * up2 + 2.0 * delta * v2q, c2p * up2)
     phi_v_over_v = np.where(r1, q * vq2 + delta * (2.0 - q) * u2 * vmq, c2q * vq2)
-    return r1, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
+    return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
+
+
+def bellman_tables_np(p, q, delta, u, v):
+    """Region mask plus phi and its radial derivatives, vectorized.
+
+    Returns (r1, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, phi_u_over_u,
+    phi_v_over_v) as flat arrays; r1 is a boolean region-1 mask.  The last
+    five come from ``second_order_np``.
+    """
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    up = u ** p
+    vq = v ** q
+    r1 = up <= vq
+    vc = np.maximum(v, MOD_FLOOR)
+
+    up1 = u ** (p - 1.0)
+    vq1 = v ** (q - 1.0)
+    v2q = v ** (2.0 - q)
+    v1q = vc ** (1.0 - q)
+    u2 = u * u
+
+    c2p = p + 2.0 * delta
+    c2q = q + delta * (2.0 - q)
+
+    phi = up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
+    phi_u = np.where(r1, p * up1 + 2.0 * delta * u * v2q, c2p * up1)
+    phi_v = np.where(r1, q * vq1 + delta * (2.0 - q) * u2 * v1q, c2q * vq1)
+    return (r1, phi, phi_u, phi_v) + second_order_np(p, q, delta, u, v, r1)
 
 
 def prop_i_slack_np(p, q, delta, u, v):
@@ -261,6 +282,11 @@ if HAVE_NUMBA:
         _tables_kernel(p, q, delta, u, v, out)
         return (out[0] == 1.0,) + tuple(out[1:])
 
+    def second_order_nb(p, q, delta, u, v):
+        """The last five tables of ``bellman_tables_nb``: the compiled
+        kernel computes all nine for little more than the five."""
+        return bellman_tables_nb(p, q, delta, u, v)[4:]
+
     def prop_i_slack_nb(p, q, delta, u, v):
         shape = np.shape(u)
         u = np.ascontiguousarray(u, dtype=np.float64).ravel()
@@ -301,6 +327,7 @@ if HAVE_NUMBA:
 
 else:  # pragma: no cover - no-numba fallback aliases
     bellman_tables_nb = None
+    second_order_nb = None
     prop_i_slack_nb = None
     bilinear_forms_nb = None
     form_sum_over_axes_nb = None
@@ -308,11 +335,13 @@ else:  # pragma: no cover - no-numba fallback aliases
 
 if USE_NUMBA:
     bellman_tables = bellman_tables_nb
+    second_order = second_order_nb
     prop_i_slack = prop_i_slack_nb
     bilinear_forms = bilinear_forms_nb
     form_sum_over_axes = form_sum_over_axes_nb
 else:
     bellman_tables = bellman_tables_np
+    second_order = second_order_np
     prop_i_slack = prop_i_slack_np
     bilinear_forms = bilinear_forms_np
     form_sum_over_axes = form_sum_over_axes_np

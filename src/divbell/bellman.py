@@ -283,11 +283,12 @@ def _guard_second_order(params: BellmanParams, u: float, v: float,
 
 
 def _form_coeffs(params: BellmanParams, u, v):
-    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form."""
-    t = _kernels.bellman_tables(params.p, params.q, params.delta,
-                                np.atleast_1d(np.asarray(u, dtype=np.float64)).ravel(),
-                                np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel())
-    _, _, _, _, phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v = t
+    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form: half of
+    phi_uu, phi_u/u, phi_vv, phi_v/v and phi_uv."""
+    phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v = _kernels.second_order(
+        params.p, params.q, params.delta,
+        np.atleast_1d(np.asarray(u, dtype=np.float64)).ravel(),
+        np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel())
     return (0.5 * phi_uu, 0.5 * phi_u_over_u, 0.5 * phi_vv, 0.5 * phi_v_over_v, 0.5 * phi_uv)
 
 
@@ -454,14 +455,74 @@ def mollified_grad_Q(params: BellmanParams, eps: float, xi: ComplexPair,
     return WirtingerGradient(dz, np.conj(dz), de, np.conj(de))
 
 
+def cap_mollify_scale(u, v, eps):
+    """Mollification scale eps capped at 0.45 * min(u, v), so the
+    quadrature ball around a point with moduli (u, v) stays clear of the
+    zero rays, where the almost-everywhere Hessian is not integrable by the
+    quadrature."""
+    return np.minimum(eps, 0.45 * np.minimum(u, v))
+
+
+# Nodes per block of ``mollified_neg_hess``: one block's quadrature
+# temporaries are a few (block * quadrature points) arrays, whatever the
+# node count.
+_MOLLIFY_BLOCK = 128
+
+# Positions of the 10 independent entries of a symmetric 4x4 -d2Q: the
+# three of each diagonal 2x2 block, then the off-diagonal block.
+_SYM_ROWS = np.array([0, 0, 1, 2, 2, 3, 0, 0, 1, 1])
+_SYM_COLS = np.array([0, 1, 1, 2, 3, 3, 2, 3, 2, 3])
+
+
+def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) -> np.ndarray:
+    """Mollified -d2Q at k points as a (k, 4, 4) stack, in the coordinates
+    (Re zeta, Im zeta, Re eta, Im eta).
+
+    Point i is smoothed at scale eps[i] (eps may also be one scalar),
+    capped by ``cap_mollify_scale``; both moduli must be positive.
+    Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block only the
+    five radial coefficients and the phases are evaluated at the quadrature
+    points, and the weighted average of the 10 independent matrix entries
+    is one (10, block, nq) @ weights product, so no per-quadrature-point
+    4x4 matrix is ever formed.
+    """
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128)).ravel()
+    eta = np.atleast_1d(np.asarray(eta, dtype=np.complex128)).ravel()
+    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), zeta.shape)
+    if not np.all(eps > 0.0):
+        raise DomainError("mollification scales must be positive")
+    eps = cap_mollify_scale(np.abs(zeta), np.abs(eta), eps)
+    mol = _mollifier(order)
+    y1 = mol.nodes[:, 0] + 1j * mol.nodes[:, 1]
+    y2 = mol.nodes[:, 2] + 1j * mol.nodes[:, 3]
+    nq = y1.size
+    out = np.empty((zeta.size, 4, 4))
+    for lo in range(0, zeta.size, _MOLLIFY_BLOCK):
+        blk = slice(lo, lo + _MOLLIFY_BLOCK)
+        zs = (zeta[blk, None] - eps[blk, None] * y1).ravel()
+        es = (eta[blk, None] - eps[blk, None] * y2).ravel()
+        u = np.maximum(np.abs(zs), ZERO_MODULUS)
+        v = np.maximum(np.abs(es), ZERO_MODULUS)
+        c1, s1 = zs.real / u, zs.imag / u
+        c2, s2 = es.real / v, es.imag / v
+        crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
+        a = crr - ctt
+        b = drr - dtt
+        ent = np.stack([
+            ctt + a * (c1 * c1), a * (c1 * s1), ctt + a * (s1 * s1),
+            dtt + b * (c2 * c2), b * (c2 * s2), dtt + b * (s2 * s2),
+            m * (c1 * c2), m * (c1 * s2), m * (s1 * c2), m * (s1 * s2),
+        ])
+        avg = (ent.reshape(10, -1, nq) @ mol.weights).T     # (block, 10)
+        out[blk, _SYM_ROWS, _SYM_COLS] = avg
+        out[blk, _SYM_COLS, _SYM_ROWS] = avg
+    return out
+
+
 def mollified_neg_hess_matrix(params: BellmanParams, eps: float, xi: ComplexPair,
                               order: int = 8) -> np.ndarray:
-    """Mollified -d2Q as a 4x4 matrix.
-
-    eps is capped at 0.45*min(|zeta|, |eta|) so every quadrature point stays
-    clear of the zero rays, where the almost-everywhere Hessian is not
-    integrable by this quadrature.
-    """
+    """Mollified -d2Q as a 4x4 matrix, at scale eps capped by
+    ``cap_mollify_scale``."""
     if not eps > 0.0:
         raise DomainError(f"mollification scale must be positive, got {eps}")
     u0 = abs(complex(xi[0]))
@@ -469,14 +530,7 @@ def mollified_neg_hess_matrix(params: BellmanParams, eps: float, xi: ComplexPair
     if min(u0, v0) <= ZERO_MODULUS:
         raise SingularityError("zeta-zero-ray" if u0 <= v0 else "eta-zero-ray",
                                "mollified Hessian needs both moduli positive")
-    eps = min(eps, 0.45 * min(u0, v0))
-    mol = _mollifier(order)
-    zs, es = mol.shifted_points(xi, eps)
-    u, v, ph1, ph2 = _phases(zs, es)
-    crr, ctt, drr, dtt, m = _form_coeffs(params, np.maximum(u, ZERO_MODULUS),
-                                         np.maximum(v, ZERO_MODULUS))
-    mats = _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2)
-    return np.einsum("n,nij->ij", mol.weights, mats)
+    return mollified_neg_hess(params, complex(xi[0]), complex(xi[1]), eps, order)[0]
 
 
 def mollified_second_form(params: BellmanParams, eps: float, xi: ComplexPair,
@@ -660,7 +714,7 @@ def find_tau(params: BellmanParams, xi: ComplexPair, *, mollify: str | bool = "a
                               margin_drift=float(md[0]),
                               worst_direction=ComplexPair(complex(s1[0]), complex(s2[0])))
     if eps is None:
-        eps = min(1e-2 * max(u, v), 0.45 * min(u, v))
+        eps = 1e-2 * max(u, v)
     mat = mollified_neg_hess_matrix(params, eps, xi, order)
     drift = drift_slack_base(params, np.array([u]), np.array([v]))
     delta = params.delta

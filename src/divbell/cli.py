@@ -14,7 +14,8 @@ Subcommands map one-to-one onto the verification suites:
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
 3 numerical failure (solver did not converge).  Identical configuration and
 seed produce byte-identical output files.  ``DIVBELL_WORKERS`` sets the
-sweep worker count (default 1, serial).
+sweep worker count (default 1, serial); a non-integer value is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -72,11 +74,9 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
         rng = ps.rng_for(args.seed, f"bellman-points-p{p}")
         zetas, etas = bl.sample_certification_points(params, args.points, rng)
         res = bl.certify_batch(params, zetas, etas)
-        for i in range(len(zetas)):
-            rows.append((p, i, zetas[i].real, zetas[i].imag, etas[i].real,
-                         etas[i].imag, res["prop_i_slack"][i], res["tau"][i],
-                         res["margin_hessian"][i], res["margin_drift"][i],
-                         bool(res["valid"][i])))
+        cols = (zetas.real, zetas.imag, etas.real, etas.imag, res["prop_i_slack"],
+                res["tau"], res["margin_hessian"], res["margin_drift"], res["valid"])
+        rows.extend(zip(repeat(p), range(len(zetas)), *(c.tolist() for c in cols)))
         summary.add(f"range-bound(p={p:g})", float(res["prop_i_slack"].min()),
                     bool((res["prop_i_slack"] >= 0.0).all()))
         shared = np.minimum(res["margin_hessian"], res["margin_drift"])
@@ -173,12 +173,11 @@ def cmd_pointwise(args) -> tuple[Summary, dict]:
     rep = hz.pointwise_check(ev)
     dimcols = _coords_header(spec.grid.dim)
     header = dimcols + ["t", "lhs", "rhs", "slack"]
-    coords = [c.ravel() for c in spec.grid.node_coords()]
+    coords = [c.ravel().tolist() for c in spec.grid.node_coords()]
     rows = []
-    for k, t in enumerate(ev.traj_f.times):
-        for j in range(spec.grid.n_nodes):
-            rows.append(tuple(c[j] for c in coords) + (t, rep.lhs[k, j],
-                                                       rep.rhs[k, j], rep.slack[k, j]))
+    for k, t in enumerate(ev.traj_f.times.tolist()):
+        rows.extend(zip(*coords, repeat(t), rep.lhs[k].tolist(), rep.rhs[k].tolist(),
+                        rep.slack[k].tolist()))
     summary = Summary()
     summary.add("pointwise-lower-bound", rep.worst_slack + rep.eps_h, rep.ok,
                 note=f"eps_h={fmt(rep.eps_h)}, mollified={rep.n_mollified}")
@@ -279,7 +278,11 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
     dims = (1, 2)
     tasks = [(preset, dim, p, args.seed, 96, 16)
              for preset in ps.PRESET_NAMES for dim in dims for p in pvals]
-    workers = int(os.environ.get("DIVBELL_WORKERS", "1"))
+    text = os.environ.get("DIVBELL_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"DIVBELL_WORKERS: expected an integer, got {text!r}") from exc
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bellman import BellmanParams, _mollifier
+from .bellman import BellmanParams, cap_mollify_scale, mollified_neg_hess
 from .errors import AccuracyError, DomainError, GeometryError
 from .grids import Grid, GridFunction
 from .operators import (CoefficientField, DiscreteOperator, PotentialField,
@@ -196,10 +196,16 @@ def _bellman_coeff_tables(params: BellmanParams, u: np.ndarray, v: np.ndarray):
     return crr, ctt, drr, dtt, m, drift
 
 
-def _interface_margin_mask(params: BellmanParams, u, v, h: float) -> np.ndarray:
-    """Nodes close enough to the interface that exact second derivatives are
-    replaced by mollified ones (scale floor keeps the negligible far field
-    on the exact branch).
+def _mollify_scale(u, v, h: float) -> np.ndarray:
+    """Mollification scale eps = 2 sqrt(h) * |point|, capped by
+    ``cap_mollify_scale``."""
+    return cap_mollify_scale(u, v, 2.0 * np.sqrt(h) * np.maximum(u, v))
+
+
+def _interface_margin_mask(params: BellmanParams, u, v, eps) -> np.ndarray:
+    """Nodes close enough to the interface, at mollification scale eps, that
+    exact second derivatives are replaced by mollified ones (scale floor
+    keeps the negligible far field on the exact branch).
 
     For p = 2 the two branches of phi coincide identically, so there is no
     interface kink and nothing to mollify.
@@ -208,31 +214,9 @@ def _interface_margin_mask(params: BellmanParams, u, v, h: float) -> np.ndarray:
     if p == 2.0:
         return np.zeros(np.shape(u), dtype=bool)
     scale = max(float(np.max(u, initial=0.0)), float(np.max(v, initial=0.0)), 1e-30)
-    # same cap as the mollifier itself: the quadrature ball must stay clear
-    # of the zero rays
-    eps = np.minimum(2.0 * np.sqrt(h) * np.maximum(u, v),
-                     0.45 * np.minimum(u, v))
     slope = np.sqrt((p * u ** (p - 1.0)) ** 2 + (q * v ** (q - 1.0)) ** 2)
     near = np.abs(u ** p - v ** q) <= eps * slope
     return near & (np.maximum(u, v) >= MOLLIFY_SCALE_FLOOR * scale)
-
-
-def _mollified_matrices(params: BellmanParams, zeta, eta, h: float,
-                        order: int = HARNESS_MOLLIFIER_ORDER) -> np.ndarray:
-    """Batched mollified -d2Q matrices at scale eps = 2 sqrt(h) * |point|,
-    capped so the quadrature ball avoids the zero rays."""
-    from .bellman import _assemble_neg_hess, _form_coeffs, _phases
-    mol = _mollifier(order)
-    u0 = np.abs(zeta)
-    v0 = np.abs(eta)
-    eps = np.minimum(2.0 * np.sqrt(h) * np.maximum(u0, v0), 0.45 * np.minimum(u0, v0))
-    y = mol.nodes  # (nq, 4)
-    zs = zeta[:, None] - eps[:, None] * (y[None, :, 0] + 1j * y[None, :, 1])
-    es = eta[:, None] - eps[:, None] * (y[None, :, 2] + 1j * y[None, :, 3])
-    u, v, ph1, ph2 = _phases(zs.ravel(), es.ravel())
-    coeffs = _form_coeffs(params, np.maximum(u, 1e-300), np.maximum(v, 1e-300))
-    mats = _assemble_neg_hess(*coeffs, ph1, ph2).reshape(len(zeta), len(mol.weights), 4, 4)
-    return np.einsum("q,kqij->kij", mol.weights, mats)
 
 
 def _pairs_to_real(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -309,18 +293,17 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
 
     n_moll = 0
     if mollify:
-        h = min(grid.spacing)
-        mask = _interface_margin_mask(params, u, v, h)
-        n_moll = int(mask.sum())
+        eps = _mollify_scale(u, v, min(grid.spacing))
+        idx = np.flatnonzero(_interface_margin_mask(params, u, v, eps))
+        n_moll = int(idx.size)
         if n_moll:
-            mats = _mollified_matrices(params, v1.ravel()[mask], v2.ravel()[mask], h)
-            t1 = _pairs_to_real(th1[mask], th2[mask])          # (k, d, 4)
-            a_part[mask] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
-            gi1 = g1.reshape(nt, d, n).transpose(0, 2, 1).reshape(nt * n, d)[mask]
-            gi2 = g2.reshape(nt, d, n).transpose(0, 2, 1).reshape(nt * n, d)[mask]
-            gv = _pairs_to_real(gi1, gi2)                      # (k, d, 4)
-            Am = np.tile(Anode, (nt, 1, 1, 1)).reshape(nt * n, d, d)[mask]
-            aij_part[mask] = np.einsum("kij,kia,kab,kjb->k", Am, gv, mats, gv)
+            mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx],
+                                      HARNESS_MOLLIFIER_ORDER)
+            t1 = _pairs_to_real(th1[idx], th2[idx])            # (k, d, 4)
+            a_part[idx] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
+            ti, ni = np.divmod(idx, n)
+            gv = _pairs_to_real(g1[ti, :, ni], g2[ti, :, ni])  # (k, d, 4)
+            aij_part[idx] = np.einsum("kij,kia,kab,kjb->k", Anode[ni], gv, mats, gv)
 
     vpot = np.tile(op.potential, nt)
     v_part = vpot * drift

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -19,12 +21,41 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _row_template(types: tuple[type, ...]) -> str | None:
+    """One %-template for a CSV line whose values have these exact types,
+    rendering each value as ``fmt`` does; None when a type is a subclass of
+    int or float, which may format itself differently."""
+    convs = []
+    for t in types:
+        if t is bool or t is int:
+            convs.append("%d")
+        elif t is float or t is np.float64:
+            convs.append("%.17g")
+        elif issubclass(t, (int, float)):
+            return None
+        else:
+            convs.append("%s")   # fmt renders every other type with str()
+    return ",".join(convs) + "\n"
+
+
+def _csv_lines(rows):
+    """Each row as one CSV line, equal to joining ``fmt`` of its values; rows
+    with the same value types share one %-template."""
+    templates: dict[tuple[type, ...], str | None] = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = _row_template(types)
+        tmpl = templates[types]
+        yield tmpl % row if tmpl is not None else ",".join(map(fmt, row)) + "\n"
+
+
 def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(x) for x in row) + "\n")
+            fh.writelines(_csv_lines(rows))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import divbell.bellman as bl
 from divbell.bellman import BellmanParams, ComplexPair, RegionLabel
 from divbell.errors import AccuracyError, DomainError, SingularityError
+from oracles import stack_mollified_neg_hess
 
 
 def fd_grad_phi(params, u, v, h=1e-5):
@@ -366,6 +367,94 @@ class TestMollified:
         xi = ComplexPair(0.9, 1.1)
         with pytest.raises(AccuracyError):
             bl.mollified_Q(P, 0.4, xi, order=2, check_tol=1e-14)
+
+
+def near_interface_points(params, rng, k):
+    """k points within a few percent of the interface u^p = v^q, with
+    mollification scales that keep the quadrature balls off the zero rays."""
+    v = np.exp(rng.uniform(-2.0, 1.5, k))
+    u = v ** (params.q / params.p) * (1.0 + rng.uniform(-0.05, 0.05, k))
+    zeta = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+    eta = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+    eps = np.minimum(rng.uniform(0.01, 0.2, k) * np.maximum(u, v), 0.45 * np.minimum(u, v))
+    return zeta, eta, eps
+
+
+def assert_matches_stack(params, got, zeta, eta, eps, order):
+    ref = stack_mollified_neg_hess(params, zeta, eta, eps, order)
+    assert got.shape == ref.shape
+    if ref.size:
+        radius = np.abs(np.linalg.eigvalsh(ref)).max(axis=1)
+        assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * radius).all()
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
+class TestMollifiedNegHess:
+    @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("order", [6, 8])
+    def test_matches_stack_oracle(self, p, order):
+        P = BellmanParams(p)
+        zeta, eta, eps = near_interface_points(P, np.random.default_rng(int(p) + order), 300)
+        got = bl.mollified_neg_hess(P, zeta, eta, eps, order)
+        assert_matches_stack(P, got, zeta, eta, eps, order)
+
+    @pytest.mark.parametrize("k", [0, 1, bl._MOLLIFY_BLOCK, bl._MOLLIFY_BLOCK + 1])
+    def test_node_counts(self, k):
+        P = BellmanParams(4.0)
+        zeta, eta, eps = near_interface_points(P, np.random.default_rng(k), k)
+        got = bl.mollified_neg_hess(P, zeta, eta, eps, 6)
+        assert got.shape == (k, 4, 4)
+        assert_matches_stack(P, got, zeta, eta, eps, 6)
+
+    def test_scalar_eps_broadcasts(self):
+        P = BellmanParams(3.0)
+        zeta, eta, _ = near_interface_points(P, np.random.default_rng(5), 7)
+        eps = 0.4 * np.minimum(np.abs(zeta), np.abs(eta)).min()
+        assert np.array_equal(bl.mollified_neg_hess(P, zeta, eta, eps, 6),
+                              bl.mollified_neg_hess(P, zeta, eta, np.full(7, eps), 6))
+
+    def test_rejects_nonpositive_eps(self):
+        P = BellmanParams(4.0)
+        with pytest.raises(DomainError):
+            bl.mollified_neg_hess(P, [1.0, 1.0], [1.0, 1.0], [0.1, 0.0])
+        with pytest.raises(DomainError):
+            bl.mollified_neg_hess(P, [1.0], [1.0], np.nan)
+
+    @pytest.mark.parametrize("xi, eps", [
+        ((1.3 ** (1.0 / 3.0), 1.3), 0.05),            # on the p=4 interface
+        ((0.5 + 0.2j, 1.9 - 0.3j), 0.1),
+        ((0.02 - 0.01j, 1.1j), 0.5),                  # eps capped by |zeta|
+    ])
+    def test_matrix_is_one_point_call(self, xi, eps):
+        # same matrix as the stack average at the capped scale
+        P = BellmanParams(4.0)
+        xi = ComplexPair(*xi)
+        mat = bl.mollified_neg_hess_matrix(P, eps, xi)
+        capped = min(eps, 0.45 * min(abs(xi[0]), abs(xi[1])))
+        assert mat.shape == (4, 4)
+        assert_matches_stack(P, mat[None], xi[0], xi[1], capped, 8)
+        assert np.array_equal(mat, bl.mollified_neg_hess(P, xi[0], xi[1], capped)[0])
+        # the batched function applies the same cap itself
+        assert np.array_equal(mat, bl.mollified_neg_hess(P, xi[0], xi[1], eps)[0])
+
+    def test_matrix_guards(self):
+        P = BellmanParams(4.0)
+        with pytest.raises(DomainError):
+            bl.mollified_neg_hess_matrix(P, 0.0, ComplexPair(1.0, 1.0))
+        with pytest.raises(SingularityError) as err:
+            bl.mollified_neg_hess_matrix(P, 0.1, ComplexPair(1.0, 0.0))
+        assert err.value.which == "eta-zero-ray"
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0])
+    def test_form_coeffs_bitwise_equal_to_tables(self, p):
+        P = BellmanParams(p)
+        rng = np.random.default_rng(int(p))
+        u = np.concatenate([np.exp(rng.uniform(-8.0, 3.0, 500)), [0.0, 1e-300, 1.0]])
+        v = np.concatenate([np.exp(rng.uniform(-8.0, 3.0, 500)), [1.0, 1e-300, 0.0]])
+        t = bl._kernels.bellman_tables(P.p, P.q, P.delta, u, v)
+        expected = (0.5 * t[4], 0.5 * t[7], 0.5 * t[6], 0.5 * t[8], 0.5 * t[5])
+        for got, ref in zip(bl._form_coeffs(P, u, v), expected):
+            assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestFindTau:

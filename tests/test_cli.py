@@ -7,10 +7,11 @@ import pytest
 
 import divbell.bellman as bl
 import divbell.presets as ps
-from divbell.cli import main
+from divbell.cli import COMMANDS, main, make_parser
 from divbell.errors import ConfigError
 from divbell.grids import Boundary, Grid
 from divbell.operators import check_accretive
+from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 
 SCENARIO_TEXT = """
@@ -184,6 +185,22 @@ class TestCli:
         assert filecmp.cmp(a / "bellman.csv", b / "bellman.csv", shallow=False)
         assert filecmp.cmp(a / "summary.txt", b / "summary.txt", shallow=False)
 
+    def test_pointwise_byte_identical(self, tmp_path):
+        # mollified nodes included; every line equals the fmt rendering
+        args = ["pointwise", "--preset", "random-accretive", "--grid", "12,12",
+                "--p", "4", "--T", "0.1", "--seed", "3", "--quiet"]
+        for out in ("a", "b"):
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
+        assert filecmp.cmp(tmp_path / "a" / "pointwise.csv", tmp_path / "b" / "pointwise.csv",
+                           shallow=False)
+        assert filecmp.cmp(tmp_path / "a" / "summary.txt", tmp_path / "b" / "summary.txt",
+                           shallow=False)
+        assert "mollified=0]" not in (tmp_path / "a" / "summary.txt").read_text()
+        header, rows = COMMANDS["pointwise"](make_parser().parse_args(args))[1]["pointwise"]
+        expected = "".join(",".join(fmt(x) for x in row) + "\n"
+                           for row in [header] + rows)
+        assert (tmp_path / "a" / "pointwise.csv").read_text() == expected
+
     def test_operator_and_semigroup_verify(self, tmp_path):
         rc = main(["operator-verify", "--preset", "random-accretive",
                    "--grid", "10,10", "--seed", "1",
@@ -199,6 +216,12 @@ class TestCli:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         # header + one row per preset x dimension
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2
+
+    def test_non_integer_workers_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIVBELL_WORKERS", "two")
+        rc = main(["sweep", "--p", "2", "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert "DIVBELL_WORKERS" in capsys.readouterr().err
 
     def test_embed_and_ibp_and_offdiag(self, tmp_path):
         for cmd in ("embed", "ibp", "offdiag"):

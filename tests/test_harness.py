@@ -2,9 +2,12 @@
 bound, bilinear functional, polarization, embedding, cutoff integration by
 parts, off-diagonal decay, and the square function."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import divbell.bellman as bl
 import divbell.harness as hz
 import divbell.operators as ops
 import divbell.presets as ps
@@ -12,6 +15,7 @@ from divbell.bellman import BellmanParams
 from divbell.errors import DomainError, GeometryError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.semigroup import Scheme, SolverConfig, TimeGrid, evolve
+from oracles import stack_mollified_neg_hess
 
 TIGHT = SolverConfig(tol=1e-12)
 
@@ -153,6 +157,55 @@ class TestChainRule:
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
         assert cr.arrangement_gap <= 1e-10
         assert np.abs(cr.rhs - cr.rhs_aij).max() <= 1e-10 * max(1.0, np.abs(cr.rhs).max())
+
+
+class TestMollifiedPath:
+    def test_chain_rule_matches_stack_oracle(self, monkeypatch):
+        # nonsymmetric A with a nonconstant symmetric part in 2D: the masked
+        # gathers of A and of the gradients must line up with the factored
+        # arrangement
+        spec = make_scenario("random-accretive", dim=2, N=16, p=3.0, T=0.1, steps=10)
+        ev = hz.run_scenario(spec)
+        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        assert cr.n_mollified > 0
+        assert np.abs(cr.rhs - cr.rhs_aij).max() <= 1e-10 * max(1.0, np.abs(cr.rhs).max())
+        monkeypatch.setattr(hz, "mollified_neg_hess", stack_mollified_neg_hess)
+        ref = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        scale = np.abs(ref.rhs).max()
+        assert np.abs(cr.rhs - ref.rhs).max() <= 1e-13 * scale
+        assert np.abs(cr.rhs_aij - ref.rhs_aij).max() <= 1e-13 * scale
+
+    def test_mask_and_quadrature_share_one_scale(self):
+        P = BellmanParams(4.0)
+        u = np.array([1.0, 2.0, 0.5])
+        v = np.array([1.0, 0.1, 0.5 ** 3])
+        eps = hz._mollify_scale(u, v, 0.01)
+        assert np.allclose(eps, [0.2, 0.045, 0.45 * 0.125], rtol=1e-15)
+        assert hz._interface_margin_mask(P, u, v, eps).tolist() == [True, False, True]
+
+    @staticmethod
+    def _temporary_peak(blocks):
+        P = BellmanParams(4.0)
+        rng = np.random.default_rng(blocks)
+        k = blocks * bl._MOLLIFY_BLOCK
+        v = np.exp(rng.uniform(-1.0, 1.0, k))
+        u = v ** (P.q / P.p)
+        zeta = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+        eta = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+        eps = hz._mollify_scale(u, v, 0.01)
+        bl._mollifier(hz.HARNESS_MOLLIFIER_ORDER)
+        tracemalloc.start()
+        try:
+            out = bl.mollified_neg_hess(P, zeta, eta, eps, hz.HARNESS_MOLLIFIER_ORDER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    def test_temporary_memory_independent_of_node_count(self):
+        small = self._temporary_peak(2)
+        large = self._temporary_peak(8)
+        assert abs(large - small) <= 0.1 * small
 
 
 class TestPointwise:

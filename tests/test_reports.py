@@ -1,5 +1,7 @@
 """Tests for CSV emission, export tables, and the summary renderer."""
 
+import enum
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,32 @@ def test_fmt_17_significant_digits_roundtrip():
         assert float(rp.fmt(x)) == x
     assert rp.fmt(True) == "1"
     assert rp.fmt(3) == "3"
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+def test_write_csv_matches_fmt_reference(tmp_path):
+    # every value type a table holds, rows of one type pattern repeated,
+    # and a few mixed ones
+    header = ["a", "b", "c", "d", "e"]
+    rows = [
+        (True, False, np.bool_(True), np.bool_(False), None),
+        (0, -7, 12345678901234567890, np.int64(-3), "x%sy"),
+        (1.0 / 3.0, np.float64(-2.5), float("nan"), float("inf"), -float("inf")),
+        (-0.0, np.float64(-0.0), 5e-324, 1e300, np.float64(np.nan)),
+        ("str", None, True, 1.5, 2),
+        (1.0 / 3.0, np.float64(-2.5), float("nan"), float("inf"), -float("inf")),
+        [1, 2.0, "three", None, np.float64(4.0)],
+        (Level.HIGH, 1, 2.0, "int subclass", None),
+        (),
+    ]
+    path = tmp_path / "t.csv"
+    rp.write_csv(str(path), header, rows)
+    expected = "".join(",".join(rp.fmt(x) for x in row) + "\n" for row in [header] + rows)
+    assert path.read_text() == expected
+    assert path.read_text().splitlines()[1] == "1,0,True,False,None"
 
 
 def test_empty_report_and_summary(tmp_path):
