@@ -8,7 +8,6 @@ associated semigroup with implicit schemes, and runs every link of the
 embedding inequality's proof chain as an executable check.
 """
 
-from ._kernels import HAVE_NUMBA, NUMBA_DISABLED, USE_NUMBA, backend_name
 from .bellman import (
     BejazReport,
     BellmanParams,
@@ -34,10 +33,6 @@ __all__ = [
     "ComplexPair",
     "RegionLabel",
     "TauCertificate",
-    "HAVE_NUMBA",
-    "NUMBA_DISABLED",
-    "USE_NUMBA",
-    "backend_name",
     "check_bejaz",
     "eval_Q",
     "eval_phi",

@@ -14,6 +14,23 @@ on C x C.  phi is C^1 everywhere and C^2 away from the interface
 ``u^p = v^q`` and the ray ``v = 0``; second-order quantities near those sets
 are handled by mollification.
 
+Conventions of the vectorized tables and forms:
+
+* ``u, v`` are the moduli ``|zeta|, |eta|`` (nonnegative floats).
+* Region 1 is ``u**p <= v**q``, region 2 the complement.  Tie points go to
+  region 1; the two branches agree in value and first derivatives there.
+* Negative powers of ``v`` are evaluated with ``v`` clamped to ``MOD_FLOOR``
+  so tables stay finite; callers are responsible for staying off the
+  singular rays when the unclamped value matters.
+* The quadratic form ``H(s) = <-d2Q(xi) s, s>`` for ``s=(s1,s2)`` in C^2 is
+
+      H = ctt*|s1|^2 + (crr-ctt)*x1^2 + 2*m*x1*x2
+        + dtt*|s2|^2 + (drr-dtt)*x2^2,
+
+  with ``x1 = Re(s1 * conj(zeta/u))``, ``x2 = Re(s2 * conj(eta/v))`` and
+  radial coefficients crr = phi_uu/2, ctt = (phi_u/u)/2, drr = phi_vv/2,
+  dtt = (phi_v/v)/2, m = phi_uv/2.
+
 Everything here is a pure function of its arguments and safe to call from
 any number of threads.
 """
@@ -27,7 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import AccuracyError, DomainError, SingularityError
 
 # Relative threshold on |u^p - v^q| below which a point is classified as
@@ -36,6 +52,9 @@ INTERFACE_REL_THRESHOLD = 1e-9
 
 # Moduli below this are treated as exactly zero for certification purposes.
 ZERO_MODULUS = 1e-300
+
+# Floor applied to moduli before raising them to negative powers.
+MOD_FLOOR = 1e-150
 
 
 class RegionLabel(enum.Enum):
@@ -122,6 +141,140 @@ class BejazReport:
 
 
 # ---------------------------------------------------------------------------
+# vectorized derivative tables and forms of -d2Q
+# ---------------------------------------------------------------------------
+
+def second_order(p, q, delta, u, v, r1=None):
+    """Second-order radial derivatives of phi, vectorized.
+
+    Returns (phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v) as flat
+    arrays.  r1 is the region-1 mask; it is computed when not given.
+    """
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if r1 is None:
+        r1 = u ** p <= v ** q
+    vc = np.maximum(v, MOD_FLOOR)
+    up2 = u ** (p - 2.0)
+    v2q = v ** (2.0 - q)      # exponent in [0, 1)
+    v1q = vc ** (1.0 - q)     # negative exponent, clamped
+    vq2 = vc ** (q - 2.0)
+    vmq = vc ** (-q)
+    u2 = u * u
+    c2p = p + 2.0 * delta
+    c2q = q + delta * (2.0 - q)
+
+    phi_uu = np.where(r1, p * (p - 1.0) * up2 + 2.0 * delta * v2q, c2p * (p - 1.0) * up2)
+    phi_uv = np.where(r1, 2.0 * delta * (2.0 - q) * u * v1q, 0.0)
+    phi_vv = np.where(
+        r1,
+        q * (q - 1.0) * vq2 + delta * (2.0 - q) * (1.0 - q) * u2 * vmq,
+        c2q * (q - 1.0) * vq2,
+    )
+    phi_u_over_u = np.where(r1, p * up2 + 2.0 * delta * v2q, c2p * up2)
+    phi_v_over_v = np.where(r1, q * vq2 + delta * (2.0 - q) * u2 * vmq, c2q * vq2)
+    return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
+
+
+def bellman_tables(p, q, delta, u, v):
+    """Region mask plus phi and its radial derivatives, vectorized.
+
+    Returns (r1, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, phi_u_over_u,
+    phi_v_over_v) as flat arrays; r1 is a boolean region-1 mask.  The last
+    five come from ``second_order``.
+    """
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    up = u ** p
+    vq = v ** q
+    r1 = up <= vq
+    vc = np.maximum(v, MOD_FLOOR)
+
+    up1 = u ** (p - 1.0)
+    vq1 = v ** (q - 1.0)
+    v2q = v ** (2.0 - q)
+    v1q = vc ** (1.0 - q)
+    u2 = u * u
+
+    c2p = p + 2.0 * delta
+    c2q = q + delta * (2.0 - q)
+
+    phi = up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
+    phi_u = np.where(r1, p * up1 + 2.0 * delta * u * v2q, c2p * up1)
+    phi_v = np.where(r1, q * vq1 + delta * (2.0 - q) * u2 * v1q, c2q * vq1)
+    return (r1, phi, phi_u, phi_v) + second_order(p, q, delta, u, v, r1)
+
+
+def prop_i_slack(p, q, delta, u, v):
+    """Slack of the range bound (1+delta)(u^p+v^q) - phi, in a form that is
+    a sum/product of nonnegative terms so the result is >= 0 in floating
+    point as well."""
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    up = u ** p
+    vq = v ** q
+    r1 = up <= vq
+    vq1 = v ** (q - 1.0)
+    v2q = v ** (2.0 - q)
+    s1 = delta * (up + v2q * (vq1 - u) * (vq1 + u))
+    s2 = delta * ((1.0 - 2.0 / p) * up + (2.0 - 2.0 / q) * vq)
+    return np.where(r1, s1, s2).reshape(shape)
+
+
+def _radial_coeffs(phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v):
+    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form from
+    the five second-order tables, in ``second_order``'s order."""
+    return (0.5 * phi_uu, 0.5 * phi_u_over_u, 0.5 * phi_vv, 0.5 * phi_v_over_v, 0.5 * phi_uv)
+
+
+def form_coeffs_and_drift(params: BellmanParams, u, v):
+    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form and the
+    drift base Q(xi) - dQ(xi) xi = (u phi_u + v phi_v - phi)/2, from one
+    ``bellman_tables`` call.  Moduli are clamped to ZERO_MODULUS."""
+    u = np.maximum(np.asarray(u, dtype=np.float64).ravel(), ZERO_MODULUS)
+    v = np.maximum(np.asarray(v, dtype=np.float64).ravel(), ZERO_MODULUS)
+    t = bellman_tables(params.p, params.q, params.delta, u, v)
+    return _radial_coeffs(*t[4:]), 0.5 * (u * t[2] + v * t[3] - t[1])
+
+
+def bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
+    """<-d2Q (a1,a2), (b1,b2)> elementwise over points."""
+    xa1 = np.real(np.conj(ph1) * a1)
+    xa2 = np.real(np.conj(ph2) * a2)
+    xb1 = np.real(np.conj(ph1) * b1)
+    xb2 = np.real(np.conj(ph2) * b2)
+    dot1 = np.real(a1 * np.conj(b1))
+    dot2 = np.real(a2 * np.conj(b2))
+    return (
+        ctt * dot1
+        + (crr - ctt) * xa1 * xb1
+        + m * (xa1 * xb2 + xa2 * xb1)
+        + dtt * dot2
+        + (drr - dtt) * xa2 * xb2
+    )
+
+
+def form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2):
+    """sum_j <-d2Q (th1[:,j], th2[:,j]), same> over the spatial index j.
+
+    th1, th2 have shape (npoints, dim); the return value has shape (npoints,).
+    """
+    x1 = np.real(np.conj(ph1)[:, None] * th1)
+    x2 = np.real(np.conj(ph2)[:, None] * th2)
+    a1 = th1.real * th1.real + th1.imag * th1.imag
+    a2 = th2.real * th2.real + th2.imag * th2.imag
+    terms = (
+        ctt[:, None] * a1
+        + (crr - ctt)[:, None] * x1 * x1
+        + 2.0 * m[:, None] * x1 * x2
+        + dtt[:, None] * a2
+        + (drr - dtt)[:, None] * x2 * x2
+    )
+    return terms.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # classification and scalar evaluation
 # ---------------------------------------------------------------------------
 
@@ -182,7 +335,7 @@ def phi_values(params: BellmanParams, u, v) -> np.ndarray:
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise DomainError("moduli must be nonnegative")
     shape = u.shape
-    t = _kernels.bellman_tables(params.p, params.q, params.delta, u.ravel(), v.ravel())
+    t = bellman_tables(params.p, params.q, params.delta, u.ravel(), v.ravel())
     return np.asarray(t[1]).reshape(shape)
 
 
@@ -252,17 +405,6 @@ def first_form(params: BellmanParams, xi: ComplexPair, sigma: ComplexPair) -> fl
     return val
 
 
-def drift_slack_base(params: BellmanParams, u, v) -> np.ndarray:
-    """Q(xi) - dQ(xi) xi = (u phi_u + v phi_v - phi)/2, vectorized."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    shape = u.shape
-    t = _kernels.bellman_tables(params.p, params.q, params.delta, u.ravel(), v.ravel())
-    phi, phi_u, phi_v = t[1], t[2], t[3]
-    out = 0.5 * (u.ravel() * phi_u + v.ravel() * phi_v - phi)
-    return out.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # second-order forms
 # ---------------------------------------------------------------------------
@@ -283,13 +425,10 @@ def _guard_second_order(params: BellmanParams, u: float, v: float,
 
 
 def _form_coeffs(params: BellmanParams, u, v):
-    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form: half of
-    phi_uu, phi_u/u, phi_vv, phi_v/v and phi_uv."""
-    phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v = _kernels.second_order(
-        params.p, params.q, params.delta,
-        np.atleast_1d(np.asarray(u, dtype=np.float64)).ravel(),
-        np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel())
-    return (0.5 * phi_uu, 0.5 * phi_u_over_u, 0.5 * phi_vv, 0.5 * phi_v_over_v, 0.5 * phi_uv)
+    """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form from the
+    second-order tables alone (``form_coeffs_and_drift`` also evaluates phi
+    and its first derivatives)."""
+    return _radial_coeffs(*second_order(params.p, params.q, params.delta, u, v))
 
 
 def _phases(zeta, eta):
@@ -318,7 +457,7 @@ def second_form(params: BellmanParams, xi: ComplexPair, sigma: ComplexPair,
     _guard_second_order(params, abs(zeta), abs(eta), interface_margin, modulus_floor)
     u, v, ph1, ph2 = _phases([zeta], [eta])
     crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
-    val = _kernels.bilinear_forms(
+    val = bilinear_forms(
         crr, ctt, drr, dtt, m, ph1, ph2,
         np.array([complex(sigma[0])]), np.array([complex(sigma[1])]),
         np.array([complex(varsigma[0])]), np.array([complex(varsigma[1])]),
@@ -448,7 +587,7 @@ def mollified_grad_Q(params: BellmanParams, eps: float, xi: ComplexPair,
     zs, es = mol.shifted_points(xi, eps)
     u = np.maximum(np.abs(zs), ZERO_MODULUS)
     v = np.maximum(np.abs(es), ZERO_MODULUS)
-    t = _kernels.bellman_tables(params.p, params.q, params.delta, u, v)
+    t = bellman_tables(params.p, params.q, params.delta, u, v)
     phi_u, phi_v = t[2], t[3]
     dz = np.dot(mol.weights, -phi_u * np.conj(zs) / (4.0 * u))
     de = np.dot(mol.weights, -phi_v * np.conj(es) / (4.0 * v))
@@ -531,14 +670,6 @@ def mollified_neg_hess_matrix(params: BellmanParams, eps: float, xi: ComplexPair
         raise SingularityError("zeta-zero-ray" if u0 <= v0 else "eta-zero-ray",
                                "mollified Hessian needs both moduli positive")
     return mollified_neg_hess(params, complex(xi[0]), complex(xi[1]), eps, order)[0]
-
-
-def mollified_second_form(params: BellmanParams, eps: float, xi: ComplexPair,
-                          sigma: ComplexPair, varsigma: ComplexPair,
-                          order: int = 8) -> float:
-    """Mollified <d2Q(xi) sigma, varsigma>."""
-    mat = mollified_neg_hess_matrix(params, eps, xi, order)
-    return -float(pair_to_real4(sigma) @ mat @ pair_to_real4(varsigma))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +784,7 @@ def _exact_certificates(params: BellmanParams, zetas, etas):
     u, v, ph1, ph2 = _phases(zetas, etas)
     ph1 = np.where(u > ZERO_MODULUS, ph1, 1.0)
     ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)
-    coeffs = _form_coeffs(params, np.maximum(u, ZERO_MODULUS), np.maximum(v, ZERO_MODULUS))
-    drift = drift_slack_base(params, u, v)
+    coeffs, drift = form_coeffs_and_drift(params, u, v)
     delta = params.delta
     u2 = u * u
     v2 = v * v
@@ -716,7 +846,7 @@ def find_tau(params: BellmanParams, xi: ComplexPair, *, mollify: str | bool = "a
     if eps is None:
         eps = 1e-2 * max(u, v)
     mat = mollified_neg_hess_matrix(params, eps, xi, order)
-    drift = drift_slack_base(params, np.array([u]), np.array([v]))
+    _, drift = form_coeffs_and_drift(params, u, v)
     delta = params.delta
 
     def shared(tau):
@@ -741,8 +871,8 @@ def check_bejaz(params: BellmanParams, xi: ComplexPair) -> BejazReport:
     eta = complex(xi[1])
     u = abs(zeta)
     v = abs(eta)
-    slack_i = float(_kernels.prop_i_slack(params.p, params.q, params.delta,
-                                          np.array([u]), np.array([v]))[0])
+    slack_i = float(prop_i_slack(params.p, params.q, params.delta,
+                                 np.array([u]), np.array([v]))[0])
     cert = find_tau(params, xi)
     return BejazReport(xi=ComplexPair(zeta, eta), prop_i_slack=slack_i,
                        prop_ii=cert, prop_iii_slack=cert.margin_drift)
@@ -759,8 +889,7 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     """
     zetas = np.asarray(zetas, dtype=np.complex128).ravel()
     etas = np.asarray(etas, dtype=np.complex128).ravel()
-    slack_i = _kernels.prop_i_slack(params.p, params.q, params.delta,
-                                    np.abs(zetas), np.abs(etas))
+    slack_i = prop_i_slack(params.p, params.q, params.delta, np.abs(zetas), np.abs(etas))
     tau, mdir, mdrift, s1, s2 = _exact_certificates(params, zetas, etas)
     valid = (slack_i >= 0.0) & (mdir >= -1e-10) & (mdrift >= -1e-10)
     return {

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .bellman import BellmanParams, cap_mollify_scale, mollified_neg_hess
+from .bellman import (BellmanParams, bilinear_forms, cap_mollify_scale,
+                      form_coeffs_and_drift, form_sum_over_axes, mollified_neg_hess,
+                      q_values)
 from .errors import AccuracyError, DomainError, GeometryError
 from .grids import Grid, GridFunction
 from .operators import (CoefficientField, DiscreteOperator, PotentialField,
@@ -30,6 +31,10 @@ from .semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 # are frozen; see tests/test_acceptance.py for the ladder they must survive.
 EPS_SLACK_C1 = 0.05
 EPS_SLACK_C2 = 1.0
+
+# The factored and a_ij double-sum arrangements of the chain rule are equal
+# by the symmetry of the second form; a larger relative gap is an error.
+ARRANGEMENT_TOL = 1e-10
 
 # Mollified Bellman derivatives are used only within this relative distance
 # of the interface (scaled by the local gradient of u^p - v^q), and only at
@@ -107,10 +112,7 @@ def compose_b(params: BellmanParams, traj_f: Trajectory, traj_g: Trajectory) -> 
     """b(x, t) = Q(P_t f(x), P_t g(x)) as an (n_times, n_nodes) real array."""
     if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
         raise DomainError("trajectories must share grid and snapshot times")
-    u = np.abs(traj_f.values)
-    v = np.abs(traj_g.values)
-    t = _kernels.bellman_tables(params.p, params.q, params.delta, u.ravel(), v.ravel())
-    return (-0.5 * t[1]).reshape(u.shape)
+    return q_values(params, traj_f.values, traj_g.values)
 
 
 def lprime(op: DiscreteOperator, fld: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -187,15 +189,6 @@ def star_norm_field(grid: Grid, fld: np.ndarray, V: PotentialField) -> np.ndarra
 # chain-rule right-hand side
 # ---------------------------------------------------------------------------
 
-def _bellman_coeff_tables(params: BellmanParams, u: np.ndarray, v: np.ndarray):
-    t = _kernels.bellman_tables(params.p, params.q, params.delta, u, v)
-    crr, ctt = 0.5 * t[4], 0.5 * t[7]
-    drr, dtt = 0.5 * t[6], 0.5 * t[8]
-    m = 0.5 * t[5]
-    drift = 0.5 * (u * t[2] + v * t[3] - t[1])
-    return crr, ctt, drr, dtt, m, drift
-
-
 def _mollify_scale(u, v, h: float) -> np.ndarray:
     """Mollification scale eps = 2 sqrt(h) * |point|, capped by
     ``cap_mollify_scale``."""
@@ -235,19 +228,16 @@ class ChainRuleField:
 
 
 def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
-                   traj_f: Trajectory, traj_g: Trajectory, *,
-                   mollify: bool = True,
-                   check_arrangement: bool = True,
-                   arrangement_tol: float = 1e-10) -> ChainRuleField:
+                   traj_f: Trajectory, traj_g: Trajectory) -> ChainRuleField:
     """Evaluate L'b(x,t) = sum_ij a_ij <-d2Q(v) d_i v, d_j v> + V [Q - dQ v].
 
     The primary value is computed in the factored arrangement, summing the
     quadratic form over the root-weighted gradients (sym A)^(1/2) grad v_k
     per axis; the a_ij double sum is evaluated as well and the two must
-    agree to ``arrangement_tol`` (they are equal by the symmetry of the
-    second form).  Spatial gradients use the fourth-order centered stencil
-    so the Bellman-side discretization error stays below the operator-side
-    signal.
+    agree to ``ARRANGEMENT_TOL``, else AccuracyError.  Near the interface
+    the exact second derivatives are replaced by mollified ones.  Spatial
+    gradients use the fourth-order centered stencil so the Bellman-side
+    discretization error stays below the operator-side signal.
     """
     if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
         raise DomainError("trajectories must share grid and snapshot times")
@@ -259,8 +249,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     v = np.abs(v2).ravel()
     ph1 = (v1.ravel() / np.maximum(u, 1e-300)).astype(np.complex128)
     ph2 = (v2.ravel() / np.maximum(v, 1e-300)).astype(np.complex128)
-    crr, ctt, drr, dtt, m, drift = _bellman_coeff_tables(
-        params, np.maximum(u, 1e-300), np.maximum(v, 1e-300))
+    (crr, ctt, drr, dtt, m), drift = form_coeffs_and_drift(params, u, v)
 
     g1 = grad4(grid, v1)  # (nt, d, n)
     g2 = grad4(grid, v2)
@@ -270,16 +259,16 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     th1 = np.einsum("nij,tjn->tni", S, g1).reshape(nt * n, d)
     th2 = np.einsum("nij,tjn->tni", S, g2).reshape(nt * n, d)
 
-    a_part = _kernels.form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2)
+    a_part = form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2)
 
     # a_ij double sum over the raw (possibly nonsymmetric) coefficients
     aij_part = np.zeros(nt * n)
     for i in range(d):
         for j in range(d):
             aij = np.tile(Anode[:, i, j], nt)
-            form = _kernels.bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2,
-                                           g1[:, i, :].ravel(), g2[:, i, :].ravel(),
-                                           g1[:, j, :].ravel(), g2[:, j, :].ravel())
+            form = bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2,
+                                  g1[:, i, :].ravel(), g2[:, i, :].ravel(),
+                                  g1[:, j, :].ravel(), g2[:, j, :].ravel())
             aij_part += aij * form
 
     # nodes where both fields are negligibly small contribute nothing in the
@@ -291,19 +280,16 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
         a_part[negligible] = 0.0
         aij_part[negligible] = 0.0
 
-    n_moll = 0
-    if mollify:
-        eps = _mollify_scale(u, v, min(grid.spacing))
-        idx = np.flatnonzero(_interface_margin_mask(params, u, v, eps))
-        n_moll = int(idx.size)
-        if n_moll:
-            mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx],
-                                      HARNESS_MOLLIFIER_ORDER)
-            t1 = _pairs_to_real(th1[idx], th2[idx])            # (k, d, 4)
-            a_part[idx] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
-            ti, ni = np.divmod(idx, n)
-            gv = _pairs_to_real(g1[ti, :, ni], g2[ti, :, ni])  # (k, d, 4)
-            aij_part[idx] = np.einsum("kij,kia,kab,kjb->k", Anode[ni], gv, mats, gv)
+    eps = _mollify_scale(u, v, min(grid.spacing))
+    idx = np.flatnonzero(_interface_margin_mask(params, u, v, eps))
+    if idx.size:
+        mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx],
+                                  HARNESS_MOLLIFIER_ORDER)
+        t1 = _pairs_to_real(th1[idx], th2[idx])            # (k, d, 4)
+        a_part[idx] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
+        ti, ni = np.divmod(idx, n)
+        gv = _pairs_to_real(g1[ti, :, ni], g2[ti, :, ni])  # (k, d, 4)
+        aij_part[idx] = np.einsum("kij,kia,kab,kjb->k", Anode[ni], gv, mats, gv)
 
     vpot = np.tile(op.potential, nt)
     v_part = vpot * drift
@@ -311,11 +297,11 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     rhs_aij = (aij_part + v_part).reshape(nt, n)
     gap = float(np.max(np.abs(a_part - aij_part)
                        / np.maximum(1.0, np.abs(a_part))))
-    if check_arrangement and gap > arrangement_tol:
+    if gap > ARRANGEMENT_TOL:
         raise AccuracyError(
             f"factored and double-sum arrangements disagree: gap {gap:.3e}")
     return ChainRuleField(rhs=rhs, rhs_aij=rhs_aij, arrangement_gap=gap,
-                          n_mollified=n_moll)
+                          n_mollified=int(idx.size))
 
 
 def chain_rule_identity_error(ev: EvolvedScenario, t_min_frac: float = 0.25) -> float:

@@ -202,10 +202,14 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
 
     if T is None:
         T = _parse_float(s, "time", "t", 0.3)
+    if not 0.0 < T < np.inf:
+        raise ConfigError(f"[time] T: expected a positive finite time, got {T}")
     if dt is None:
         dt = _parse_float(s, "time", "dt", None)
     if dt is None:
         dt = default_dt(grid, T)
+    elif not dt > 0.0:
+        raise ConfigError(f"[time] dt: expected a positive step, got {dt}")
     n = max(1, round(T / dt))
     dt = T / n  # keep dt dividing T exactly
     sraw = _get(s, "time", "scheme", "crank-nicolson").lower()

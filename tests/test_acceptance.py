@@ -108,7 +108,7 @@ def test_criterion_02_derivative_oracles():
         h = 1e-5
         fd_u = (bl.phi_values(params, u + h, v) - bl.phi_values(params, u - h, v)) / (2 * h)
         fd_v = (bl.phi_values(params, u, v + h) - bl.phi_values(params, u, v - h)) / (2 * h)
-        t = bl._kernels.bellman_tables(params.p, params.q, params.delta, u, v)
+        t = bl.bellman_tables(params.p, params.q, params.delta, u, v)
         rel = np.abs(t[2] - fd_u) / np.maximum(np.abs(t[2]), 1e-10)
         rel_v = np.abs(t[3] - fd_v) / np.maximum(np.abs(t[3]), 1e-10)
         worst_grad = max(worst_grad, rel.max(), rel_v.max())

@@ -58,6 +58,12 @@ def interior_points(params, rng, n, lo=0.1, hi=3.0, margin=1e-3):
     return out
 
 
+def test_package_exports_resolve():
+    import divbell
+    for name in divbell.__all__:
+        assert hasattr(divbell, name), name
+
+
 class TestParams:
     def test_derived_fields(self):
         P = BellmanParams(2.0)
@@ -451,7 +457,7 @@ class TestMollifiedNegHess:
         rng = np.random.default_rng(int(p))
         u = np.concatenate([np.exp(rng.uniform(-8.0, 3.0, 500)), [0.0, 1e-300, 1.0]])
         v = np.concatenate([np.exp(rng.uniform(-8.0, 3.0, 500)), [1.0, 1e-300, 0.0]])
-        t = bl._kernels.bellman_tables(P.p, P.q, P.delta, u, v)
+        t = bl.bellman_tables(P.p, P.q, P.delta, u, v)
         expected = (0.5 * t[4], 0.5 * t[7], 0.5 * t[6], 0.5 * t[8], 0.5 * t[5])
         for got, ref in zip(bl._form_coeffs(P, u, v), expected):
             assert np.array_equal(got, ref, equal_nan=True)

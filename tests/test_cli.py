@@ -223,6 +223,21 @@ class TestCli:
         assert rc == 2
         assert "DIVBELL_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bellman-verify", "--p", "1.5"],
+        ["bellman-verify", "--p", "0", "--points", "10"],
+        ["bellman-verify", "--points", "0"],
+        ["bellman-verify", "--points", "-3"],
+        ["embed", "--T", "0"],
+        ["pointwise", "--dt", "0"],
+        ["pointwise", "--T", "-1"],
+        ["pointwise", "--dt", "-1"],
+    ])
+    def test_invalid_numeric_input_exits_two(self, argv, tmp_path, capsys):
+        rc = main(argv + ["--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_embed_and_ibp_and_offdiag(self, tmp_path):
         for cmd in ("embed", "ibp", "offdiag"):
             rc = main([cmd, "--preset", "identity", "--grid", "64",
