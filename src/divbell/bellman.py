@@ -1,5 +1,5 @@
-"""The two-variable Bellman function, its differential forms, mollified
-variants, and numerical convexity certificates.
+"""The two-variable Bellman function, its derivative tables, the forms of
+-d2Q, the mollified -d2Q, and the batched tau certificate.
 
 The central objects are
 
@@ -13,6 +13,9 @@ for p >= 2, q = p/(p-1), delta = q(q-1)/8, and
 on C x C.  phi is C^1 everywhere and C^2 away from the interface
 ``u^p = v^q`` and the ray ``v = 0``; second-order quantities near those sets
 are handled by mollification.
+
+Every function here works on arrays of points; the scalar reference
+implementations that tests compare against live in ``tests/oracles.py``.
 
 Conventions of the vectorized tables and forms:
 
@@ -37,30 +40,18 @@ any number of threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SingularityError
-
-# Relative threshold on |u^p - v^q| below which a point is classified as
-# lying on the interface.
-INTERFACE_REL_THRESHOLD = 1e-9
+from .errors import DomainError, SingularityError
 
 # Moduli below this are treated as exactly zero for certification purposes.
 ZERO_MODULUS = 1e-300
 
 # Floor applied to moduli before raising them to negative powers.
 MOD_FLOOR = 1e-150
-
-
-class RegionLabel(enum.Enum):
-    REGION1 = "region1"
-    REGION2 = "region2"
-    INTERFACE = "interface"
 
 
 @dataclass(frozen=True)
@@ -89,55 +80,6 @@ class BellmanParams:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "delta", delta)
-
-
-class ComplexPair(NamedTuple):
-    """A point xi = (zeta, eta) in C^2."""
-
-    zeta: complex
-    eta: complex
-
-
-class WirtingerGradient(NamedTuple):
-    """The four first-order Wirtinger derivatives of Q."""
-
-    d_zeta: complex
-    d_zeta_bar: complex
-    d_eta: complex
-    d_eta_bar: complex
-
-
-@dataclass(frozen=True)
-class TauCertificate:
-    """A numerically found weight tau > 0 witnessing the convexity and drift
-    inequalities at one point, with the worst observed slacks."""
-
-    tau: float
-    margin_hessian: float
-    margin_drift: float
-    worst_direction: ComplexPair | None = None
-    trivial: bool = False
-
-    def valid(self, tol: float = 0.0) -> bool:
-        return self.margin_hessian >= -tol and self.margin_drift >= -tol
-
-
-@dataclass(frozen=True)
-class BejazReport:
-    """Joint report for the range bound (i), the convexity certificate (ii)
-    and the drift bound (iii) at one point."""
-
-    xi: ComplexPair
-    prop_i_slack: float
-    prop_ii: TauCertificate
-    prop_iii_slack: float
-
-    @property
-    def prop_i_ok(self) -> bool:
-        return self.prop_i_slack >= 0.0
-
-    def valid(self, tol: float = 0.0) -> bool:
-        return self.prop_i_ok and self.prop_ii.valid(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,60 +216,6 @@ def form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2):
     return terms.sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# classification and scalar evaluation
-# ---------------------------------------------------------------------------
-
-def _check_nonneg(u: float, v: float) -> tuple[float, float]:
-    u = float(u)
-    v = float(v)
-    if not (math.isfinite(u) and math.isfinite(v)) or u < 0.0 or v < 0.0:
-        raise DomainError(f"moduli must be finite and nonnegative, got ({u}, {v})")
-    return u, v
-
-
-def classify(params: BellmanParams, u: float, v: float,
-             threshold: float = INTERFACE_REL_THRESHOLD) -> RegionLabel:
-    """Total classification of (u, v) into region 1, region 2 or interface."""
-    u, v = _check_nonneg(u, v)
-    t1 = u ** params.p
-    t2 = v ** params.q
-    if abs(t1 - t2) <= threshold * max(t1, t2, 1.0):
-        return RegionLabel.INTERFACE
-    return RegionLabel.REGION1 if t1 < t2 else RegionLabel.REGION2
-
-
-def _phi_branch(params: BellmanParams, u: float, v: float, region1: bool) -> float:
-    p, q, delta = params.p, params.q, params.delta
-    base = u ** p + v ** q
-    if region1:
-        return base + delta * (u * u) * v ** (2.0 - q)
-    return base + delta * ((2.0 / p) * u ** p + (2.0 / q - 1.0) * v ** q)
-
-
-def eval_phi(params: BellmanParams, u: float, v: float) -> float:
-    """Piecewise value of phi; on the interface band both branches are
-    evaluated, averaged, and checked against the band's mismatch bound
-    (AccuracyError when they differ by more)."""
-    u, v = _check_nonneg(u, v)
-    label = classify(params, u, v)
-    if label is RegionLabel.INTERFACE:
-        b1 = _phi_branch(params, u, v, True)
-        b2 = _phi_branch(params, u, v, False)
-        # b2 - b1 = delta*(AM - GM) of (u^p, v^q) with weights (2/p, 1-2/p),
-        # which is at most delta*|u^p - v^q|: the band's width.  Near the
-        # origin the band's floor of 1 makes this absolute, not relative.
-        t1 = u ** params.p
-        t2 = v ** params.q
-        tol = (params.delta * INTERFACE_REL_THRESHOLD * max(t1, t2, 1.0)
-               + 1e-15 * max(abs(b1), abs(b2)))
-        if abs(b1 - b2) > tol:
-            raise AccuracyError(f"interface branch mismatch at ({u}, {v}): "
-                                f"{b1} vs {b2} (> {tol:.3e})")
-        return 0.5 * (b1 + b2)
-    return _phi_branch(params, u, v, label is RegionLabel.REGION1)
-
-
 def phi_values(params: BellmanParams, u, v) -> np.ndarray:
     """Vectorized phi over arrays of nonnegative moduli."""
     u = np.asarray(u, dtype=np.float64)
@@ -339,89 +227,8 @@ def phi_values(params: BellmanParams, u, v) -> np.ndarray:
     return np.asarray(t[1]).reshape(shape)
 
 
-def eval_Q(params: BellmanParams, xi: ComplexPair) -> float:
-    """Q(zeta, eta) = -phi(|zeta|, |eta|)/2, always nonpositive."""
-    return -0.5 * eval_phi(params, abs(complex(xi[0])), abs(complex(xi[1])))
-
-
 def q_values(params: BellmanParams, zeta, eta) -> np.ndarray:
     return -0.5 * phi_values(params, np.abs(zeta), np.abs(eta))
-
-
-def grad_phi(params: BellmanParams, u: float, v: float,
-             region: RegionLabel | None = None) -> tuple[float, float]:
-    """Closed-form (phi_u, phi_v).
-
-    ``region`` forces one branch (interface points may be evaluated by
-    either).  Requesting the region-1 formula on the ray v = 0 with u > 0 is
-    a singularity error since that branch contains v^(1-q).
-    """
-    u, v = _check_nonneg(u, v)
-    p, q, delta = params.p, params.q, params.delta
-    if region is None:
-        label = classify(params, u, v)
-        region1 = label is not RegionLabel.REGION2
-    else:
-        region1 = region is not RegionLabel.REGION2
-    if region1:
-        if v == 0.0 and u > 0.0:
-            raise SingularityError("eta-zero-ray",
-                                   "region-1 gradient formula is singular on v = 0")
-        du = p * u ** (p - 1.0) + 2.0 * delta * u * v ** (2.0 - q)
-        if u == 0.0 and v == 0.0:
-            dv = 0.0
-        else:
-            dv = q * v ** (q - 1.0) + delta * (2.0 - q) * u * u * v ** (1.0 - q)
-    else:
-        du = (p + 2.0 * delta) * u ** (p - 1.0)
-        dv = (q + delta * (2.0 - q)) * v ** (q - 1.0)
-    return du, dv
-
-
-def grad_Q(params: BellmanParams, xi: ComplexPair) -> WirtingerGradient:
-    """First Wirtinger derivatives of Q via the radial chain rule.
-
-    d_zeta Q = -(phi_u) conj(zeta) / (4 |zeta|), and analogously in eta;
-    both moduli must be strictly positive.
-    """
-    zeta = complex(xi[0])
-    eta = complex(xi[1])
-    u = abs(zeta)
-    v = abs(eta)
-    if u == 0.0:
-        raise SingularityError("zeta-zero-ray", "grad_Q undefined at |zeta| = 0")
-    if v == 0.0:
-        raise SingularityError("eta-zero-ray", "grad_Q undefined at |eta| = 0")
-    du, dv = grad_phi(params, u, v)
-    dz = -du * zeta.conjugate() / (4.0 * u)
-    de = -dv * eta.conjugate() / (4.0 * v)
-    return WirtingerGradient(dz, dz.conjugate(), de, de.conjugate())
-
-
-def first_form(params: BellmanParams, xi: ComplexPair, sigma: ComplexPair) -> float:
-    """dQ(xi) sigma, the real-valued first differential form."""
-    g = grad_Q(params, xi)
-    val = 2.0 * (g.d_zeta * complex(sigma[0])).real + 2.0 * (g.d_eta * complex(sigma[1])).real
-    return val
-
-
-# ---------------------------------------------------------------------------
-# second-order forms
-# ---------------------------------------------------------------------------
-
-def _guard_second_order(params: BellmanParams, u: float, v: float,
-                        interface_margin: float, modulus_floor: float) -> None:
-    if u <= modulus_floor:
-        raise SingularityError("zeta-zero-ray",
-                               f"|zeta| = {u} is within the modulus floor {modulus_floor}")
-    if v <= modulus_floor:
-        raise SingularityError("eta-zero-ray",
-                               f"|eta| = {v} is within the modulus floor {modulus_floor}")
-    t1 = u ** params.p
-    t2 = v ** params.q
-    if abs(t1 - t2) <= interface_margin * max(t1, t2, 1.0):
-        raise SingularityError("interface",
-                               f"({u}, {v}) is within the interface margin {interface_margin}")
 
 
 def _form_coeffs(params: BellmanParams, u, v):
@@ -439,66 +246,6 @@ def _phases(zeta, eta):
     ph1 = zeta / np.maximum(u, ZERO_MODULUS)
     ph2 = eta / np.maximum(v, ZERO_MODULUS)
     return u, v, ph1, ph2
-
-
-def second_form(params: BellmanParams, xi: ComplexPair, sigma: ComplexPair,
-                varsigma: ComplexPair, *,
-                interface_margin: float = INTERFACE_REL_THRESHOLD,
-                modulus_floor: float = 1e-12) -> float:
-    """<d2Q(xi) sigma, varsigma>: real, symmetric in (sigma, varsigma).
-
-    Only defined strictly inside region 1 or 2: the point must sit farther
-    than ``interface_margin`` (relative) from the interface and farther than
-    ``modulus_floor`` from the zero rays, otherwise a SingularityError names
-    the offending set.  Use the mollified variant near those sets.
-    """
-    zeta = complex(xi[0])
-    eta = complex(xi[1])
-    _guard_second_order(params, abs(zeta), abs(eta), interface_margin, modulus_floor)
-    u, v, ph1, ph2 = _phases([zeta], [eta])
-    crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
-    val = bilinear_forms(
-        crr, ctt, drr, dtt, m, ph1, ph2,
-        np.array([complex(sigma[0])]), np.array([complex(sigma[1])]),
-        np.array([complex(varsigma[0])]), np.array([complex(varsigma[1])]),
-    )
-    # kernels evaluate <-d2Q s, w>
-    return -float(val[0])
-
-
-def neg_hess_matrix(params: BellmanParams, xi: ComplexPair, *,
-                    interface_margin: float = INTERFACE_REL_THRESHOLD,
-                    modulus_floor: float = 1e-12) -> np.ndarray:
-    """-d2Q(xi) as a real symmetric 4x4 matrix in the coordinates
-    (Re zeta, Im zeta, Re eta, Im eta)."""
-    zeta = complex(xi[0])
-    eta = complex(xi[1])
-    _guard_second_order(params, abs(zeta), abs(eta), interface_margin, modulus_floor)
-    u, v, ph1, ph2 = _phases([zeta], [eta])
-    crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
-    return _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2)[0]
-
-
-def _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2) -> np.ndarray:
-    """(n, 4, 4) stack of -d2Q matrices from radial coefficients."""
-    n = crr.size
-    r1 = np.stack([ph1.real, ph1.imag], axis=1)
-    r2 = np.stack([ph2.real, ph2.imag], axis=1)
-    out = np.zeros((n, 4, 4))
-    eye = np.eye(2)
-    p11 = r1[:, :, None] * r1[:, None, :]
-    p22 = r2[:, :, None] * r2[:, None, :]
-    p12 = r1[:, :, None] * r2[:, None, :]
-    out[:, :2, :2] = ctt[:, None, None] * eye + (crr - ctt)[:, None, None] * p11
-    out[:, 2:, 2:] = dtt[:, None, None] * eye + (drr - dtt)[:, None, None] * p22
-    out[:, :2, 2:] = m[:, None, None] * p12
-    out[:, 2:, :2] = np.swapaxes(out[:, :2, 2:], 1, 2)
-    return out
-
-
-def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
-    return np.array([complex(sigma[0]).real, complex(sigma[0]).imag,
-                     complex(sigma[1]).real, complex(sigma[1]).imag])
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +278,6 @@ class Mollifier:
         self.nodes = nodes[keep]
         self.weights = weights[keep] / weights[keep].sum()
 
-    def shifted_points(self, xi: ComplexPair, eps: float):
-        """All quadrature points xi - eps*y as (zeta_array, eta_array)."""
-        zeta = complex(xi[0])
-        eta = complex(xi[1])
-        y = self.nodes * eps
-        zs = zeta - (y[:, 0] + 1j * y[:, 1])
-        es = eta - (y[:, 2] + 1j * y[:, 3])
-        return zs, es
-
 
 _MOLLIFIER_CACHE: dict[int, Mollifier] = {}
 
@@ -548,50 +286,6 @@ def _mollifier(order: int) -> Mollifier:
     if order not in _MOLLIFIER_CACHE:
         _MOLLIFIER_CACHE[order] = Mollifier(order)
     return _MOLLIFIER_CACHE[order]
-
-
-def mollified_Q(params: BellmanParams, eps: float, xi: ComplexPair,
-                order: int = 8, check_tol: float | None = None) -> float:
-    """Q smoothed by the mollifier at scale eps > 0.
-
-    With ``check_tol`` set, the quadrature is repeated at order+4 nodes per
-    axis and an AccuracyError is raised when the two results differ by more
-    than the tolerance.
-    """
-    if not eps > 0.0:
-        raise DomainError(f"mollification scale must be positive, got {eps}")
-    val = _mollified_Q_once(params, eps, xi, order)
-    if check_tol is not None:
-        ref = _mollified_Q_once(params, eps, xi, order + 4)
-        if abs(val - ref) > check_tol:
-            raise AccuracyError(
-                f"mollifier quadrature at order {order} is off by {abs(val - ref):.3e}"
-                f" (> {check_tol:.3e})")
-    return val
-
-
-def _mollified_Q_once(params, eps, xi, order):
-    mol = _mollifier(order)
-    zs, es = mol.shifted_points(xi, eps)
-    vals = q_values(params, zs, es)
-    return float(np.dot(mol.weights, vals))
-
-
-def mollified_grad_Q(params: BellmanParams, eps: float, xi: ComplexPair,
-                     order: int = 8) -> WirtingerGradient:
-    """Mollified first Wirtinger derivatives (the gradient is continuous, so
-    this is the mollification of the almost-everywhere classical gradient)."""
-    if not eps > 0.0:
-        raise DomainError(f"mollification scale must be positive, got {eps}")
-    mol = _mollifier(order)
-    zs, es = mol.shifted_points(xi, eps)
-    u = np.maximum(np.abs(zs), ZERO_MODULUS)
-    v = np.maximum(np.abs(es), ZERO_MODULUS)
-    t = bellman_tables(params.p, params.q, params.delta, u, v)
-    phi_u, phi_v = t[2], t[3]
-    dz = np.dot(mol.weights, -phi_u * np.conj(zs) / (4.0 * u))
-    de = np.dot(mol.weights, -phi_v * np.conj(es) / (4.0 * v))
-    return WirtingerGradient(dz, np.conj(dz), de, np.conj(de))
 
 
 def cap_mollify_scale(u, v, eps):
@@ -618,7 +312,9 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) ->
     (Re zeta, Im zeta, Re eta, Im eta).
 
     Point i is smoothed at scale eps[i] (eps may also be one scalar),
-    capped by ``cap_mollify_scale``; both moduli must be positive.
+    capped by ``cap_mollify_scale``.  Both moduli must be positive
+    (SingularityError naming the zero ray otherwise): the cap would shrink
+    the scale to zero there.
     Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block only the
     five radial coefficients and the phases are evaluated at the quadrature
     points, and the weighted average of the 10 independent matrix entries
@@ -630,7 +326,15 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) ->
     eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), zeta.shape)
     if not np.all(eps > 0.0):
         raise DomainError("mollification scales must be positive")
-    eps = cap_mollify_scale(np.abs(zeta), np.abs(eta), eps)
+    u0 = np.abs(zeta)
+    v0 = np.abs(eta)
+    bad = np.flatnonzero(np.minimum(u0, v0) <= ZERO_MODULUS)
+    if bad.size:
+        i = bad[0]
+        raise SingularityError("zeta-zero-ray" if u0[i] <= v0[i] else "eta-zero-ray",
+                               f"mollified -d2Q needs both moduli positive, "
+                               f"got ({u0[i]}, {v0[i]}) at point {i}")
+    eps = cap_mollify_scale(u0, v0, eps)
     mol = _mollifier(order)
     y1 = mol.nodes[:, 0] + 1j * mol.nodes[:, 1]
     y2 = mol.nodes[:, 2] + 1j * mol.nodes[:, 3]
@@ -658,22 +362,8 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) ->
     return out
 
 
-def mollified_neg_hess_matrix(params: BellmanParams, eps: float, xi: ComplexPair,
-                              order: int = 8) -> np.ndarray:
-    """Mollified -d2Q as a 4x4 matrix, at scale eps capped by
-    ``cap_mollify_scale``."""
-    if not eps > 0.0:
-        raise DomainError(f"mollification scale must be positive, got {eps}")
-    u0 = abs(complex(xi[0]))
-    v0 = abs(complex(xi[1]))
-    if min(u0, v0) <= ZERO_MODULUS:
-        raise SingularityError("zeta-zero-ray" if u0 <= v0 else "eta-zero-ray",
-                               "mollified Hessian needs both moduli positive")
-    return mollified_neg_hess(params, complex(xi[0]), complex(xi[1]), eps, order)[0]
-
-
 # ---------------------------------------------------------------------------
-# tau certification, and the direction sweep kept as a test oracle
+# tau certification
 # ---------------------------------------------------------------------------
 
 # Kronecker (R3) low-discrepancy sequence on [0,1)^3; the generator is the
@@ -701,12 +391,6 @@ def unit_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     coord1 = np.array([1.0, 1.0j, 0.0, 0.0], dtype=np.complex128)
     coord2 = np.array([0.0, 0.0, 1.0, 1.0j], dtype=np.complex128)
     return np.concatenate([coord1, s1]), np.concatenate([coord2, s2])
-
-
-def _near_interface(params: BellmanParams, u: float, v: float, margin_rel: float) -> bool:
-    t1 = u ** params.p
-    t2 = v ** params.q
-    return abs(t1 - t2) <= margin_rel * max(t1, t2, 1.0)
 
 
 # log-tau search bracket.  Its width log(1e12) ~ 27.6 shrinks by the golden
@@ -773,15 +457,33 @@ def _worst_direction(coeffs, delta: float, tau, parts, ph1, ph2):
     return s1, s2
 
 
-def _exact_certificates(params: BellmanParams, zetas, etas):
-    """Per point, the tau maximizing the smaller of the exact Hessian margin
-    (smallest eigenvalue) and the drift slack.
+def certify_batch(params: BellmanParams, zetas, etas) -> dict:
+    """Certify the range bound, the convexity bound and the drift bound at
+    arrays of points.
 
-    Returns (tau, margin_hessian, margin_drift, s1, s2).  A vanishing
-    modulus is clamped to ZERO_MODULUS and given phase 1: its block of -d2Q
-    is then evaluated in the radial limit.
+    Per point, tau maximizes the smaller of the exact Hessian margin and
+    the drift slack.  The Hessian margin is the smallest eigenvalue of
+    -d2Q - delta*diag(tau, tau, 1/tau, 1/tau), i.e. the minimum of
+    <-d2Q s, s> - delta(tau|s1|^2 + |s2|^2/tau) over all unit s in C^2; the
+    drift slack is Q - dQ(xi) xi - delta(tau|zeta|^2 + |eta|^2/tau).  A
+    golden-section search over log tau in [1e-6, 1e6] (refined to relative
+    width 1e-6) finds the maximum; both are concave in tau.  Negative
+    margins are reported, not raised.
+
+    Points are evaluated with the exact branch formulas; the caller is
+    responsible for excluding interface margins (see
+    ``sample_certification_points``).  A vanishing modulus is clamped to
+    ZERO_MODULUS and given phase 1: its block of -d2Q becomes isotropic in
+    the radial limit, and the blowup of the eta block on the v = 0 ray only
+    strengthens the convexity inequality.  At the origin, where both moduli
+    are at most ZERO_MODULUS, Q and its derivatives vanish, and the
+    certificate is the trivial one: tau = 1 and both margins 0.
+
+    Returns a dict of flat arrays; ``worst_direction`` has shape (n, 2) and
+    holds the unit eigenvectors (s1, s2) attaining ``margin_hessian``.
     """
     u, v, ph1, ph2 = _phases(zetas, etas)
+    slack_i = prop_i_slack(params.p, params.q, params.delta, u, v)
     ph1 = np.where(u > ZERO_MODULUS, ph1, 1.0)
     ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)
     coeffs, drift = form_coeffs_and_drift(params, u, v)
@@ -796,104 +498,15 @@ def _exact_certificates(params: BellmanParams, zetas, etas):
     tau = _maximize_over_tau(shared, u.size)
     parts = _margin_parts(coeffs, delta, tau)
     s1, s2 = _worst_direction(coeffs, delta, tau, parts, ph1, ph2)
-    return tau, parts.min(axis=0), drift - delta * (tau * u2 + v2 / tau), s1, s2
-
-
-def _weighted_neg_hess(mat: np.ndarray, delta: float, tau) -> np.ndarray:
-    """(n, 4, 4) stack mat - delta*diag(tau, tau, 1/tau, 1/tau)."""
-    w = np.stack([tau, tau, 1.0 / tau, 1.0 / tau], axis=-1)
-    return mat - delta * w[:, :, None] * np.eye(4)
-
-
-def find_tau(params: BellmanParams, xi: ComplexPair, *, mollify: str | bool = "auto",
-             eps: float | None = None, order: int = 8) -> TauCertificate:
-    """Find the shared weight tau certifying the convexity and drift
-    inequalities at xi.
-
-    The Hessian margin is exact: the smallest eigenvalue of
-    -d2Q - delta*diag(tau, tau, 1/tau, 1/tau), i.e. the minimum of
-    <-d2Q s, s> - delta(tau|s1|^2 + |s2|^2/tau) over all unit s in C^2.
-    A golden-section search over log tau in [1e-6, 1e6] (refined to relative
-    width 1e-6) maximizes the smaller of that margin and the drift slack;
-    both are concave in tau.  ``worst_direction`` is the unit eigenvector
-    attaining the Hessian margin.  Negative margins are reported, not raised.
-
-    ``mollify="auto"`` switches to the mollified Hessian when xi is within
-    the interface classification threshold; True forces it, False forbids it.
-    There the margin is the smallest eigenvalue of the weighted mollified
-    4x4 matrix.
-
-    Points with a vanishing modulus are evaluated in the radial limit: the
-    corresponding block of -d2Q becomes isotropic as |zeta| -> 0 (the phase
-    term carries a vanishing coefficient), and the blowup of the eta block
-    on the v = 0 ray only strengthens the convexity inequality, so no
-    singularity error is raised here.
-    """
-    zeta = complex(xi[0])
-    eta = complex(xi[1])
-    u = abs(zeta)
-    v = abs(eta)
-    if u <= ZERO_MODULUS and v <= ZERO_MODULUS:
-        return TauCertificate(tau=1.0, margin_hessian=0.0, margin_drift=0.0, trivial=True)
-    want_moll = (mollify is True) or (
-        mollify == "auto" and min(u, v) > ZERO_MODULUS
-        and _near_interface(params, u, v, INTERFACE_REL_THRESHOLD))
-    if not want_moll:
-        tau, mh, md, s1, s2 = _exact_certificates(params, [zeta], [eta])
-        return TauCertificate(tau=float(tau[0]), margin_hessian=float(mh[0]),
-                              margin_drift=float(md[0]),
-                              worst_direction=ComplexPair(complex(s1[0]), complex(s2[0])))
-    if eps is None:
-        eps = 1e-2 * max(u, v)
-    mat = mollified_neg_hess_matrix(params, eps, xi, order)
-    _, drift = form_coeffs_and_drift(params, u, v)
-    delta = params.delta
-
-    def shared(tau):
-        hess = np.linalg.eigvalsh(_weighted_neg_hess(mat, delta, tau))[:, 0]
-        return np.minimum(hess, drift - delta * (tau * u * u + v * v / tau))
-
-    tau = _maximize_over_tau(shared, 1)
-    lam, vecs = np.linalg.eigh(_weighted_neg_hess(mat, delta, tau)[0])
-    s = vecs[:, 0]
-    return TauCertificate(
-        tau=float(tau[0]),
-        margin_hessian=float(lam[0]),
-        margin_drift=float(drift[0] - delta * (tau[0] * u * u + v * v / tau[0])),
-        worst_direction=ComplexPair(complex(s[0], s[1]), complex(s[2], s[3])),
-    )
-
-
-def check_bejaz(params: BellmanParams, xi: ComplexPair) -> BejazReport:
-    """Check the range bound and the tau-certified convexity/drift bounds at
-    a single point; failures are encoded in the report, never raised."""
-    zeta = complex(xi[0])
-    eta = complex(xi[1])
-    u = abs(zeta)
-    v = abs(eta)
-    slack_i = float(prop_i_slack(params.p, params.q, params.delta,
-                                 np.array([u]), np.array([v]))[0])
-    cert = find_tau(params, xi)
-    return BejazReport(xi=ComplexPair(zeta, eta), prop_i_slack=slack_i,
-                       prop_ii=cert, prop_iii_slack=cert.margin_drift)
-
-
-def certify_batch(params: BellmanParams, zetas, etas) -> dict:
-    """Vectorized certification over arrays of points.
-
-    Points are evaluated with the exact branch formulas; the caller is
-    responsible for excluding interface margins and zero rays (see
-    ``sample_certification_points``).  Returns a dict of flat arrays;
-    ``worst_direction`` has shape (n, 2) and holds the unit eigenvectors
-    (s1, s2) attaining ``margin_hessian``.
-    """
-    zetas = np.asarray(zetas, dtype=np.complex128).ravel()
-    etas = np.asarray(etas, dtype=np.complex128).ravel()
-    slack_i = prop_i_slack(params.p, params.q, params.delta, np.abs(zetas), np.abs(etas))
-    tau, mdir, mdrift, s1, s2 = _exact_certificates(params, zetas, etas)
+    mdir = parts.min(axis=0)
+    mdrift = drift - delta * (tau * u2 + v2 / tau)
+    origin = (u <= ZERO_MODULUS) & (v <= ZERO_MODULUS)
+    tau = np.where(origin, 1.0, tau)
+    mdir = np.where(origin, 0.0, mdir)
+    mdrift = np.where(origin, 0.0, mdrift)
     valid = (slack_i >= 0.0) & (mdir >= -1e-10) & (mdrift >= -1e-10)
     return {
-        "prop_i_slack": np.asarray(slack_i),
+        "prop_i_slack": slack_i,
         "tau": tau,
         "margin_hessian": mdir,
         "margin_drift": mdrift,

@@ -204,10 +204,9 @@ def cmd_embed(args) -> tuple[Summary, dict]:
              rep.product_bound, rep.product_margin, rep.ratio_empirical,
              rep.quad_error_est)]
     summary = Summary()
-    summary.add("embedding-sum-form", rep.sum_margin - rep.quad_error_est,
-                rep.sum_margin > rep.quad_error_est)
+    summary.add("embedding-sum-form", rep.sum_margin - rep.quad_error_est, rep.sum_form_ok)
     summary.add("embedding-product-form", rep.product_margin - rep.quad_error_est,
-                rep.product_margin > rep.quad_error_est)
+                rep.product_form_ok)
     summary.add("embedding-tail-fit", rep.tail, rep.tail_reliable,
                 note="exponential decay fit " + ("ok" if rep.tail_reliable else "unreliable"))
     return summary, {"embed": (header, rows)}
@@ -228,11 +227,10 @@ def cmd_ibp(args) -> tuple[Summary, dict]:
     summary = Summary()
     for r in rep.rows:
         summary.add(f"ibp-upper-bound(R={r.R:g})", r.bound + r.eps_R - r.I_RT, r.ok)
-    eps = [r.eps_R for r in rep.rows]
-    summary.add("ibp-eps-nonincreasing", eps[0] - eps[-1],
-                all(e1 <= e0 + 1e-10 + 1e-6 * abs(e0) for e0, e1 in zip(eps, eps[1:])))
-    flux = [abs(r.flux_term) for r in rep.rows]
-    summary.add("ibp-flux-decay", flux[0] - 2.0 * flux[-1], flux[0] >= 2.0 * flux[-1])
+    first, last = rep.rows[0], rep.rows[-1]
+    summary.add("ibp-eps-nonincreasing", first.eps_R - last.eps_R, rep.eps_nonincreasing)
+    summary.add("ibp-flux-decay", abs(first.flux_term) - 2.0 * abs(last.flux_term),
+                rep.flux_decays)
     summary.add("ibp-initial-nodewise-bound", 0.0, rep.nodewise_initial_ok)
     summary.add("ibp-final-nonpositive", 0.0, rep.final_nonpositive_ok)
     return summary, {"ibp": (header, rows)}

@@ -175,14 +175,9 @@ def grad4(grid: Grid, fld: np.ndarray) -> np.ndarray:
 
 
 def star_norm_field(grid: Grid, fld: np.ndarray, V: PotentialField) -> np.ndarray:
-    """star_norm applied snapshot-wise to an (nt, n_nodes) field."""
-    grads, _, n_maps = _grid_maps(grid)
-    out = np.zeros(fld.shape)
-    for a in range(grid.dim):
-        w = grads[a] @ fld.T
-        out += (n_maps[a] @ (np.abs(w) ** 2)).T
-    out += V.values.ravel()[None, :] * np.abs(fld) ** 2
-    return np.sqrt(out)
+    """Nodal star norm sqrt(|grad_h u|^2 + V |u|^2) of each snapshot of an
+    (nt, n_nodes) field."""
+    return np.sqrt(grad_sq_at_nodes(grid, fld) + V.values.ravel()[None, :] * np.abs(fld) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +437,16 @@ class EmbeddingReport:
     quad_error_est: float
 
     @property
+    def sum_form_ok(self) -> bool:
+        return self.sum_margin > self.quad_error_est
+
+    @property
+    def product_form_ok(self) -> bool:
+        return self.product_margin > self.quad_error_est
+
+    @property
     def ok(self) -> bool:
-        return (self.tail_reliable
-                and self.sum_margin > self.quad_error_est
-                and self.product_margin > self.quad_error_est)
+        return self.tail_reliable and self.sum_form_ok and self.product_form_ok
 
 
 def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
@@ -535,13 +536,21 @@ class IbpReport:
     final_nonpositive_ok: bool
 
     @property
-    def ok(self) -> bool:
+    def eps_nonincreasing(self) -> bool:
+        """eps_R does not grow with R, up to rounding."""
         eps = [r.eps_R for r in self.rows]
-        flux = [abs(r.flux_term) for r in self.rows]
-        return (all(r.ok for r in self.rows)
-                and all(e1 - e0 <= 1e-10 + 1e-6 * abs(e0)
-                        for e0, e1 in zip(eps, eps[1:]))
-                and flux[0] >= 2.0 * flux[-1]
+        return all(e1 - e0 <= 1e-10 + 1e-6 * abs(e0) for e0, e1 in zip(eps, eps[1:]))
+
+    @property
+    def flux_decays(self) -> bool:
+        """The flux through the largest cutoff annulus is at most half the
+        flux through the smallest."""
+        return abs(self.rows[0].flux_term) >= 2.0 * abs(self.rows[-1].flux_term)
+
+    @property
+    def ok(self) -> bool:
+        return (all(r.ok for r in self.rows) and self.eps_nonincreasing
+                and self.flux_decays
                 and self.nodewise_initial_ok and self.final_nonpositive_ok)
 
 
@@ -724,9 +733,7 @@ def square_function(op: DiscreteOperator, u: GridFunction, T: float, dt: float,
     tg = TimeGrid(dt=dt, T=T, scheme=scheme)
     traj = evolve(op, u, tg, solver)
     nt = len(traj.times)
-    g2 = np.empty((nt, op.n))
-    for k in range(nt):
-        g2[k] = grad_sq_at_nodes(op.grid, traj.snapshot(k)).ravel()
+    g2 = grad_sq_at_nodes(op.grid, traj.values)
     integral = np.trapezoid(g2, traj.times, axis=0)
     energy = g2.sum(axis=1)
     kfit = max(nt // 4, 3)

@@ -312,37 +312,21 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
                             face_action=Ah, potential=Vflat, gamma=gamma, coefficients=A)
 
 
-def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
-    """Sparse matrix-vector product L_h u."""
-    if u.grid != op.grid:
-        raise DomainError("grid function does not match the operator's grid")
-    return GridFunction(op.grid, op.matrix @ u.flat)
-
-
-def gradient(grid: Grid, u: GridFunction) -> list[np.ndarray]:
-    """Staggered per-face differences, one array per axis in face_shape."""
-    grads, _, _ = _grid_maps(grid)
-    return [np.asarray(g @ u.flat).reshape(grid.face_shape(a))
-            for a, g in enumerate(grads)]
-
-
-def grad_sq_at_nodes(grid: Grid, u: GridFunction) -> np.ndarray:
+def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
     """|grad_h u|^2 averaged to nodes: per axis the arithmetic mean of the
-    squared differences on the two adjacent faces."""
+    squared differences on the two adjacent faces.
+
+    ``u`` is a GridFunction, with the result in the node shape, or an
+    (nt, n_nodes) array of snapshots, with an (nt, n_nodes) result.
+    """
+    if isinstance(u, GridFunction):
+        return grad_sq_at_nodes(grid, u.flat[None, :])[0].reshape(grid.node_shape)
     grads, _, n_maps = _grid_maps(grid)
-    out = np.zeros(grid.n_nodes)
+    out = np.zeros(u.shape)
     for a in range(grid.dim):
-        w = grads[a] @ u.flat
-        out += n_maps[a] @ (np.abs(w) ** 2)
-    return out.reshape(grid.node_shape)
-
-
-def star_norm(grid: Grid, u: GridFunction, V: PotentialField) -> GridFunction:
-    """Pointwise weighted norm sqrt(|grad_h u|^2 + V |u|^2)."""
-    if V.grid != grid or u.grid != grid:
-        raise DomainError("grid mismatch in star_norm")
-    vals = np.sqrt(grad_sq_at_nodes(grid, u) + V.values * np.abs(u.values) ** 2)
-    return GridFunction(grid, vals)
+        w = grads[a] @ u.T
+        out += (n_maps[a] @ (np.abs(w) ** 2)).T
+    return out
 
 
 def node_coefficients(A: CoefficientField) -> np.ndarray:

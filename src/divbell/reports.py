@@ -125,35 +125,3 @@ def emit_report(summary: Summary, tables: dict[str, tuple[list[str], list[tuple]
         paths.append(path)
     paths.append(summary.write(outdir))
     return paths
-
-
-def gridfunction_table(gf) -> tuple[list[str], list[tuple]]:
-    """Node coordinates plus real and imaginary columns."""
-    dim = gf.grid.dim
-    header = ["x", "y", "z"][:dim] + ["re", "im"]
-    coords = [c.ravel() for c in gf.grid.node_coords()]
-    flat = gf.flat
-    rows = [tuple(c[j] for c in coords) + (flat[j].real, flat[j].imag)
-            for j in range(gf.grid.n_nodes)]
-    return header, rows
-
-
-def trajectory_table(traj) -> tuple[list[str], list[tuple]]:
-    """Snapshot rows (t, coordinates, re, im)."""
-    dim = traj.grid.dim
-    header = ["t"] + ["x", "y", "z"][:dim] + ["re", "im"]
-    coords = [c.ravel() for c in traj.grid.node_coords()]
-    rows = []
-    for k, t in enumerate(traj.times):
-        vals = traj.values[k]
-        for j in range(vals.size):
-            rows.append((t,) + tuple(c[j] for c in coords)
-                        + (vals[j].real, vals[j].imag))
-    return header, rows
-
-
-def solver_stats_table(traj) -> tuple[list[str], list[tuple]]:
-    header = ["step", "method", "iterations", "residual"]
-    rows = [(k + 1, st.method, st.iterations, st.residual)
-            for k, st in enumerate(traj.stats)]
-    return header, rows

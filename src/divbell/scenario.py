@@ -34,6 +34,8 @@ Example::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bellman import BellmanParams
@@ -210,8 +212,12 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
         dt = default_dt(grid, T)
     elif not dt > 0.0:
         raise ConfigError(f"[time] dt: expected a positive step, got {dt}")
-    n = max(1, round(T / dt))
-    dt = T / n  # keep dt dividing T exactly
+    elif dt > T:
+        raise ConfigError(f"[time] dt: the step {dt} exceeds the horizon T = {T}")
+    # the fewest steps that divide T without exceeding dt; the relative
+    # guard keeps an exact divisor's count when T / dt rounds just above it
+    n = math.ceil(T / dt * (1.0 - 1e-12))
+    dt = T / n
     sraw = _get(s, "time", "scheme", "crank-nicolson").lower()
     try:
         scheme = Scheme(sraw)

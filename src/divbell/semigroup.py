@@ -272,8 +272,3 @@ def linf_contraction_check(op: DiscreteOperator, traj: Trajectory,
     return ContractionReport(monotone_stencil=monotone, worst_ratio=worst,
                              asserted=monotone, ok=(ok or not monotone),
                              per_step_bound=per_step_bound)
-
-
-def mass(u: GridFunction) -> float:
-    """Cell-weighted sum of a grid function (conserved for periodic, V = 0)."""
-    return float(np.real(np.sum(u.flat)) * u.grid.cell_volume)

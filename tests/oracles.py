@@ -1,8 +1,172 @@
-"""Reference implementations shared by the test modules."""
+"""Reference implementations shared by the test modules.
+
+The scalar Bellman functions here are independent of the batched code in
+``divbell.bellman``: they classify one point at a time, evaluate one branch
+formula per call, and raise where a second derivative does not exist.
+Tests compare the batched tables, forms and certificates against them.
+"""
+
+import enum
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 import divbell.bellman as bl
+from divbell.bellman import BellmanParams, _form_coeffs, _phases
+from divbell.errors import AccuracyError, DomainError, SingularityError
+
+# Relative threshold on |u^p - v^q| below which a point is classified as
+# lying on the interface.
+INTERFACE_REL_THRESHOLD = 1e-9
+
+
+class RegionLabel(enum.Enum):
+    REGION1 = "region1"
+    REGION2 = "region2"
+    INTERFACE = "interface"
+
+
+class ComplexPair(NamedTuple):
+    """A point xi = (zeta, eta) in C^2."""
+
+    zeta: complex
+    eta: complex
+
+
+def _check_nonneg(u: float, v: float) -> tuple[float, float]:
+    u = float(u)
+    v = float(v)
+    if not (math.isfinite(u) and math.isfinite(v)) or u < 0.0 or v < 0.0:
+        raise DomainError(f"moduli must be finite and nonnegative, got ({u}, {v})")
+    return u, v
+
+
+def classify(params: BellmanParams, u: float, v: float,
+             threshold: float = INTERFACE_REL_THRESHOLD) -> RegionLabel:
+    """Total classification of (u, v) into region 1, region 2 or interface."""
+    u, v = _check_nonneg(u, v)
+    t1 = u ** params.p
+    t2 = v ** params.q
+    if abs(t1 - t2) <= threshold * max(t1, t2, 1.0):
+        return RegionLabel.INTERFACE
+    return RegionLabel.REGION1 if t1 < t2 else RegionLabel.REGION2
+
+
+def _phi_branch(params: BellmanParams, u: float, v: float, region1: bool) -> float:
+    p, q, delta = params.p, params.q, params.delta
+    base = u ** p + v ** q
+    if region1:
+        return base + delta * (u * u) * v ** (2.0 - q)
+    return base + delta * ((2.0 / p) * u ** p + (2.0 / q - 1.0) * v ** q)
+
+
+def eval_phi(params: BellmanParams, u: float, v: float) -> float:
+    """Piecewise value of phi; on the interface band both branches are
+    evaluated, averaged, and checked against the band's mismatch bound
+    (AccuracyError when they differ by more)."""
+    u, v = _check_nonneg(u, v)
+    label = classify(params, u, v)
+    if label is RegionLabel.INTERFACE:
+        b1 = _phi_branch(params, u, v, True)
+        b2 = _phi_branch(params, u, v, False)
+        # b2 - b1 = delta*(AM - GM) of (u^p, v^q) with weights (2/p, 1-2/p),
+        # which is at most delta*|u^p - v^q|: the band's width.  Near the
+        # origin the band's floor of 1 makes this absolute, not relative.
+        t1 = u ** params.p
+        t2 = v ** params.q
+        tol = (params.delta * INTERFACE_REL_THRESHOLD * max(t1, t2, 1.0)
+               + 1e-15 * max(abs(b1), abs(b2)))
+        if abs(b1 - b2) > tol:
+            raise AccuracyError(f"interface branch mismatch at ({u}, {v}): "
+                                f"{b1} vs {b2} (> {tol:.3e})")
+        return 0.5 * (b1 + b2)
+    return _phi_branch(params, u, v, label is RegionLabel.REGION1)
+
+
+def eval_Q(params: BellmanParams, xi: ComplexPair) -> float:
+    """Q(zeta, eta) = -phi(|zeta|, |eta|)/2, always nonpositive."""
+    return -0.5 * eval_phi(params, abs(complex(xi[0])), abs(complex(xi[1])))
+
+
+def grad_phi(params: BellmanParams, u: float, v: float,
+             region: RegionLabel | None = None) -> tuple[float, float]:
+    """Closed-form (phi_u, phi_v).
+
+    ``region`` forces one branch (interface points may be evaluated by
+    either).  Requesting the region-1 formula on the ray v = 0 with u > 0 is
+    a singularity error since that branch contains v^(1-q).
+    """
+    u, v = _check_nonneg(u, v)
+    p, q, delta = params.p, params.q, params.delta
+    if region is None:
+        label = classify(params, u, v)
+        region1 = label is not RegionLabel.REGION2
+    else:
+        region1 = region is not RegionLabel.REGION2
+    if region1:
+        if v == 0.0 and u > 0.0:
+            raise SingularityError("eta-zero-ray",
+                                   "region-1 gradient formula is singular on v = 0")
+        du = p * u ** (p - 1.0) + 2.0 * delta * u * v ** (2.0 - q)
+        if u == 0.0 and v == 0.0:
+            dv = 0.0
+        else:
+            dv = q * v ** (q - 1.0) + delta * (2.0 - q) * u * u * v ** (1.0 - q)
+    else:
+        du = (p + 2.0 * delta) * u ** (p - 1.0)
+        dv = (q + delta * (2.0 - q)) * v ** (q - 1.0)
+    return du, dv
+
+
+def _guard_second_order(params: BellmanParams, u: float, v: float,
+                        interface_margin: float, modulus_floor: float) -> None:
+    if u <= modulus_floor:
+        raise SingularityError("zeta-zero-ray",
+                               f"|zeta| = {u} is within the modulus floor {modulus_floor}")
+    if v <= modulus_floor:
+        raise SingularityError("eta-zero-ray",
+                               f"|eta| = {v} is within the modulus floor {modulus_floor}")
+    t1 = u ** params.p
+    t2 = v ** params.q
+    if abs(t1 - t2) <= interface_margin * max(t1, t2, 1.0):
+        raise SingularityError("interface",
+                               f"({u}, {v}) is within the interface margin {interface_margin}")
+
+
+def neg_hess_matrix(params: BellmanParams, xi: ComplexPair, *,
+                    interface_margin: float = INTERFACE_REL_THRESHOLD,
+                    modulus_floor: float = 1e-12) -> np.ndarray:
+    """-d2Q(xi) as a real symmetric 4x4 matrix in the coordinates
+    (Re zeta, Im zeta, Re eta, Im eta)."""
+    zeta = complex(xi[0])
+    eta = complex(xi[1])
+    _guard_second_order(params, abs(zeta), abs(eta), interface_margin, modulus_floor)
+    u, v, ph1, ph2 = _phases([zeta], [eta])
+    crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
+    return _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2)[0]
+
+
+def _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2) -> np.ndarray:
+    """(n, 4, 4) stack of -d2Q matrices from radial coefficients."""
+    n = crr.size
+    r1 = np.stack([ph1.real, ph1.imag], axis=1)
+    r2 = np.stack([ph2.real, ph2.imag], axis=1)
+    out = np.zeros((n, 4, 4))
+    eye = np.eye(2)
+    p11 = r1[:, :, None] * r1[:, None, :]
+    p22 = r2[:, :, None] * r2[:, None, :]
+    p12 = r1[:, :, None] * r2[:, None, :]
+    out[:, :2, :2] = ctt[:, None, None] * eye + (crr - ctt)[:, None, None] * p11
+    out[:, 2:, 2:] = dtt[:, None, None] * eye + (drr - dtt)[:, None, None] * p22
+    out[:, :2, 2:] = m[:, None, None] * p12
+    out[:, 2:, :2] = np.swapaxes(out[:, :2, 2:], 1, 2)
+    return out
+
+
+def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
+    return np.array([complex(sigma[0]).real, complex(sigma[0]).imag,
+                     complex(sigma[1]).real, complex(sigma[1]).imag])
 
 
 def stack_mollified_neg_hess(params, zeta, eta, eps, order):
@@ -19,5 +183,5 @@ def stack_mollified_neg_hess(params, zeta, eta, eps, order):
     u, v, ph1, ph2 = bl._phases(zs.ravel(), es.ravel())
     coeffs = bl._form_coeffs(params, np.maximum(u, bl.ZERO_MODULUS),
                              np.maximum(v, bl.ZERO_MODULUS))
-    mats = bl._assemble_neg_hess(*coeffs, ph1, ph2).reshape(zeta.size, mol.weights.size, 4, 4)
+    mats = _assemble_neg_hess(*coeffs, ph1, ph2).reshape(zeta.size, mol.weights.size, 4, 4)
     return np.einsum("q,kqij->kij", mol.weights, mats)

@@ -15,8 +15,11 @@ import divbell.harness as hz
 import divbell.operators as ops
 import divbell.presets as ps
 import divbell.semigroup as sg
-from divbell.bellman import BellmanParams, ComplexPair
+from divbell.bellman import BellmanParams
 from divbell.grids import Boundary, Grid, GridFunction
+
+import oracles as orc
+from oracles import ComplexPair
 
 TIGHT = sg.SolverConfig(tol=1e-12)
 
@@ -135,7 +138,7 @@ def test_criterion_02_derivative_oracles():
             x0 = np.array([xi[0].real, xi[0].imag, xi[1].real, xi[1].imag])
 
             def q_at(xv):
-                return bl.eval_Q(params, ComplexPair(xv[0] + 1j * xv[1],
+                return orc.eval_Q(params, ComplexPair(xv[0] + 1j * xv[1],
                                                      xv[2] + 1j * xv[3]))
 
             H = np.zeros((4, 4))
@@ -149,14 +152,14 @@ def test_criterion_02_derivative_oracles():
                         val = (q_at(x0 + ei + ej) - q_at(x0 + ei - ej)
                                - q_at(x0 - ei + ej) + q_at(x0 - ei - ej)) / (4 * hh**2)
                     H[i, j] = H[j, i] = val
-            Hcl = -bl.neg_hess_matrix(params, xi)
+            Hcl = -orc.neg_hess_matrix(params, xi)
             worst_hess = max(worst_hess,
                              np.linalg.norm(H - Hcl) / np.linalg.norm(Hcl))
         # interface C1 agreement
         for vv in rng.uniform(1e-2, 10.0, size=200):
             uu = vv ** (params.q / params.p)
-            g1 = bl.grad_phi(params, uu, vv, region=bl.RegionLabel.REGION1)
-            g2 = bl.grad_phi(params, uu, vv, region=bl.RegionLabel.REGION2)
+            g1 = orc.grad_phi(params, uu, vv, region=orc.RegionLabel.REGION1)
+            g2 = orc.grad_phi(params, uu, vv, region=orc.RegionLabel.REGION2)
             for a, b in zip(g1, g2):
                 worst_iface = max(worst_iface,
                                   abs(a - b) / max(abs(a), abs(b), 1e-30))

@@ -13,6 +13,7 @@ from divbell.grids import Boundary, Grid
 from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
+from oracles import _assemble_neg_hess
 
 SCENARIO_TEXT = """
 # example scenario
@@ -52,6 +53,14 @@ class TestScenarioFormat:
         assert spec.params.p == 3.0
         assert spec.cutoff_radii == (1.0, 1.5, 2.0)
         assert spec.timegrid.dt == pytest.approx(0.002)
+        # T / dt is an exact divisor up to rounding: the count is kept
+        assert spec.timegrid.n_steps == 100
+
+    def test_step_never_exceeds_requested(self):
+        # T / dt = 1.5 steps: two steps of 0.15, not one of 0.3
+        spec = build_scenario(None, dt=0.2, T=0.3)
+        assert spec.timegrid.dt <= 0.2
+        assert spec.timegrid.n_steps == 2
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -149,7 +158,7 @@ class TestCli:
             assert sel.shape[0] == 2500
             params = bl.BellmanParams(p)
             u, v, ph1, ph2 = bl._phases(sel[:, 2] + 1j * sel[:, 3], sel[:, 4] + 1j * sel[:, 5])
-            mats = bl._assemble_neg_hess(*bl._form_coeffs(params, u, v), ph1, ph2)
+            mats = _assemble_neg_hess(*bl._form_coeffs(params, u, v), ph1, ph2)
             tau = sel[:, 7]
             w = np.stack([tau, tau, 1.0 / tau, 1.0 / tau], axis=1)
             lam = np.linalg.eigvalsh(mats - params.delta * w[:, :, None] * np.eye(4))
@@ -232,6 +241,7 @@ class TestCli:
         ["pointwise", "--dt", "0"],
         ["pointwise", "--T", "-1"],
         ["pointwise", "--dt", "-1"],
+        ["pointwise", "--dt", "5"],
     ])
     def test_invalid_numeric_input_exits_two(self, argv, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--quiet"])

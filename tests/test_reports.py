@@ -63,28 +63,35 @@ def test_unwritable_outdir_raises_config_error(tmp_path):
         rp.emit_report(rp.Summary(), {}, str(target))  # a file, not a dir
 
 
-def test_gridfunction_table():
+def test_gridfunction_table(tmp_path):
+    # node-ordered rows of coordinates and a complex field, as the CLI
+    # tables build them, written through write_csv
     g = Grid(cells=(4, 4), lo=(0.0, 0.0), hi=(1.0, 1.0), boundary=Boundary.DIRICHLET)
     u = GridFunction(g, np.arange(9).reshape(3, 3) * (1 + 2j))
-    header, rows = rp.gridfunction_table(u)
-    assert header == ["x", "y", "re", "im"]
-    assert len(rows) == 9
-    assert rows[1][:2] == (0.25, 0.5)
-    assert rows[1][2:] == (1.0, 2.0)
+    coords = [c.ravel().tolist() for c in g.node_coords()]
+    rows = list(zip(*coords, u.flat.real.tolist(), u.flat.imag.tolist()))
+    path = tmp_path / "u.csv"
+    rp.write_csv(str(path), ["x", "y", "re", "im"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,re,im"
+    assert len(lines) == 1 + 9
+    assert lines[2] == "0.25,0.5,1,2"
 
 
-def test_trajectory_and_stats_tables():
+def test_trajectory_and_stats_tables(tmp_path):
+    # one CSV row per snapshot and node, and one solver record per step
     g = Grid(cells=(8,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
     L = ops.assemble(g, ops.CoefficientField.identity(g), ops.PotentialField.zero(g))
     f = ps.make_bump(g, 0.5, 0.2, 1.0)
     traj = sg.evolve(L, f, sg.TimeGrid(dt=0.01, T=0.03), sg.SolverConfig(tol=1e-12))
-    header, rows = rp.trajectory_table(traj)
-    assert header == ["t", "x", "re", "im"]
-    assert len(rows) == len(traj.times) * g.n_nodes
-    sheader, srows = rp.solver_stats_table(traj)
-    assert sheader == ["step", "method", "iterations", "residual"]
-    assert len(srows) == 3
-    assert all(r[3] <= 1e-11 for r in srows)
+    assert traj.values.shape == (len(traj.times), g.n_nodes)
+    rows = [(k + 1, st.method, st.iterations, st.residual)
+            for k, st in enumerate(traj.stats)]
+    paths = rp.emit_report(rp.Summary(), {"stats": (["step", "method", "iterations",
+                                                      "residual"], rows)}, str(tmp_path))
+    assert len((tmp_path / "stats.csv").read_text().splitlines()) == 1 + 3
+    assert str(tmp_path / "summary.txt") in paths
+    assert all(r[3] <= 1e-11 for r in rows)
 
 
 def test_scenario_inline_coefficient_values():
