@@ -40,6 +40,7 @@ any number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -252,6 +253,11 @@ def _phases(zeta, eta):
 # mollification
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre nodes per axis of the mollifier quadrature (176 of the
+# 6^4 tensor nodes fall inside the unit ball).
+MOLLIFIER_ORDER = 6
+
+
 class Mollifier:
     """Radial bump c * exp(-1/(1-|x|^2)) on the unit ball of R^4, sampled on
     a tensor-product Gauss-Legendre grid and normalized so the discrete
@@ -261,7 +267,7 @@ class Mollifier:
     ball carry zero weight and are dropped.
     """
 
-    def __init__(self, order: int = 8):
+    def __init__(self, order: int = MOLLIFIER_ORDER):
         if order < 2:
             raise DomainError("mollifier quadrature order must be >= 2")
         self.order = int(order)
@@ -279,13 +285,10 @@ class Mollifier:
         self.weights = weights[keep] / weights[keep].sum()
 
 
-_MOLLIFIER_CACHE: dict[int, Mollifier] = {}
-
-
-def _mollifier(order: int) -> Mollifier:
-    if order not in _MOLLIFIER_CACHE:
-        _MOLLIFIER_CACHE[order] = Mollifier(order)
-    return _MOLLIFIER_CACHE[order]
+@functools.cache
+def _mollifier() -> Mollifier:
+    """The ``MOLLIFIER_ORDER`` rule, built on first use."""
+    return Mollifier()
 
 
 def cap_mollify_scale(u, v, eps):
@@ -307,14 +310,14 @@ _SYM_ROWS = np.array([0, 0, 1, 2, 2, 3, 0, 0, 1, 1])
 _SYM_COLS = np.array([0, 1, 1, 2, 3, 3, 2, 3, 2, 3])
 
 
-def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) -> np.ndarray:
+def mollified_neg_hess(params: BellmanParams, zeta, eta, eps) -> np.ndarray:
     """Mollified -d2Q at k points as a (k, 4, 4) stack, in the coordinates
     (Re zeta, Im zeta, Re eta, Im eta).
 
     Point i is smoothed at scale eps[i] (eps may also be one scalar),
-    capped by ``cap_mollify_scale``.  Both moduli must be positive
-    (SingularityError naming the zero ray otherwise): the cap would shrink
-    the scale to zero there.
+    capped by ``cap_mollify_scale``, with the ``MOLLIFIER_ORDER`` rule.
+    Both moduli must be positive (SingularityError naming the zero ray
+    otherwise): the cap would shrink the scale to zero there.
     Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block only the
     five radial coefficients and the phases are evaluated at the quadrature
     points, and the weighted average of the 10 independent matrix entries
@@ -335,7 +338,7 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps, order: int = 8) ->
                                f"mollified -d2Q needs both moduli positive, "
                                f"got ({u0[i]}, {v0[i]}) at point {i}")
     eps = cap_mollify_scale(u0, v0, eps)
-    mol = _mollifier(order)
+    mol = _mollifier()
     y1 = mol.nodes[:, 0] + 1j * mol.nodes[:, 1]
     y2 = mol.nodes[:, 2] + 1j * mol.nodes[:, 3]
     nq = y1.size

@@ -85,9 +85,6 @@ class Grid:
             return self.cells
         return tuple(n if a == axis else n - 1 for a, n in enumerate(self.cells))
 
-    def n_faces(self, axis: int) -> int:
-        return int(np.prod(self.face_shape(axis)))
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         if self.periodic:

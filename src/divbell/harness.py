@@ -40,7 +40,6 @@ ARRANGEMENT_TOL = 1e-10
 # of the interface (scaled by the local gradient of u^p - v^q), and only at
 # nodes whose moduli are not negligibly small.
 MOLLIFY_SCALE_FLOOR = 1e-3
-HARNESS_MOLLIFIER_ORDER = 6
 
 FLOAT_FLOOR = 1e-12  # off-diagonal ratios at or below this are excluded
 
@@ -278,8 +277,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     eps = _mollify_scale(u, v, min(grid.spacing))
     idx = np.flatnonzero(_interface_margin_mask(params, u, v, eps))
     if idx.size:
-        mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx],
-                                  HARNESS_MOLLIFIER_ORDER)
+        mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx])
         t1 = _pairs_to_real(th1[idx], th2[idx])            # (k, d, 4)
         a_part[idx] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
         ti, ni = np.divmod(idx, n)

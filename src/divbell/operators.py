@@ -264,12 +264,6 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def face_offsets(self) -> list[int]:
-        offs = [0]
-        for a in range(self.grid.dim):
-            offs.append(offs[-1] + self.grid.n_faces(a))
-        return offs
-
     def is_monotone_stencil(self, tol: float = 1e-12) -> bool:
         """True when every off-diagonal entry of L_h is nonpositive, so the
         backward Euler step matrix is an M-matrix."""

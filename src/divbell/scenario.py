@@ -3,6 +3,19 @@
 The format is line-based and human-diffable: ``[section]`` headers, one
 ``key = value`` pair per line, ``#`` comments, arrays inline as
 space-separated tokens.  Parse errors carry the line number and field.
+Section and key names are case-insensitive.  The accepted keys are:
+
+* ``[grid]`` dim, cells, lo, hi, boundary (dirichlet or periodic)
+* ``[bellman]`` p
+* ``[coefficients]`` preset, beta, gamma-min, values
+* ``[potential]`` values
+* ``[data]`` f, g (``bump <center...> <radius> <amp>``)
+* ``[time]`` T, dt, scheme (crank-nicolson or backward-euler),
+  snapshot-stride (0 or absent: about 64 uniform snapshots)
+* ``[solver]`` tol (positive, finite), max-iter (at least 1)
+* ``[cutoff]`` radii
+
+An unknown section or key is a configuration error, never ignored.
 
 Example::
 
@@ -44,7 +57,7 @@ from .grids import Boundary, Grid
 from .harness import ScenarioSpec
 from .presets import (PRESET_NAMES, coefficient_preset, default_data, make_bump,
                       potential_preset)
-from .semigroup import Method, Preconditioner, Scheme, SolverConfig, TimeGrid, default_dt
+from .semigroup import Scheme, SolverConfig, TimeGrid, default_dt
 
 
 def parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
@@ -111,6 +124,19 @@ def _parse_floats(raw, section, key):
         raise ConfigError(f"[{section}] {key}: not a number list: {raw!r}") from exc
 
 
+# Accepted keys per section (lower-cased, as parsed); see the module docstring.
+SCENARIO_KEYS = {
+    "grid": ("dim", "cells", "lo", "hi", "boundary"),
+    "bellman": ("p",),
+    "coefficients": ("preset", "beta", "gamma-min", "values"),
+    "potential": ("values",),
+    "data": ("f", "g"),
+    "time": ("t", "dt", "scheme", "snapshot-stride"),
+    "solver": ("tol", "max-iter"),
+    "cutoff": ("radii",),
+}
+
+
 def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
                    preset: str | None = None, dim: int | None = None,
                    cells: tuple[int, ...] | None = None, p: float | None = None,
@@ -118,12 +144,20 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
                    seed: int = 0, name: str | None = None) -> ScenarioSpec:
     """Build a validated scenario from a parsed file and/or overrides.
 
-    Keyword overrides win over file values; every domain invariant (grid
-    shape, accretivity, nonnegative potential, exponent range, support
-    margins, time-grid divisibility) is checked here, before any
-    computation starts.
+    Keyword overrides win over file values; every domain invariant (known
+    sections and keys, grid shape, accretivity, nonnegative potential,
+    exponent range, support margins, time-grid divisibility, solver
+    settings) is checked here, before any computation starts.
     """
     s = sections or {}
+    for section, keys in s.items():
+        if section not in SCENARIO_KEYS:
+            raise ConfigError(f"[{section}]: unknown section, choose from "
+                              f"{sorted(SCENARIO_KEYS)}")
+        for key in keys:
+            if key not in SCENARIO_KEYS[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key, choose from "
+                                  f"{SCENARIO_KEYS[section]}")
     preset = preset or _get(s, "coefficients", "preset", "identity")
     if preset not in PRESET_NAMES:
         raise ConfigError(f"[coefficients] preset: unknown preset {preset!r}, "
@@ -224,7 +258,10 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     except ValueError as exc:
         raise ConfigError(f"[time] scheme: {sraw!r}") from exc
     stride = _parse_int(s, "time", "snapshot-stride", 0)
-    if stride <= 0:
+    if stride < 0:
+        raise ConfigError(f"[time] snapshot-stride: expected 0 (auto) or a positive "
+                          f"stride, got {stride}")
+    if stride == 0:
         # uniform snapshots: largest stride <= n/64 that divides the step count
         stride = max(1, n // 64)
         while n % stride:
@@ -234,17 +271,13 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
                           f"step count {n}; snapshots would not be uniform")
     timegrid = TimeGrid(dt=dt, T=T, scheme=scheme, snapshot_stride=stride)
 
-    mraw = _get(s, "solver", "method", "bicgstab").lower()
-    praw = _get(s, "solver", "preconditioner", "diagonal").lower()
-    try:
-        method = Method(mraw)
-        precond = Preconditioner(praw)
-    except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from exc
-    solver = SolverConfig(method=method,
-                          tol=_parse_float(s, "solver", "tol", 1e-10),
-                          max_iter=_parse_int(s, "solver", "max-iter", 500),
-                          preconditioner=precond)
+    tol = _parse_float(s, "solver", "tol", 1e-10)
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"[solver] tol: expected a positive finite tolerance, got {tol}")
+    max_iter = _parse_int(s, "solver", "max-iter", 500)
+    if max_iter < 1:
+        raise ConfigError(f"[solver] max-iter: expected at least 1, got {max_iter}")
+    solver = SolverConfig(tol=tol, max_iter=max_iter)
 
     rraw = _get(s, "cutoff", "radii")
     if rraw is not None:

@@ -2,10 +2,9 @@
 
 Backward Euler solves (I + dt L_h) u' = u per step; Crank-Nicolson solves
 (I + dt/2 L_h) u' = (I - dt/2 L_h) u.  The linear systems are nonsymmetric
-in general and are solved iteratively (BiCGStab by default, with a restarted
-GMRES fallback on breakdown), optionally with a diagonal preconditioner.
-A dense scaling-and-squaring exponential is provided as a test oracle for
-small systems.
+in general and are solved by diagonally preconditioned BiCGStab, with a
+restarted GMRES fallback on breakdown.  A dense scaling-and-squaring
+exponential is provided as a test oracle for small systems.
 """
 
 from __future__ import annotations
@@ -28,22 +27,10 @@ class Scheme(enum.Enum):
     CRANK_NICOLSON = "crank-nicolson"
 
 
-class Method(enum.Enum):
-    BICGSTAB = "bicgstab"
-    GMRES = "gmres"
-
-
-class Preconditioner(enum.Enum):
-    NONE = "none"
-    DIAGONAL = "diagonal"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    method: Method = Method.BICGSTAB
     tol: float = 1e-10
     max_iter: int = 500
-    preconditioner: Preconditioner = Preconditioner.DIAGONAL
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -119,9 +106,6 @@ class Trajectory:
     values: np.ndarray = field(repr=False)  # (n_snapshots, n_nodes) complex
     stats: list[StepStats] = field(default_factory=list, repr=False)
 
-    def snapshot(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[k])
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -140,31 +124,27 @@ class _LinearStep:
         else:
             self.lhs = (eye + 0.5 * dt * op.matrix).tocsr()
             self.rhs_mat = (eye - 0.5 * dt * op.matrix).tocsr()
-        if solver.preconditioner is Preconditioner.DIAGONAL:
-            d = self.lhs.diagonal()
-            if np.any(d == 0.0):
-                self.M = None
-            else:
-                inv = 1.0 / d
-                self.M = spla.LinearOperator((n, n), matvec=lambda x: inv * x)
-        else:
+        d = self.lhs.diagonal()
+        if np.any(d == 0.0):
             self.M = None
+        else:
+            inv = 1.0 / d
+            self.M = spla.LinearOperator((n, n), matvec=lambda x: inv * x)
 
     def _solve_real(self, b: np.ndarray, x0: np.ndarray):
         if not np.any(b):
-            return np.zeros_like(b), 0, self.solver.method.value
+            return np.zeros_like(b), 0, "bicgstab"
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        if self.solver.method is Method.BICGSTAB:
-            x, info = spla.bicgstab(self.lhs, b, x0=x0, rtol=self.solver.tol,
-                                    atol=0.0, maxiter=self.solver.max_iter,
-                                    M=self.M, callback=cb)
-            if info == 0 and np.all(np.isfinite(x)):
-                return x, count[0], Method.BICGSTAB.value
-        # restarted GMRES fallback (and primary when requested)
+        x, info = spla.bicgstab(self.lhs, b, x0=x0, rtol=self.solver.tol,
+                                atol=0.0, maxiter=self.solver.max_iter,
+                                M=self.M, callback=cb)
+        if info == 0 and np.all(np.isfinite(x)):
+            return x, count[0], "bicgstab"
+        # restarted GMRES fallback on breakdown
         count = [0]
         x, info = spla.gmres(self.lhs, b, x0=x0, rtol=self.solver.tol, atol=0.0,
                              restart=50, maxiter=self.solver.max_iter, M=self.M,
@@ -172,7 +152,7 @@ class _LinearStep:
         if info != 0 or not np.all(np.isfinite(x)):
             res = float(np.linalg.norm(self.lhs @ x - b) / np.linalg.norm(b))
             raise ConvergenceError("linear solve stagnated", count[0], res)
-        return x, count[0], Method.GMRES.value
+        return x, count[0], "gmres"
 
     def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
         b = u if self.rhs_mat is None else self.rhs_mat @ u

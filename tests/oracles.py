@@ -169,11 +169,11 @@ def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
                      complex(sigma[1]).real, complex(sigma[1]).imag])
 
 
-def stack_mollified_neg_hess(params, zeta, eta, eps, order):
+def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER):
     """Oracle for ``bellman.mollified_neg_hess`` at the scales given: the
     full (k, nq, 4, 4) stack of per-quadrature-point -d2Q matrices,
-    averaged with the weights."""
-    mol = bl._mollifier(order)
+    averaged with the weights of a freshly built order-``order`` rule."""
+    mol = bl.Mollifier(order)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), zeta.shape)

@@ -476,27 +476,28 @@ def assert_matches_stack(params, got, zeta, eta, eps, order):
 
 class TestMollifiedNegHess:
     @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
-    @pytest.mark.parametrize("order", [6, 8])
+    @pytest.mark.parametrize("order", [bl.MOLLIFIER_ORDER])
     def test_matches_stack_oracle(self, p, order):
+        # the oracle builds its own rule of the order the id names
         P = BellmanParams(p)
         zeta, eta, eps = near_interface_points(P, np.random.default_rng(int(p) + order), 300)
-        got = bl.mollified_neg_hess(P, zeta, eta, eps, order)
+        got = bl.mollified_neg_hess(P, zeta, eta, eps)
         assert_matches_stack(P, got, zeta, eta, eps, order)
 
     @pytest.mark.parametrize("k", [0, 1, bl._MOLLIFY_BLOCK, bl._MOLLIFY_BLOCK + 1])
     def test_node_counts(self, k):
         P = BellmanParams(4.0)
         zeta, eta, eps = near_interface_points(P, np.random.default_rng(k), k)
-        got = bl.mollified_neg_hess(P, zeta, eta, eps, 6)
+        got = bl.mollified_neg_hess(P, zeta, eta, eps)
         assert got.shape == (k, 4, 4)
-        assert_matches_stack(P, got, zeta, eta, eps, 6)
+        assert_matches_stack(P, got, zeta, eta, eps, bl.MOLLIFIER_ORDER)
 
     def test_scalar_eps_broadcasts(self):
         P = BellmanParams(3.0)
         zeta, eta, _ = near_interface_points(P, np.random.default_rng(5), 7)
         eps = 0.4 * np.minimum(np.abs(zeta), np.abs(eta)).min()
-        assert np.array_equal(bl.mollified_neg_hess(P, zeta, eta, eps, 6),
-                              bl.mollified_neg_hess(P, zeta, eta, np.full(7, eps), 6))
+        assert np.array_equal(bl.mollified_neg_hess(P, zeta, eta, eps),
+                              bl.mollified_neg_hess(P, zeta, eta, np.full(7, eps)))
 
     def test_rejects_nonpositive_eps(self):
         P = BellmanParams(4.0)
@@ -516,7 +517,7 @@ class TestMollifiedNegHess:
         mat = bl.mollified_neg_hess(P, xi[0], xi[1], eps)
         capped = min(eps, 0.45 * min(abs(xi[0]), abs(xi[1])))
         assert mat.shape == (1, 4, 4)
-        assert_matches_stack(P, mat, xi[0], xi[1], capped, 8)
+        assert_matches_stack(P, mat, xi[0], xi[1], capped, bl.MOLLIFIER_ORDER)
         # the function applies the same cap itself
         assert np.array_equal(mat, bl.mollified_neg_hess(P, xi[0], xi[1], capped))
 

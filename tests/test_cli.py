@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import divbell.bellman as bl
+import divbell.harness as hz
 import divbell.presets as ps
 from divbell.cli import COMMANDS, main, make_parser
 from divbell.errors import ConfigError
@@ -13,6 +14,7 @@ from divbell.grids import Boundary, Grid
 from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
+from divbell.semigroup import evolve
 from oracles import _assemble_neg_hess
 
 SCENARIO_TEXT = """
@@ -218,19 +220,28 @@ class TestCli:
         rc = main(["semigroup-verify", "--out", str(tmp_path / "sg"), "--quiet"])
         assert rc == 0
 
-    def test_sweep_row_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DIVBELL_WORKERS", "1")
+    def test_sweep_row_count(self, tmp_path):
         rc = main(["sweep", "--p", "2", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         # header + one row per preset x dimension
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2
 
-    def test_non_integer_workers_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DIVBELL_WORKERS", "two")
-        rc = main(["sweep", "--p", "2", "--out", str(tmp_path), "--quiet"])
-        assert rc == 2
-        assert "DIVBELL_WORKERS" in capsys.readouterr().err
+    def test_sweep_evolves_once_per_scenario(self, tmp_path, monkeypatch):
+        # P_t f and P_t g do not depend on p: f and g are evolved once per
+        # (preset, dim) pair and shared by the 4 default exponents
+        calls = [0]
+
+        def counting_evolve(*args, **kwargs):
+            calls[0] += 1
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "evolve", counting_evolve)
+        rc = main(["sweep", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert calls[0] == 2 * len(ps.PRESET_NAMES) * 2
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2 * 4
 
     @pytest.mark.parametrize("argv", [
         ["bellman-verify", "--p", "1.5"],
@@ -255,13 +266,33 @@ class TestCli:
             assert rc == 0, cmd
 
     def test_solver_nonconvergence_exits_three(self, tmp_path):
-        # a stiff unpreconditioned 2D step with one Krylov cycle cannot reach
-        # rtol 1e-15
+        # a stiff 2D step with one Krylov cycle cannot reach rtol 1e-15
         cfg = tmp_path / "stall.scenario"
         cfg.write_text("[grid]\ndim = 2\ncells = 64 64\n"
                        "[time]\nT = 0.5\ndt = 0.5\n"
-                       "[solver]\ntol = 1e-15\nmax-iter = 1\n"
-                       "preconditioner = none\n")
+                       "[solver]\ntol = 1e-15\nmax-iter = 1\n")
         rc = main(["pointwise", "--config", str(cfg),
                    "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
+
+    @pytest.mark.parametrize("text, where", [
+        ("[tiem]\nT = 0.3\n", "[tiem]"),
+        ("[solver]\nprecondtioner = none\n", "[solver] precondtioner"),
+        ("[solver]\nmethod = gmres\n", "[solver] method"),
+        ("[solver]\npreconditioner = none\n", "[solver] preconditioner"),
+        ("[solver]\ntol = 0\n", "[solver] tol"),
+        ("[solver]\ntol = nan\n", "[solver] tol"),
+        ("[solver]\nmax-iter = 0\n", "[solver] max-iter"),
+        ("[solver]\nmax-iter = -5\n", "[solver] max-iter"),
+        ("[time]\nsnapshot-stride = -2\n", "[time] snapshot-stride"),
+    ], ids=["unknown-section", "unknown-key", "removed-method", "removed-preconditioner",
+            "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
+            "negative-stride"])
+    def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
+        cfg = tmp_path / "bad.scenario"
+        cfg.write_text("[grid]\ndim = 1\ncells = 32\n" + text)
+        rc = main(["pointwise", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and where in err

@@ -193,10 +193,10 @@ class TestMollifiedPath:
         zeta = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
         eta = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
         eps = hz._mollify_scale(u, v, 0.01)
-        bl._mollifier(hz.HARNESS_MOLLIFIER_ORDER)
+        bl._mollifier()
         tracemalloc.start()
         try:
-            out = bl.mollified_neg_hess(P, zeta, eta, eps, hz.HARNESS_MOLLIFIER_ORDER)
+            out = bl.mollified_neg_hess(P, zeta, eta, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -104,7 +104,7 @@ class TestEvolve:
         dt = 0.005
         full = sg.evolve(L, f, sg.TimeGrid(dt=dt, T=0.1), TIGHT)
         half = sg.evolve(L, f, sg.TimeGrid(dt=dt, T=0.05), TIGHT)
-        rest = sg.evolve(L, half.snapshot(len(half) - 1), sg.TimeGrid(dt=dt, T=0.05), TIGHT)
+        rest = sg.evolve(L, GridFunction(g, half.values[-1]), sg.TimeGrid(dt=dt, T=0.05), TIGHT)
         assert np.abs(rest.values[-1] - full.values[-1]).max() <= 1e-10
 
     def test_dirichlet_l2_decay_monotone(self):
