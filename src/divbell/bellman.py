@@ -396,34 +396,43 @@ def unit_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([coord1, s1]), np.concatenate([coord2, s2])
 
 
-# log-tau search bracket.  Its width log(1e12) ~ 27.6 shrinks by the golden
-# ratio per iteration; 40 iterations push the relative tau width below 1e-6.
-_TAU_LOG_LO = math.log(1e-6)
-_TAU_LOG_HI = math.log(1e6)
-_TAU_GOLDEN_ITERS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _quadratic_window(a, b, c):
+    """Roots lo <= hi of -a t^2 + b t - c (a, b, c > 0) as 2c/s and s/(2a)
+    with s = b + sqrt(b^2 - 4ac), neither of which cancels.  A negative
+    discriminant is clamped to 0, leaving lo = 2c/b > b/(2a) = hi."""
+    s = b + np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    return 2.0 * c / s, s / (2.0 * a)
 
 
-def _maximize_over_tau(objective, n: int) -> np.ndarray:
-    """Golden-section search over log tau in [1e-6, 1e6], one bracket per
-    point.  ``objective`` maps an array of n weights to n values and must be
-    unimodal in log tau; every objective used here is concave in tau."""
-    lo = np.full(n, _TAU_LOG_LO)
-    hi = np.full(n, _TAU_LOG_HI)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = objective(np.exp(x1))
-    f2 = objective(np.exp(x2))
-    for _ in range(_TAU_GOLDEN_ITERS):
-        left = f1 >= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1n = np.where(left, hi - _INVPHI * (hi - lo), x2)
-        x2n = np.where(left, x1, lo + _INVPHI * (hi - lo))
-        fresh = objective(np.exp(np.where(left, x1n, x2n)))
-        f1, f2 = np.where(left, fresh, f2), np.where(left, f1, fresh)
-        x1, x2 = x1n, x2n
-    return np.exp(0.5 * (lo + hi))
+def tau_interval(params: BellmanParams, u, v):
+    """Arrays (tau_lo, tau_hi) of the weights tau for which
+    -d2Q >= delta*diag(tau, tau, 1/tau, 1/tau) and the drift bound hold;
+    tau_lo > tau_hi means that no tau does.
+
+    ctt/delta and crr/delta bound tau from above, delta/dtt and delta/drr
+    from below, and tau lies between the roots of the radial determinant
+    -delta*drr*tau^2 + (crr*drr - m^2 + delta^2)*tau - delta*crr and of the
+    drift -delta*u^2*tau^2 + D*tau - delta*v^2.  The roots are taken at the
+    point rescaled by homogeneity to max(u^p, v^q) = 1, in logs so that
+    nothing underflows, and tau scales back by kappa = S^(1-2/p) with
+    S = max(u^p, v^q).  Moduli are clamped to ZERO_MODULUS.
+    """
+    p, q, delta = params.p, params.q, params.delta
+    lu = np.log(np.maximum(np.asarray(u, dtype=np.float64).ravel(), ZERO_MODULUS))
+    lv = np.log(np.maximum(np.asarray(v, dtype=np.float64).ravel(), ZERO_MODULUS))
+    ls = np.maximum(p * lu, q * lv)
+    u, v = np.exp(lu - ls / p), np.exp(lv - ls / q)
+    (crr, ctt, drr, dtt, m), drift = form_coeffs_and_drift(params, u, v)
+    det_lo, det_hi = _quadratic_window(delta * drr, crr * drr - m * m + delta * delta,
+                                       delta * crr)
+    # the drift's upper root divides by u^2; flooring u keeps it finite and
+    # can only narrow the window
+    uc = np.maximum(u, MOD_FLOOR)
+    drift_lo, drift_hi = _quadratic_window(delta * uc * uc, drift, delta * v * v)
+    lo = np.maximum.reduce([delta / dtt, delta / drr, det_lo, drift_lo])
+    hi = np.minimum.reduce([ctt / delta, crr / delta, det_hi, drift_hi])
+    kappa = np.exp((1.0 - 2.0 / p) * ls)
+    return kappa * lo, kappa * hi
 
 
 def _margin_parts(coeffs, delta: float, tau) -> np.ndarray:
@@ -464,14 +473,13 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     """Certify the range bound, the convexity bound and the drift bound at
     arrays of points.
 
-    Per point, tau maximizes the smaller of the exact Hessian margin and
-    the drift slack.  The Hessian margin is the smallest eigenvalue of
+    Per point, tau is the geometric midpoint of ``tau_interval``.  The
+    Hessian margin is the smallest eigenvalue of
     -d2Q - delta*diag(tau, tau, 1/tau, 1/tau), i.e. the minimum of
     <-d2Q s, s> - delta(tau|s1|^2 + |s2|^2/tau) over all unit s in C^2; the
-    drift slack is Q - dQ(xi) xi - delta(tau|zeta|^2 + |eta|^2/tau).  A
-    golden-section search over log tau in [1e-6, 1e6] (refined to relative
-    width 1e-6) finds the maximum; both are concave in tau.  Negative
-    margins are reported, not raised.
+    drift margin is Q - dQ(xi) xi - delta(tau|zeta|^2 + |eta|^2/tau).  Both
+    are >= 0 exactly when tau lies in the interval, so an empty interval
+    shows as a negative margin; margins are reported, not raised.
 
     Points are evaluated with the exact branch formulas; the caller is
     responsible for excluding interface margins (see
@@ -491,18 +499,12 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)
     coeffs, drift = form_coeffs_and_drift(params, u, v)
     delta = params.delta
-    u2 = u * u
-    v2 = v * v
-
-    def shared(tau):
-        hess = _margin_parts(coeffs, delta, tau).min(axis=0)
-        return np.minimum(hess, drift - delta * (tau * u2 + v2 / tau))
-
-    tau = _maximize_over_tau(shared, u.size)
+    tau_lo, tau_hi = tau_interval(params, u, v)
+    tau = np.sqrt(tau_lo) * np.sqrt(tau_hi)
     parts = _margin_parts(coeffs, delta, tau)
     s1, s2 = _worst_direction(coeffs, delta, tau, parts, ph1, ph2)
     mdir = parts.min(axis=0)
-    mdrift = drift - delta * (tau * u2 + v2 / tau)
+    mdrift = drift - delta * (tau * u * u + v * v / tau)
     origin = (u <= ZERO_MODULUS) & (v <= ZERO_MODULUS)
     tau = np.where(origin, 1.0, tau)
     mdir = np.where(origin, 0.0, mdir)

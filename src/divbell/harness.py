@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import (BellmanParams, bilinear_forms, cap_mollify_scale,
+from .bellman import (BellmanParams, _phases, bilinear_forms, cap_mollify_scale,
                       form_coeffs_and_drift, form_sum_over_axes, mollified_neg_hess,
                       q_values)
 from .errors import AccuracyError, DomainError, GeometryError
@@ -239,10 +239,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     nt, n = traj_f.values.shape
     v1 = traj_f.values
     v2 = traj_g.values
-    u = np.abs(v1).ravel()
-    v = np.abs(v2).ravel()
-    ph1 = (v1.ravel() / np.maximum(u, 1e-300)).astype(np.complex128)
-    ph2 = (v2.ravel() / np.maximum(v, 1e-300)).astype(np.complex128)
+    u, v, ph1, ph2 = _phases(v1, v2)
     (crr, ctt, drr, dtt, m), drift = form_coeffs_and_drift(params, u, v)
 
     g1 = grad4(grid, v1)  # (nt, d, n)

@@ -117,9 +117,9 @@ def _parse_int(sections, section, key, default):
         raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
 
 
-def _parse_floats(raw, section, key):
+def _parse_numbers(raw, section, key, kind=float):
     try:
-        return tuple(float(tok) for tok in raw.split())
+        return tuple(kind(tok) for tok in raw.split())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number list: {raw!r}") from exc
 
@@ -166,13 +166,13 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
         dim = _parse_int(s, "grid", "dim", 1)
     if cells is None:
         raw = _get(s, "grid", "cells", "128" if dim == 1 else "24 " * dim)
-        cells = tuple(int(t) for t in str(raw).split())
+        cells = _parse_numbers(raw, "grid", "cells", int)
     if len(cells) == 1 and dim > 1:
         cells = cells * dim
     if len(cells) != dim:
         raise ConfigError(f"[grid] cells: got {len(cells)} entries for dim {dim}")
-    lo = _parse_floats(_get(s, "grid", "lo", " ".join(["-4.0"] * dim)), "grid", "lo")
-    hi = _parse_floats(_get(s, "grid", "hi", " ".join(["4.0"] * dim)), "grid", "hi")
+    lo = _parse_numbers(_get(s, "grid", "lo", " ".join(["-4.0"] * dim)), "grid", "lo")
+    hi = _parse_numbers(_get(s, "grid", "hi", " ".join(["4.0"] * dim)), "grid", "hi")
     braw = _get(s, "grid", "boundary", "dirichlet").lower()
     try:
         boundary = Boundary(braw)
@@ -195,7 +195,7 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     araw = _get(s, "coefficients", "values")
     if araw is not None:
         from .operators import CoefficientField, check_accretive
-        vals = _parse_floats(araw, "coefficients", "values")
+        vals = _parse_numbers(araw, "coefficients", "values")
         want = grid.vertex_shape + (dim, dim)
         try:
             A = CoefficientField(grid, np.asarray(vals).reshape(want))
@@ -209,7 +209,7 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     vraw = _get(s, "potential", "values")
     if vraw is not None:
         from .operators import PotentialField
-        vals = _parse_floats(vraw, "potential", "values")
+        vals = _parse_numbers(vraw, "potential", "values")
         try:
             V = PotentialField(grid, np.asarray(vals).reshape(grid.node_shape))
         except (ValueError, DivbellError) as exc:
@@ -222,7 +222,7 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
         if raw is None:
             return fallback
         toks = raw.split()
-        if toks[0] != "bump" or len(toks) != dim + 3:
+        if toks[:1] != ["bump"] or len(toks) != dim + 3:
             raise ConfigError(
                 f"[data] {key}: expected 'bump <center...> <radius> <amp>' "
                 f"with {dim} center coordinates, got {raw!r}")
@@ -281,7 +281,7 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
 
     rraw = _get(s, "cutoff", "radii")
     if rraw is not None:
-        radii = _parse_floats(rraw, "cutoff", "radii")
+        radii = _parse_numbers(rraw, "cutoff", "radii")
     else:
         half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
         radii = (0.25 * half, 0.375 * half, 0.5 * half)

@@ -547,10 +547,65 @@ class TestFindTau:
     def test_hand_window(self):
         # for p = 2 at xi = (1, 2): the convexity window is [0.25, 5] and the
         # drift inequality 0.25 tau + 1/tau <= 2.625 narrows it to
-        # [0.396..., 5]; any valid tau must land in [0.25, 5]
-        cert = certify_one(BellmanParams(2.0), 1.0, 2.0)
+        # [0.396..., 5]; tau is the window's geometric midpoint
+        P = BellmanParams(2.0)
+        lo, hi = bl.tau_interval(P, 1.0, 2.0)
+        assert lo[0] == pytest.approx(2.0 * (2.625 - np.sqrt(2.625 ** 2 - 1.0)), rel=1e-14)
+        assert lo[0] == pytest.approx(0.395878, abs=1e-6)
+        assert hi[0] == pytest.approx(5.0, rel=1e-14)
+        cert = certify_one(P, 1.0, 2.0)
         assert cert["valid"]
-        assert 0.25 <= cert["tau"] <= 5.0
+        assert cert["tau"] == pytest.approx(np.sqrt(lo[0] * hi[0]), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0, 16.0])
+    def test_interval_endpoints_are_tight(self, p):
+        # the shared margin vanishes at both ends of the interval and is
+        # negative just outside it
+        P = BellmanParams(p)
+        zetas, etas = bl.sample_certification_points(P, 200, np.random.default_rng(11))
+        u, v = np.abs(zetas), np.abs(etas)
+        coeffs, drift = bl.form_coeffs_and_drift(P, u, v)
+        lo, hi = bl.tau_interval(P, u, v)
+        assert (lo < hi).all()
+
+        def shared(tau):
+            hess = bl._margin_parts(coeffs, P.delta, tau).min(axis=0)
+            return np.minimum(hess, drift - P.delta * (tau * u * u + v * v / tau))
+
+        scale = np.abs(np.stack(coeffs + (drift,))).max(axis=0)
+        for end, out in ((lo, 1.0 - 1e-6), (hi, 1.0 + 1e-6)):
+            assert (np.abs(shared(end)) <= 1e-13 * scale).all()
+            assert (shared(end * out) < 0.0).all()
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0, 50.0])
+    def test_interval_scale_covariant(self, p):
+        # (u, v) -> (s^(1/p) u, s^(1/q) v) maps tau to kappa*tau, with
+        # kappa = s^(1 - 2/p)
+        P = BellmanParams(p)
+        zetas, etas = bl.sample_certification_points(P, 50, np.random.default_rng(5))
+        u, v = np.abs(zetas), np.abs(etas)
+        tau = bl.certify_batch(P, u, v)["tau"]
+        for s in np.logspace(-40.0, 40.0, 17):
+            scaled = bl.certify_batch(P, s ** (1.0 / P.p) * u, s ** (1.0 / P.q) * v)
+            assert scaled["valid"].all()
+            np.testing.assert_allclose(scaled["tau"], s ** (1.0 - 2.0 / P.p) * tau,
+                                       rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [2.0, 2.1, 2.5, 3.0, 4.0, 8.0, 16.0, 50.0])
+    def test_far_field_valid(self, p):
+        # far outside the sampled box: along v = 1 and u = 1 for
+        # w = u^p/v^q in [1e-40, 1e40], and on the diagonal u = v from 1e-140
+        # up to u^p = 1e300
+        P = BellmanParams(p)
+        w = np.logspace(-40.0, 40.0, 4001)
+        ones = np.ones_like(w)
+        diag = np.logspace(-140.0, 300.0 / P.p, 4001)
+        for u, v in ((w ** (1.0 / P.p), ones), (ones, w ** (-1.0 / P.q)), (diag, diag)):
+            res = bl.certify_batch(P, u, v)
+            assert res["valid"].all(), (u[~res["valid"]][:3], v[~res["valid"]][:3])
+            lo, hi = bl.tau_interval(P, u, v)
+            assert (np.log(hi / lo) > 0.5).all()
 
     def test_scaled_point_also_certifies(self):
         P = BellmanParams(2.0)
@@ -637,17 +692,18 @@ class TestFindTauSingularSets:
             c2 = certify_one(P, z * np.exp(1j * a), e * np.exp(1j * b))
             assert c1["valid"] and c2["valid"]
             # the exact margins depend on the moduli only
-            assert c2["tau"] == pytest.approx(c1["tau"], rel=1e-6)
+            assert c2["tau"] == pytest.approx(c1["tau"], rel=1e-12)
             assert c2["margin_hessian"] == pytest.approx(c1["margin_hessian"],
-                                                         rel=1e-6, abs=1e-12)
+                                                         rel=1e-12, abs=1e-12)
 
 
 class TestCheckBejaz:
     """``certify_batch``: range bound, convexity and drift together."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_origin_trivial(self):
         # Q and its derivatives vanish at the origin: tau = 1, margins 0
-        for p in (2.0, 3.0, 4.0, 8.0):
+        for p in (2.0, 3.0, 4.0, 8.0, 50.0):
             cert = certify_one(BellmanParams(p), 0.0, 0.0)
             assert cert["prop_i_slack"] == 0.0
             assert cert["tau"] == 1.0

@@ -285,9 +285,11 @@ class TestCli:
         ("[solver]\nmax-iter = 0\n", "[solver] max-iter"),
         ("[solver]\nmax-iter = -5\n", "[solver] max-iter"),
         ("[time]\nsnapshot-stride = -2\n", "[time] snapshot-stride"),
+        ("[grid]\ncells = 3x\n", "[grid] cells"),
+        ("[data]\nf =\n", "[data] f"),
     ], ids=["unknown-section", "unknown-key", "removed-method", "removed-preconditioner",
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
-            "negative-stride"])
+            "negative-stride", "non-integer-cells", "empty-datum"])
     def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
         cfg = tmp_path / "bad.scenario"
         cfg.write_text("[grid]\ndim = 1\ncells = 32\n" + text)
