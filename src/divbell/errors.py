@@ -26,7 +26,7 @@ class AccuracyError(DivbellError, RuntimeError):
 
 
 class ConvergenceError(DivbellError, RuntimeError):
-    """An iterative solver failed to reach the requested residual."""
+    """A linear solve failed to reach the requested residual."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         self.iterations = iterations

@@ -98,8 +98,10 @@ class EvolvedScenario:
 
 def run_scenario(spec: ScenarioSpec) -> EvolvedScenario:
     op = assemble(spec.grid, spec.coefficients, spec.potential)
-    traj_f = evolve(op, spec.f, spec.timegrid, spec.solver)
-    traj_g = evolve(op, spec.g, spec.timegrid, spec.solver)
+    # one block evolution; the two trajectories view its values
+    traj = evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver)
+    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats)
+                      for values in traj.values)
     return EvolvedScenario(spec, op, traj_f, traj_g)
 
 

@@ -13,7 +13,7 @@ Section and key names are case-insensitive.  The accepted keys are:
 * ``[time]`` T, dt, scheme (crank-nicolson or backward-euler),
   snapshot-stride (0 or absent: about 64 uniform snapshots)
 * ``[solver]`` tol (positive, finite), max-iter (at least 1)
-* ``[cutoff]`` radii
+* ``[cutoff]`` radii (one or more, each positive and finite)
 
 An unknown section or key is a configuration error, never ignored.
 
@@ -282,6 +282,9 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     rraw = _get(s, "cutoff", "radii")
     if rraw is not None:
         radii = _parse_numbers(rraw, "cutoff", "radii")
+        if not radii or not all(0.0 < r < np.inf for r in radii):
+            raise ConfigError(f"[cutoff] radii: expected one or more positive finite "
+                              f"radii, got {rraw!r}")
     else:
         half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
         radii = (0.25 * half, 0.375 * half, 0.5 * half)

@@ -1,6 +1,11 @@
 """Tests for the scenario file format, presets, and the CLI runner."""
 
 import filecmp
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,8 +233,8 @@ class TestCli:
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2
 
     def test_sweep_evolves_once_per_scenario(self, tmp_path, monkeypatch):
-        # P_t f and P_t g do not depend on p: f and g are evolved once per
-        # (preset, dim) pair and shared by the 4 default exponents
+        # P_t f and P_t g do not depend on p: f and g are evolved together,
+        # once per (preset, dim) pair, and shared by the 4 default exponents
         calls = [0]
 
         def counting_evolve(*args, **kwargs):
@@ -239,7 +244,7 @@ class TestCli:
         monkeypatch.setattr(hz, "evolve", counting_evolve)
         rc = main(["sweep", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        assert calls[0] == 2 * len(ps.PRESET_NAMES) * 2
+        assert calls[0] == len(ps.PRESET_NAMES) * 2
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2 * 4
 
@@ -275,6 +280,16 @@ class TestCli:
                    "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
 
+    def test_residual_gate_binds_on_direct_path(self, tmp_path):
+        # 225 unknowns take the SuperLU path, whose residual (~1e-16) is
+        # still gated against 10 * tol
+        cfg = tmp_path / "tight.scenario"
+        cfg.write_text("[grid]\ndim = 2\ncells = 16 16\n"
+                       "[solver]\ntol = 1e-30\n")
+        rc = main(["pointwise", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+
     @pytest.mark.parametrize("text, where", [
         ("[tiem]\nT = 0.3\n", "[tiem]"),
         ("[solver]\nprecondtioner = none\n", "[solver] precondtioner"),
@@ -287,9 +302,14 @@ class TestCli:
         ("[time]\nsnapshot-stride = -2\n", "[time] snapshot-stride"),
         ("[grid]\ncells = 3x\n", "[grid] cells"),
         ("[data]\nf =\n", "[data] f"),
+        ("[cutoff]\nradii =\n", "[cutoff] radii"),
+        ("[cutoff]\nradii = 1.0 -1\n", "[cutoff] radii"),
+        ("[cutoff]\nradii = 0\n", "[cutoff] radii"),
+        ("[cutoff]\nradii = nan 1.0\n", "[cutoff] radii"),
     ], ids=["unknown-section", "unknown-key", "removed-method", "removed-preconditioner",
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
-            "negative-stride", "non-integer-cells", "empty-datum"])
+            "negative-stride", "non-integer-cells", "empty-datum",
+            "empty-radii", "negative-radius", "zero-radius", "nan-radius"])
     def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
         cfg = tmp_path / "bad.scenario"
         cfg.write_text("[grid]\ndim = 1\ncells = 32\n" + text)
@@ -298,3 +318,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and where in err
+
+
+def test_trace_contract_of_evolve(tmp_path):
+    # the benchmark's traced repetition wraps semigroup.evolve and reads
+    # its stats; a return shape it cannot count would crash --trace runs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", str(result), "--trace", "--",
+         "pointwise", "--preset", "identity", "--grid", "16,16", "--p", "4",
+         "--out", str(tmp_path / "out"), "--quiet"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(result.read_text())["spans"]
+    evolves = [s for s in spans if s["name"] == "semigroup.evolve"]
+    assert len(evolves) == 1
+    assert {"steps", "krylov_iters", "worst_residual"} <= evolves[0]["counts"].keys()
+    assert evolves[0]["counts"]["steps"] > 0

@@ -7,6 +7,7 @@ import divbell.operators as ops
 import divbell.semigroup as sg
 from divbell.errors import DomainError
 from divbell.grids import Boundary, Grid, GridFunction
+from divbell.scenario import build_scenario
 
 
 def bump(x, center=0.0, radius=1.0, amp=1.0):
@@ -128,6 +129,49 @@ class TestEvolve:
             sg.TimeGrid(dt=0.03, T=0.1)
 
 
+def random_accretive(dim, cells, seed=3):
+    spec = build_scenario(None, preset="random-accretive", dim=dim, cells=(cells,) * dim,
+                          seed=seed)
+    return spec, ops.assemble(spec.grid, spec.coefficients, spec.potential)
+
+
+class TestBlockEvolution:
+    def test_direct_matches_krylov(self, monkeypatch):
+        spec, L = random_accretive(2, 16)
+        assert L.n <= sg.DIRECT_LIMIT
+        assert abs(L.matrix - L.matrix.T).max() > 0.0
+        data = (GridFunction(spec.grid, spec.f.values * (1 + 2j)), spec.g)
+        tg = sg.TimeGrid(dt=0.01, T=0.1, snapshot_stride=2)
+        direct = sg.evolve(L, data, tg, sg.SolverConfig(tol=1e-12))
+        monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+        krylov = sg.evolve(L, data, tg, sg.SolverConfig(tol=1e-12))
+        assert direct.values.shape == (2, len(tg.snapshot_steps()), L.n)
+        assert {st.method for st in direct.stats} == {"splu"}
+        assert all(st.iterations == 0 for st in direct.stats)
+        assert {st.method for st in krylov.stats} <= {"bicgstab", "gmres"}
+        assert all(st.iterations > 0 for st in krylov.stats)
+        for k, f in enumerate(data):
+            assert np.array_equal(direct.values[k, 0], f.flat)
+            rel = (np.linalg.norm(direct.values[k] - krylov.values[k], axis=1)
+                   / np.linalg.norm(krylov.values[k], axis=1))
+            assert rel.max() <= 1e-8, k
+
+    def test_krylov_pair_equals_single_evolutions(self):
+        # above the cutoff each column runs its own Krylov solves, so a pair
+        # reproduces the floats and the iteration counts of two evolutions
+        spec, L = random_accretive(3, 12)
+        assert L.n > sg.DIRECT_LIMIT
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        pair = sg.evolve(L, (spec.f, spec.g), tg)
+        singles = [sg.evolve(L, f, tg) for f in (spec.f, spec.g)]
+        for k, single in enumerate(singles):
+            assert np.array_equal(pair.values[k], single.values)
+            assert np.array_equal(pair.times, single.times)
+        for st, sf, sg_ in zip(pair.stats, *(t.stats for t in singles), strict=True):
+            assert st.iterations == sf.iterations + sg_.iterations > 0
+            assert st.residual == pytest.approx(max(sf.residual, sg_.residual), rel=1e-12)
+
+
 class TestDenseOracle:
     def test_t_zero(self):
         g = Grid(cells=(16,), lo=(-2.0,), hi=(2.0,), boundary=Boundary.DIRICHLET)
@@ -160,6 +204,7 @@ class TestDenseOracle:
         f = GridFunction(g, bump(x, radius=1.0))
         tg = sg.TimeGrid(dt=1e-3, T=0.1, scheme=sg.Scheme.CRANK_NICOLSON, snapshot_stride=100)
         traj = sg.evolve(L, f, tg, sg.SolverConfig(tol=1e-12))
+        assert {st.method for st in traj.stats} == {"splu"}
         oracle = sg.dense_expm_oracle(L, f, 0.1)
         rel = np.linalg.norm(traj.values[-1] - oracle.flat) / np.linalg.norm(oracle.flat)
         assert rel <= 1e-4
@@ -255,7 +300,7 @@ class TestConservationAndOrders:
         x = g.node_coords()[0]
         f = GridFunction(g, bump(x))
         stepper = sg._LinearStep(L, 0.01, sg.Scheme.BACKWARD_EULER, sg.SolverConfig())
-        u1, st = stepper.advance(f.flat)
+        u1, st = stepper.advance(f.flat[:, None])
         b = f.flat
-        recomputed = np.linalg.norm(stepper.lhs @ u1 - b) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(stepper.lhs @ u1[:, 0] - b) / np.linalg.norm(b)
         assert abs(st.residual - recomputed) <= 1e-13
