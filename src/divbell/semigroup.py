@@ -5,11 +5,12 @@ Backward Euler solves (I + dt L_h) u' = u per step; Crank-Nicolson solves
 tuple of data under one operator as one block, so P_t f and P_t g share
 every step.  Up to ``DIRECT_LIMIT`` unknowns the left-hand matrix is
 factored once by SuperLU and each step solves all data columns in one
-call; above it the nonsymmetric systems are solved column by column by
-diagonally preconditioned BiCGStab, with a restarted GMRES fallback on
-breakdown.  Both paths gate every column's per-step residual.  A dense
-scaling-and-squaring exponential is provided as a test oracle for small
-systems.
+call; above it each nonzero real and imaginary part of each datum is
+solved as a real vector by diagonally preconditioned BiCGStab, with a
+restarted GMRES fallback on breakdown, so no product upcasts the real
+matrices to complex.  Both paths gate every column's per-step residual.
+A dense scaling-and-squaring exponential is provided as a test oracle for
+small systems.
 """
 
 from __future__ import annotations
@@ -117,11 +118,11 @@ class Trajectory:
 
 
 # Largest system factored directly.  200 Crank-Nicolson steps of two data
-# on random-accretive operators (one BLAS thread, 2 vCPUs): SuperLU wins
-# 24x in 1D at n = 1,023 and 1.3x in 2D at 961, but fill-in makes it lose
-# from about 2,000 unknowns in 2D and about 1,000 in 3D (1,331: 0.29 s
-# against 0.23 s for BiCGStab; 12,167: 13.6 s against 1.7 s).  Up to
-# 1,024 the direct path is never slower beyond noise.
+# on random-accretive operators (best of 5, one BLAS thread, 2 vCPUs),
+# direct against Krylov: 1D 1,023 unknowns 0.031 s / 0.65 s; 2D 961
+# 0.061 / 0.075 s; 2D 2,209 0.16 / 0.12 s; 3D 1,331 0.20 / 0.10 s.  Fill-in
+# makes SuperLU lose from about 2,000 unknowns in 2D, and in 3D already
+# at 1,000 (0.13 / 0.09 s); the cutoff serves the 1D and 2D grids.
 DIRECT_LIMIT = 1024
 
 
@@ -172,16 +173,6 @@ class _LinearStep:
             raise ConvergenceError("linear solve stagnated", count[0], res)
         return x, count[0], "gmres"
 
-    def _krylov_column(self, b: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, str]:
-        if np.any(b.imag):
-            xr, i1, m1 = self._solve_real(np.ascontiguousarray(b.real),
-                                          np.ascontiguousarray(u.real))
-            xi, i2, m2 = self._solve_real(np.ascontiguousarray(b.imag),
-                                          np.ascontiguousarray(u.imag))
-            return xr + 1j * xi, i1 + i2, ("gmres" if "gmres" in (m1, m2) else m1)
-        return self._solve_real(np.ascontiguousarray(b.real),
-                                np.ascontiguousarray(u.real))
-
     def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
         """Advance the complex (n, k) block ``u`` of k data by one step.
 
@@ -195,19 +186,33 @@ class _LinearStep:
             x = self.lu.solve(np.ascontiguousarray(b).view(np.float64))
             x = np.ascontiguousarray(x).view(np.complex128)
             iters, method = 0, "splu"
+            bn = np.linalg.norm(b, axis=0)
+            rn = np.linalg.norm(self.lhs @ x - b, axis=0)
         else:
-            # column by column, so each datum's floats match its own evolution
-            b = np.empty_like(u)
-            x = np.empty_like(u)
+            # each nonzero real and imaginary part on its own, as a contiguous
+            # real vector: a datum's floats match its own evolution, and no
+            # product copies the real matrices to complex
+            parts = np.ascontiguousarray(u).view(np.float64)
+            x = np.zeros_like(parts)
+            rn2 = np.zeros(parts.shape[1])
+            bn2 = np.zeros(parts.shape[1])
             iters, method = 0, "bicgstab"
-            for j in range(u.shape[1]):
-                b[:, j] = u[:, j] if self.rhs_mat is None else self.rhs_mat @ u[:, j]
-                x[:, j], it, m = self._krylov_column(b[:, j], u[:, j])
+            for c in range(parts.shape[1]):
+                up = np.ascontiguousarray(parts[:, c])
+                if not np.any(up):
+                    continue
+                bp = up if self.rhs_mat is None else self.rhs_mat @ up
+                xp, it, m = self._solve_real(bp, up)
+                x[:, c] = xp
+                r = self.lhs @ xp - bp
+                rn2[c], bn2[c] = r @ r, bp @ bp
                 iters += it
                 if m == "gmres":
                     method = m
-        bn = np.linalg.norm(b, axis=0)
-        rn = np.linalg.norm(self.lhs @ x - b, axis=0)
+            x = x.view(np.complex128)
+            # column j of the block is parts 2j (real) and 2j + 1 (imaginary)
+            bn = np.sqrt(bn2[0::2] + bn2[1::2])
+            rn = np.sqrt(rn2[0::2] + rn2[1::2])
         residual = float(np.max(np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)))
         if residual > 10.0 * self.solver.tol:
             raise ConvergenceError("residual above tolerance after solve",
@@ -286,8 +291,12 @@ def linf_contraction_check(op: DiscreteOperator, traj: Trajectory,
 
     On monotone stencils (all off-diagonal entries of L_h nonpositive, so
     backward Euler is an M-matrix step) the bound is asserted; otherwise the
-    worst observed ratio is reported without an assertion.
+    worst observed ratio is reported without an assertion.  ``traj`` must
+    hold one datum, values of shape (n_snapshots, n_nodes).
     """
+    if traj.values.ndim != 2:
+        raise DomainError("the contraction check takes the trajectory of one datum, "
+                          f"got values of shape {traj.values.shape}")
     sups = np.max(np.abs(traj.values), axis=1)
     prev = sups[:-1]
     nxt = sups[1:]

@@ -337,3 +337,14 @@ def test_trace_contract_of_evolve(tmp_path):
     assert len(evolves) == 1
     assert {"steps", "krylov_iters", "worst_residual"} <= evolves[0]["counts"].keys()
     assert evolves[0]["counts"]["steps"] > 0
+
+
+def test_python_dash_m_runs_the_cli():
+    from divbell import __version__
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "divbell", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__

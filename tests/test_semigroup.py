@@ -171,6 +171,49 @@ class TestBlockEvolution:
             assert st.iterations == sf.iterations + sg_.iterations > 0
             assert st.residual == pytest.approx(max(sf.residual, sg_.residual), rel=1e-12)
 
+    def test_krylov_complex_datum_splits_into_real_solves(self, monkeypatch):
+        # above the cutoff the real and imaginary parts of a datum are solved
+        # as real vectors, so f(1 + 2j) evolves to P f + 2j P f bitwise
+        spec, L = random_accretive(2, 16)
+        monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+        f = spec.f
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        pair = sg.evolve(L, (GridFunction(spec.grid, f.values * (1 + 2j)), spec.g), tg)
+        assert {st.method for st in pair.stats} == {"bicgstab"}
+        assert np.array_equal(pair.values[0].real, sg.evolve(L, f, tg).values.real)
+        twice = GridFunction(spec.grid, 2.0 * f.values)
+        assert np.array_equal(pair.values[0].imag, sg.evolve(L, twice, tg).values.real)
+        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        assert stepper.lu is None
+        u = np.stack([f.flat * (1 + 2j), spec.g.flat * (0.5 - 1j)], axis=1)
+        x, st = stepper.advance(u)
+        b = stepper.rhs_mat @ u
+        recomputed = (np.linalg.norm(stepper.lhs @ x - b, axis=0)
+                      / np.linalg.norm(b, axis=0)).max()
+        assert st.iterations > 0
+        assert abs(st.residual - recomputed) <= 1e-13
+
+    def test_gmres_fallback_when_bicgstab_breaks_down(self, monkeypatch):
+        spec, L = random_accretive(2, 16)
+        monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+        data = (GridFunction(spec.grid, spec.f.values * (1 + 2j)), spec.g)
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        reference = sg.evolve(L, data, tg)
+        assert {st.method for st in reference.stats} == {"bicgstab"}
+
+        def breakdown(A, b, x0=None, **kwargs):
+            return np.array(x0, copy=True), -10
+
+        monkeypatch.setattr(sg.spla, "bicgstab", breakdown)
+        fallback = sg.evolve(L, data, tg)
+        assert len(fallback.stats) == tg.n_steps
+        for st in fallback.stats:
+            assert st.method == "gmres" and st.iterations > 0
+            assert st.residual <= 10.0 * sg.SolverConfig().tol
+        rel = (np.linalg.norm(fallback.values - reference.values, axis=2)
+               / np.linalg.norm(reference.values, axis=2))
+        assert rel.max() <= 1e-8
+
 
 class TestDenseOracle:
     def test_t_zero(self):
@@ -258,6 +301,15 @@ class TestContraction:
         assert not rep.asserted
         assert rep.ok  # report-style: never fails
         assert np.isfinite(rep.worst_ratio)
+
+    def test_rejects_block_trajectory(self):
+        spec, L = random_accretive(1, 32)
+        pair = sg.evolve(L, (spec.f, spec.g), sg.TimeGrid(dt=0.01, T=0.05))
+        assert pair.values.ndim == 3
+        with pytest.raises(DomainError):
+            sg.linf_contraction_check(L, pair)
+        single = sg.Trajectory(pair.grid, pair.times, pair.values[0], pair.stats)
+        assert np.isfinite(sg.linf_contraction_check(L, single).worst_ratio)
 
 
 class TestConservationAndOrders:
