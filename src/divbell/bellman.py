@@ -90,11 +90,12 @@ class BellmanParams:
 def second_order(p, q, delta, u, v, r1=None):
     """Second-order radial derivatives of phi, vectorized.
 
-    Returns (phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v) as flat
-    arrays.  r1 is the region-1 mask; it is computed when not given.
+    Returns (phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v) in the
+    shape of u and v.  r1 is the region-1 mask; it is computed when not
+    given.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if r1 is None:
         r1 = u ** p <= v ** q
     vc = np.maximum(v, MOD_FLOOR)
@@ -123,11 +124,11 @@ def bellman_tables(p, q, delta, u, v):
     """Region mask plus phi and its radial derivatives, vectorized.
 
     Returns (r1, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, phi_u_over_u,
-    phi_v_over_v) as flat arrays; r1 is a boolean region-1 mask.  The last
-    five come from ``second_order``.
+    phi_v_over_v) in the shape of u and v; r1 is a boolean region-1 mask.
+    The last five come from ``second_order``.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     up = u ** p
     vq = v ** q
     r1 = up <= vq
@@ -152,9 +153,8 @@ def prop_i_slack(p, q, delta, u, v):
     """Slack of the range bound (1+delta)(u^p+v^q) - phi, in a form that is
     a sum/product of nonnegative terms so the result is >= 0 in floating
     point as well."""
-    shape = np.shape(u)
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     up = u ** p
     vq = v ** q
     r1 = up <= vq
@@ -162,7 +162,7 @@ def prop_i_slack(p, q, delta, u, v):
     v2q = v ** (2.0 - q)
     s1 = delta * (up + v2q * (vq1 - u) * (vq1 + u))
     s2 = delta * ((1.0 - 2.0 / p) * up + (2.0 - 2.0 / q) * vq)
-    return np.where(r1, s1, s2).reshape(shape)
+    return np.where(r1, s1, s2)
 
 
 def _radial_coeffs(phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v):
@@ -175,14 +175,15 @@ def form_coeffs_and_drift(params: BellmanParams, u, v):
     """Radial coefficients (crr, ctt, drr, dtt, m) of the -d2Q form and the
     drift base Q(xi) - dQ(xi) xi = (u phi_u + v phi_v - phi)/2, from one
     ``bellman_tables`` call.  Moduli are clamped to ZERO_MODULUS."""
-    u = np.maximum(np.asarray(u, dtype=np.float64).ravel(), ZERO_MODULUS)
-    v = np.maximum(np.asarray(v, dtype=np.float64).ravel(), ZERO_MODULUS)
+    u = np.maximum(np.asarray(u, dtype=np.float64), ZERO_MODULUS)
+    v = np.maximum(np.asarray(v, dtype=np.float64), ZERO_MODULUS)
     t = bellman_tables(params.p, params.q, params.delta, u, v)
     return _radial_coeffs(*t[4:]), 0.5 * (u * t[2] + v * t[3] - t[1])
 
 
 def bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
-    """<-d2Q (a1,a2), (b1,b2)> elementwise over points."""
+    """<-d2Q (a1,a2), (b1,b2)> elementwise over points.  The cross term is
+    grouped so that for a = b it rounds as 2 (m x1) x2."""
     xa1 = np.real(np.conj(ph1) * a1)
     xa2 = np.real(np.conj(ph2) * a2)
     xb1 = np.real(np.conj(ph1) * b1)
@@ -192,29 +193,10 @@ def bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
     return (
         ctt * dot1
         + (crr - ctt) * xa1 * xb1
-        + m * (xa1 * xb2 + xa2 * xb1)
+        + (m * xa1 * xb2 + m * xb1 * xa2)
         + dtt * dot2
         + (drr - dtt) * xa2 * xb2
     )
-
-
-def form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2):
-    """sum_j <-d2Q (th1[:,j], th2[:,j]), same> over the spatial index j.
-
-    th1, th2 have shape (npoints, dim); the return value has shape (npoints,).
-    """
-    x1 = np.real(np.conj(ph1)[:, None] * th1)
-    x2 = np.real(np.conj(ph2)[:, None] * th2)
-    a1 = th1.real * th1.real + th1.imag * th1.imag
-    a2 = th2.real * th2.real + th2.imag * th2.imag
-    terms = (
-        ctt[:, None] * a1
-        + (crr - ctt)[:, None] * x1 * x1
-        + 2.0 * m[:, None] * x1 * x2
-        + dtt[:, None] * a2
-        + (drr - dtt)[:, None] * x2 * x2
-    )
-    return terms.sum(axis=1)
 
 
 def phi_values(params: BellmanParams, u, v) -> np.ndarray:
@@ -223,9 +205,7 @@ def phi_values(params: BellmanParams, u, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise DomainError("moduli must be nonnegative")
-    shape = u.shape
-    t = bellman_tables(params.p, params.q, params.delta, u.ravel(), v.ravel())
-    return np.asarray(t[1]).reshape(shape)
+    return bellman_tables(params.p, params.q, params.delta, u, v)[1]
 
 
 def q_values(params: BellmanParams, zeta, eta) -> np.ndarray:
@@ -240,8 +220,8 @@ def _form_coeffs(params: BellmanParams, u, v):
 
 
 def _phases(zeta, eta):
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128)).ravel()
-    eta = np.atleast_1d(np.asarray(eta, dtype=np.complex128)).ravel()
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    eta = np.asarray(eta, dtype=np.complex128)
     u = np.abs(zeta)
     v = np.abs(eta)
     ph1 = zeta / np.maximum(u, ZERO_MODULUS)
@@ -493,7 +473,7 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     Returns a dict of flat arrays; ``worst_direction`` has shape (n, 2) and
     holds the unit eigenvectors (s1, s2) attaining ``margin_hessian``.
     """
-    u, v, ph1, ph2 = _phases(zetas, etas)
+    u, v, ph1, ph2 = _phases(np.ravel(zetas), np.ravel(etas))
     slack_i = prop_i_slack(params.p, params.q, params.delta, u, v)
     ph1 = np.where(u > ZERO_MODULUS, ph1, 1.0)
     ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)

@@ -40,6 +40,8 @@ class Grid:
         for n, a, b in zip(self.cells, self.lo, self.hi):
             if n < 2:
                 raise DomainError(f"need at least 2 cells per axis, got {n}")
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise DomainError(f"extent [{a}, {b}] is not finite")
             if not b > a:
                 raise DomainError(f"empty extent [{a}, {b}]")
         object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
@@ -113,8 +115,6 @@ class Grid:
         for a in range(self.dim):
             if a == axis:
                 per_axis.append(self.lo[a] + h * (np.arange(self.cells[a]) + 0.5))
-            elif self.periodic:
-                per_axis.append(self.axis_nodes(a))
             else:
                 per_axis.append(self.axis_nodes(a))
         return list(np.meshgrid(*per_axis, indexing="ij"))

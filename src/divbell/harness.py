@@ -11,14 +11,14 @@ scenarios only read immutable inputs and can run concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bellman import (BellmanParams, _phases, bilinear_forms, cap_mollify_scale,
-                      form_coeffs_and_drift, form_sum_over_axes, mollified_neg_hess,
-                      q_values)
+                      form_coeffs_and_drift, mollified_neg_hess, q_values)
 from .errors import AccuracyError, DomainError, GeometryError
 from .grids import Grid, GridFunction
 from .operators import (CoefficientField, DiscreteOperator, PotentialField,
@@ -161,17 +161,17 @@ def _shift(a: np.ndarray, axis: int, k: int, periodic: bool) -> np.ndarray:
 
 def grad4(grid: Grid, fld: np.ndarray) -> np.ndarray:
     """Fourth-order centered node gradient of an (nt, n_nodes) field,
-    returned as (nt, dim, n_nodes); zero extension outside Dirichlet boxes."""
+    returned as (dim, nt, n_nodes); zero extension outside Dirichlet boxes."""
     nt = fld.shape[0]
     shaped = fld.reshape((nt,) + grid.node_shape)
     per = grid.periodic
-    out = np.empty((nt, grid.dim, fld.shape[1]), dtype=fld.dtype)
+    out = np.empty((grid.dim,) + fld.shape, dtype=fld.dtype)
     for a in range(grid.dim):
         h = grid.spacing[a]
         ax = a + 1
         d = (-_shift(shaped, ax, 2, per) + 8.0 * _shift(shaped, ax, 1, per)
              - 8.0 * _shift(shaped, ax, -1, per) + _shift(shaped, ax, -2, per)) / (12.0 * h)
-        out[:, a, :] = d.reshape(nt, -1)
+        out[a] = d.reshape(nt, -1)
     return out
 
 
@@ -213,6 +213,19 @@ def _pairs_to_real(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
 
 
+def _arrangements(form, g1, g2, S, A):
+    """Both arrangements of sum_ij a_ij form(g_i, g_j), d calls of the
+    symmetric bilinear ``form(a1, a2, b1, b2)`` each: (factored, double) with
+    factored = sum_k form(theta_k, theta_k), theta = S g, and double =
+    sum_i form(g_i, (A g)_i).  g1, g2 are (d, ...) gradients; S = (sym A)^(1/2)
+    and A are (..., d, d) stacks that broadcast against them."""
+    th1, th2, ag1, ag2 = (np.einsum("...ij,j...->i...", M, g)
+                          for M in (S, A) for g in (g1, g2))
+    factored = sum(form(th1[k], th2[k], th1[k], th2[k]) for k in range(len(g1)))
+    double = sum(form(g1[i], g2[i], ag1[i], ag2[i]) for i in range(len(g1)))
+    return factored, double
+
+
 @dataclass
 class ChainRuleField:
     """L'b evaluated through the chain rule, with both arrangements."""
@@ -238,62 +251,45 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
         raise DomainError("trajectories must share grid and snapshot times")
     grid = op.grid
-    nt, n = traj_f.values.shape
-    v1 = traj_f.values
+    v1 = traj_f.values                                   # (nt, n)
     v2 = traj_g.values
     u, v, ph1, ph2 = _phases(v1, v2)
-    (crr, ctt, drr, dtt, m), drift = form_coeffs_and_drift(params, u, v)
-
-    g1 = grad4(grid, v1)  # (nt, d, n)
+    coeffs, drift = form_coeffs_and_drift(params, u, v)
+    g1 = grad4(grid, v1)                                 # (d, nt, n)
     g2 = grad4(grid, v2)
-    d = grid.dim
     Anode = node_coefficients(op.coefficients)          # (n, d, d)
     S = matrix_sqrt_spd(0.5 * (Anode + np.swapaxes(Anode, -1, -2)))
-    th1 = np.einsum("nij,tjn->tni", S, g1).reshape(nt * n, d)
-    th2 = np.einsum("nij,tjn->tni", S, g2).reshape(nt * n, d)
-
-    a_part = form_sum_over_axes(crr, ctt, drr, dtt, m, ph1, ph2, th1, th2)
-
-    # a_ij double sum over the raw (possibly nonsymmetric) coefficients
-    aij_part = np.zeros(nt * n)
-    for i in range(d):
-        for j in range(d):
-            aij = np.tile(Anode[:, i, j], nt)
-            form = bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2,
-                                  g1[:, i, :].ravel(), g2[:, i, :].ravel(),
-                                  g1[:, j, :].ravel(), g2[:, j, :].ravel())
-            aij_part += aij * form
+    exact = functools.partial(bilinear_forms, *coeffs, ph1, ph2)
+    a_part, aij_part = _arrangements(exact, g1, g2, S, Anode)
 
     # nodes where both fields are negligibly small contribute nothing in the
     # continuum; evaluating v^(q-2)-type tables against stencil leakage at
     # the support edge would produce pure artifacts there
     scale = max(float(u.max(initial=0.0)), float(v.max(initial=0.0)), 1e-300)
     negligible = np.maximum(u, v) < 1e-14 * scale
-    if negligible.any():
-        a_part[negligible] = 0.0
-        aij_part[negligible] = 0.0
+    a_part[negligible] = 0.0
+    aij_part[negligible] = 0.0
 
     eps = _mollify_scale(u, v, min(grid.spacing))
-    idx = np.flatnonzero(_interface_margin_mask(params, u, v, eps))
-    if idx.size:
-        mats = mollified_neg_hess(params, v1.ravel()[idx], v2.ravel()[idx], eps[idx])
-        t1 = _pairs_to_real(th1[idx], th2[idx])            # (k, d, 4)
-        a_part[idx] = np.einsum("kdi,kij,kdj->k", t1, mats, t1)
-        ti, ni = np.divmod(idx, n)
-        gv = _pairs_to_real(g1[ti, :, ni], g2[ti, :, ni])  # (k, d, 4)
-        aij_part[idx] = np.einsum("kij,kia,kab,kjb->k", Anode[ni], gv, mats, gv)
+    ti, ni = np.nonzero(_interface_margin_mask(params, u, v, eps))
+    if ti.size:
+        mats = mollified_neg_hess(params, v1[ti, ni], v2[ti, ni], eps[ti, ni])
 
-    vpot = np.tile(op.potential, nt)
-    v_part = vpot * drift
-    rhs = (a_part + v_part).reshape(nt, n)
-    rhs_aij = (aij_part + v_part).reshape(nt, n)
+        def mollified(a1, a2, b1, b2):
+            return np.einsum("ki,kij,kj->k", _pairs_to_real(a1, a2), mats,
+                             _pairs_to_real(b1, b2))
+
+        a_part[ti, ni], aij_part[ti, ni] = _arrangements(
+            mollified, g1[:, ti, ni], g2[:, ti, ni], S[ni], Anode[ni])
+
+    v_part = op.potential * drift
     gap = float(np.max(np.abs(a_part - aij_part)
                        / np.maximum(1.0, np.abs(a_part))))
     if gap > ARRANGEMENT_TOL:
         raise AccuracyError(
             f"factored and double-sum arrangements disagree: gap {gap:.3e}")
-    return ChainRuleField(rhs=rhs, rhs_aij=rhs_aij, arrangement_gap=gap,
-                          n_mollified=int(idx.size))
+    return ChainRuleField(rhs=a_part + v_part, rhs_aij=aij_part + v_part,
+                          arrangement_gap=gap, n_mollified=int(ti.size))
 
 
 def chain_rule_identity_error(ev: EvolvedScenario, t_min_frac: float = 0.25) -> float:

@@ -49,6 +49,8 @@ class CoefficientField:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != want:
             raise DomainError(f"coefficient shape {vals.shape}, expected {want}")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("coefficient samples must be finite")
         self.values = vals
 
     @classmethod
@@ -95,6 +97,8 @@ class PotentialField:
         if vals.shape != self.grid.node_shape:
             raise DomainError(
                 f"potential shape {vals.shape}, expected {self.grid.node_shape}")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("potential must be finite at every node")
         if np.any(vals < 0.0):
             raise DomainError("potential must be nonnegative at every node")
         self.values = vals
@@ -254,7 +258,6 @@ class DiscreteOperator:
     grid: Grid
     matrix: sp.csr_matrix = field(repr=False)
     gradient: sp.csr_matrix = field(repr=False)      # G: nodes -> faces
-    divergence: sp.csr_matrix = field(repr=False)    # G^T: faces -> nodes
     face_action: sp.csr_matrix = field(repr=False)   # A_h: faces -> faces
     potential: np.ndarray = field(repr=False)        # V per node, flat
     gamma: float = 0.0
@@ -302,8 +305,8 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     Ah = sp.bmat(blocks, format="csr")
     Vflat = V.values.ravel()
     L = (G.T @ Ah @ G + sp.diags(Vflat)).tocsr()
-    return DiscreteOperator(grid=grid, matrix=L, gradient=G, divergence=G.T.tocsr(),
-                            face_action=Ah, potential=Vflat, gamma=gamma, coefficients=A)
+    return DiscreteOperator(grid=grid, matrix=L, gradient=G, face_action=Ah,
+                            potential=Vflat, gamma=gamma, coefficients=A)
 
 
 def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:

@@ -9,13 +9,14 @@ Section and key names are case-insensitive.  The accepted keys are:
 * ``[bellman]`` p
 * ``[coefficients]`` preset, beta, gamma-min, values
 * ``[potential]`` values
-* ``[data]`` f, g (``bump <center...> <radius> <amp>``)
+* ``[data]`` f, g (``bump <center...> <radius> <amp>``, radius > 0)
 * ``[time]`` T, dt, scheme (crank-nicolson or backward-euler),
   snapshot-stride (0 or absent: about 64 uniform snapshots)
 * ``[solver]`` tol (positive, finite), max-iter (at least 1)
 * ``[cutoff]`` radii (one or more, each positive and finite)
 
-An unknown section or key is a configuration error, never ignored.
+An unknown section or key, and a NaN or infinite number, is a
+configuration error, never ignored.
 
 Example::
 
@@ -192,6 +193,9 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
 
     beta = _parse_float(s, "coefficients", "beta", 0.5)
     gamma_min = _parse_float(s, "coefficients", "gamma-min", 0.5)
+    for key, val in (("beta", beta), ("gamma-min", gamma_min)):
+        if not math.isfinite(val):
+            raise ConfigError(f"[coefficients] {key}: expected a finite number, got {val}")
     araw = _get(s, "coefficients", "values")
     if araw is not None:
         from .operators import CoefficientField, check_accretive
@@ -230,6 +234,9 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
             nums = [float(t) for t in toks[1:]]
         except ValueError as exc:
             raise ConfigError(f"[data] {key}: not numbers: {raw!r}") from exc
+        if not all(map(math.isfinite, nums)) or not nums[dim] > 0.0:
+            raise ConfigError(f"[data] {key}: expected finite numbers and a positive "
+                              f"radius, got {raw!r}")
         return make_bump(grid, nums[:dim], nums[dim], nums[dim + 1])
 
     f_default, g_default = default_data(grid, seed=seed)

@@ -213,8 +213,9 @@ class _LinearStep:
             # column j of the block is parts 2j (real) and 2j + 1 (imaginary)
             bn = np.sqrt(bn2[0::2] + bn2[1::2])
             rn = np.sqrt(rn2[0::2] + rn2[1::2])
-        residual = float(np.max(np.divide(rn, bn, out=np.zeros_like(rn), where=bn > 0)))
-        if residual > 10.0 * self.solver.tol:
+        # a NaN norm must reach the gate, which fails on it
+        residual = float(np.max(np.divide(rn, bn, out=np.zeros_like(rn), where=bn != 0)))
+        if not residual <= 10.0 * self.solver.tol:
             raise ConvergenceError("residual above tolerance after solve",
                                    iters, residual)
         return x, StepStats(method, iters, residual)

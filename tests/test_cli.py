@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import divbell.bellman as bl
+import divbell.cli as cli
 import divbell.harness as hz
+import divbell.operators as ops
 import divbell.presets as ps
 from divbell.cli import COMMANDS, main, make_parser
 from divbell.errors import ConfigError
-from divbell.grids import Boundary, Grid
+from divbell.grids import Boundary, Grid, GridFunction
 from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
@@ -306,10 +308,20 @@ class TestCli:
         ("[cutoff]\nradii = 1.0 -1\n", "[cutoff] radii"),
         ("[cutoff]\nradii = 0\n", "[cutoff] radii"),
         ("[cutoff]\nradii = nan 1.0\n", "[cutoff] radii"),
+        ("[coefficients]\nbeta = nan\n", "[coefficients] beta"),
+        ("[coefficients]\ngamma-min = inf\n", "[coefficients] gamma-min"),
+        ("[coefficients]\nvalues = " + "1 " * 32 + "nan\n", "[coefficients] values"),
+        ("[potential]\nvalues = " + "0 " * 30 + "nan\n", "[potential] values"),
+        ("[data]\nf = bump 0 nan 1\n", "[data] f"),
+        ("[data]\ng = bump 0 1 inf\n", "[data] g"),
+        ("[data]\nf = bump 0 0 1\n", "[data] f"),
+        ("[grid]\nlo = -inf\n", "[grid] extent"),
     ], ids=["unknown-section", "unknown-key", "removed-method", "removed-preconditioner",
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
             "negative-stride", "non-integer-cells", "empty-datum",
-            "empty-radii", "negative-radius", "zero-radius", "nan-radius"])
+            "empty-radii", "negative-radius", "zero-radius", "nan-radius",
+            "nan-beta", "inf-gamma-min", "nan-coefficient", "nan-potential",
+            "nan-bump-radius", "inf-bump-amp", "zero-bump-radius", "infinite-extent"])
     def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
         cfg = tmp_path / "bad.scenario"
         cfg.write_text("[grid]\ndim = 1\ncells = 32\n" + text)
@@ -318,6 +330,30 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and where in err
+
+    def test_nan_operator_fails_operator_verify(self, tmp_path, capsys, monkeypatch):
+        # a NaN in L_h makes the ellipticity slack NaN, which must FAIL
+        assemble = ops.assemble
+
+        def nan_assemble(*args, **kwargs):
+            op = assemble(*args, **kwargs)
+            op.matrix.data[0] = np.nan
+            return op
+
+        monkeypatch.setattr(cli.ops, "assemble", nan_assemble)
+        rc = main(["operator-verify", "--preset", "identity", "--grid", "8,8",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAIL  discrete-ellipticity" in capsys.readouterr().out
+
+    def test_nan_step_fails_semigroup_verify(self, tmp_path, capsys, monkeypatch):
+        def nan_step(op, u, *args, **kwargs):
+            return GridFunction(u.grid, np.full(u.grid.node_shape, np.nan))
+
+        monkeypatch.setattr(cli.sg, "step", nan_step)
+        rc = main(["semigroup-verify", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAIL  eigenmode-step-oracle" in capsys.readouterr().out
 
 
 def test_trace_contract_of_evolve(tmp_path):

@@ -151,12 +151,59 @@ class TestChainRule:
             errs.append(hz.chain_rule_identity_error(ev))
         assert errs[0] / errs[1] >= 1.8
 
-    def test_two_arrangements_agree(self):
-        spec = make_scenario("rotation", dim=2, N=16, p=3.0, T=0.1, steps=10)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_two_arrangements_agree(self, dim):
+        # 3D takes a nonsymmetric A with a nonconstant symmetric part
+        preset, N = {2: ("rotation", 16), 3: ("random-accretive", 6)}[dim]
+        spec = make_scenario(preset, dim=dim, N=N, p=3.0, T=0.1, steps=10)
         ev = hz.run_scenario(spec)
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        assert cr.n_mollified > 0
         assert cr.arrangement_gap <= 1e-10
         assert np.abs(cr.rhs - cr.rhs_aij).max() <= 1e-10 * max(1.0, np.abs(cr.rhs).max())
+        # at the mollified nodes both fields hold the explicit a_ij double sum
+        # of the mollified -d2Q
+        f, g = ev.traj_f.values, ev.traj_g.values
+        u, v, _, _ = bl._phases(f, g)
+        eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
+        ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps))
+        assert ti.size == cr.n_mollified
+        mats = bl.mollified_neg_hess(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
+        grads = hz._pairs_to_real(hz.grad4(spec.grid, f)[:, ti, ni],
+                                  hz.grad4(spec.grid, g)[:, ti, ni])     # (d, k, 4)
+        A = ops.node_coefficients(spec.coefficients)[ni]
+        _, drift = bl.form_coeffs_and_drift(spec.params, u[ti, ni], v[ti, ni])
+        expected = (np.einsum("kij,ika,kab,jkb->k", A, grads, mats, grads)
+                    + ev.op.potential[ni] * drift)
+        for fld in (cr.rhs, cr.rhs_aij):
+            assert (np.abs(fld[ti, ni] - expected)
+                    <= 1e-12 * np.maximum(1.0, np.abs(expected))).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+    def test_arrangements_match_double_sum(self, d):
+        # random complex gradients on (nt, n) = (5, 7) nodes, a nonsymmetric
+        # A per node, and radial coefficients that make the form positive
+        rng = np.random.default_rng(d)
+        shape = (5, 7)
+        g1, g2 = (rng.standard_normal((d,) + shape) + 1j * rng.standard_normal((d,) + shape)
+                  for _ in range(2))
+        B = rng.standard_normal((shape[1], d, d))
+        K = rng.standard_normal((shape[1], d, d))
+        A = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(d) + K - np.swapaxes(K, -1, -2)
+        S = ops.matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
+        crr, ctt, drr, dtt = rng.uniform(1.0, 2.0, (4,) + shape)
+        m = rng.uniform(-0.5, 0.5, shape)
+        ph1, ph2 = np.exp(2j * np.pi * rng.uniform(size=(2,) + shape))
+
+        def form(a1, a2, b1, b2):
+            return bl.bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2)
+
+        explicit = sum(A[:, i, j] * form(g1[i], g2[i], g1[j], g2[j])
+                       for i in range(d) for j in range(d))
+        assert (explicit > 0.0).all()
+        for total in hz._arrangements(form, g1, g2, S, A):
+            assert total.shape == shape
+            assert (np.abs(total - explicit) <= 1e-13 * explicit).all()
 
 
 class TestMollifiedPath:

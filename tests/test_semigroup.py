@@ -5,7 +5,7 @@ import pytest
 
 import divbell.operators as ops
 import divbell.semigroup as sg
-from divbell.errors import DomainError
+from divbell.errors import ConvergenceError, DomainError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario
 
@@ -213,6 +213,21 @@ class TestBlockEvolution:
         rel = (np.linalg.norm(fallback.values - reference.values, axis=2)
                / np.linalg.norm(reference.values, axis=2))
         assert rel.max() <= 1e-8
+
+    @pytest.mark.parametrize("path", ["direct", "krylov"])
+    def test_nan_datum_fails_the_residual_gate(self, path, monkeypatch):
+        # a NaN right-hand side has a NaN norm, which must fail the gate
+        # rather than be skipped as a zero column
+        spec, L = random_accretive(2, 16)
+        if path == "krylov":
+            monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+        vals = spec.f.values.copy()
+        vals.flat[vals.size // 2] = np.nan
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        # few iterations: the Krylov solvers spend all of them on NaN
+        with pytest.raises(ConvergenceError):
+            sg.evolve(L, (GridFunction(spec.grid, vals), spec.g), tg,
+                      sg.SolverConfig(max_iter=5))
 
 
 class TestDenseOracle:
