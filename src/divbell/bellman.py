@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,28 +59,22 @@ MOD_FLOOR = 1e-150
 class BellmanParams:
     """Exponent pair (p, q) and the convexity weight delta = q(q-1)/8.
 
-    Construct with the single exponent: ``BellmanParams(3.0)``.  If q or
-    delta are passed explicitly they are validated against the derived
-    values to machine precision.
+    Construct with the single exponent: ``BellmanParams(3.0)``; q and delta
+    are derived from it.
     """
 
     p: float
-    q: float | None = None
-    delta: float | None = None
+    q: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)
         if not math.isfinite(p) or p < 2.0:
             raise DomainError(f"exponent p must be finite and >= 2, got {p}")
         q = p / (p - 1.0)
-        delta = q * (q - 1.0) / 8.0
-        if self.q is not None and abs(self.q - q) > 4e-16 * q:
-            raise DomainError(f"q={self.q} is not conjugate to p={p}")
-        if self.delta is not None and abs(self.delta - delta) > 4e-16 * delta:
-            raise DomainError(f"delta={self.delta} does not equal q(q-1)/8")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", q * (q - 1.0) / 8.0)
 
 
 # ---------------------------------------------------------------------------

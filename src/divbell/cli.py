@@ -21,6 +21,7 @@ P_t f and P_t g do not depend on p.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from itertools import repeat
 
@@ -197,20 +198,14 @@ def cmd_embed(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
     ev = hz.run_scenario(spec)
     rep = hz.embedding_check(ev)
-    header = ["E_T", "tail", "mu_reliable", "norm_f_p", "norm_g_q", "gamma",
-              "sum_bound", "sum_margin", "lambda_star", "product_bound",
-              "product_margin", "ratio_empirical", "quad_error_est"]
-    rows = [(rep.E_T, rep.tail, rep.tail_reliable, rep.norm_f_p, rep.norm_g_q,
-             rep.gamma, rep.sum_bound, rep.sum_margin,
-             rep.lambda_star if rep.lambda_star is not None else float("nan"),
-             rep.product_bound, rep.product_margin, rep.ratio_empirical,
-             rep.quad_error_est)]
+    header = [f.name for f in dataclasses.fields(rep)]
+    rows = [tuple(float("nan") if v is None else v for v in dataclasses.astuple(rep))]
     summary = Summary()
     summary.add("embedding-sum-form", rep.sum_margin - rep.quad_error_est, rep.sum_form_ok)
     summary.add("embedding-product-form", rep.product_margin - rep.quad_error_est,
                 rep.product_form_ok)
-    summary.add("embedding-tail-fit", rep.tail, rep.tail_reliable,
-                note="exponential decay fit " + ("ok" if rep.tail_reliable else "unreliable"))
+    summary.add("embedding-energy-bound", rep.energy_margin + rep.quad_error_est,
+                rep.energy_ok, note=f"tol={fmt(rep.quad_error_est)}")
     return summary, {"embed": (header, rows)}
 
 

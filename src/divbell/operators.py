@@ -314,15 +314,15 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
     squared differences on the two adjacent faces.
 
     ``u`` is a GridFunction, with the result in the node shape, or an
-    (nt, n_nodes) array of snapshots, with an (nt, n_nodes) result.
+    (n_nodes, k) array of k fields, with an (n_nodes, k) result.
     """
     if isinstance(u, GridFunction):
-        return grad_sq_at_nodes(grid, u.flat[None, :])[0].reshape(grid.node_shape)
+        return grad_sq_at_nodes(grid, u.flat[:, None])[:, 0].reshape(grid.node_shape)
     grads, _, n_maps = _grid_maps(grid)
     out = np.zeros(u.shape)
     for a in range(grid.dim):
-        w = grads[a] @ u.T
-        out += (n_maps[a] @ (np.abs(w) ** 2)).T
+        w = grads[a] @ u
+        out += n_maps[a] @ (w.real ** 2 + w.imag ** 2)
     return out
 
 

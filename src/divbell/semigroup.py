@@ -1,16 +1,20 @@
 """Time evolution u(t) = exp(-t L_h) f by implicit schemes.
 
-Backward Euler solves (I + dt L_h) u' = u per step; Crank-Nicolson solves
-(I + dt/2 L_h) u' = (I - dt/2 L_h) u.  ``evolve`` advances one datum or a
-tuple of data under one operator as one block, so P_t f and P_t g share
-every step.  Up to ``DIRECT_LIMIT`` unknowns the left-hand matrix is
-factored once by SuperLU and each step solves all data columns in one
-call; above it each nonzero real and imaginary part of each datum is
-solved as a real vector by diagonally preconditioned BiCGStab, with a
-restarted GMRES fallback on breakdown, so no product upcasts the real
-matrices to complex.  Both paths gate every column's per-step residual.
-A dense scaling-and-squaring exponential is provided as a test oracle for
-small systems.
+Both schemes solve (I + theta dt L_h) x = u per step: backward Euler
+(theta = 1) steps to u' = x, Crank-Nicolson (theta = 1/2) to u' = 2x - u,
+so its x is the midpoint (u + u')/2.  Each solve output x is where its
+scheme's energy identity (Crank-Nicolson) or inequality (backward Euler)
+holds, and ``evolve`` can hand it to a per-step hook.  ``evolve`` advances
+one datum or a tuple of data under one operator as one block, so P_t f
+and P_t g share every step.  Up to ``DIRECT_LIMIT`` unknowns the
+left-hand matrix is factored once by SuperLU and each step solves all
+data columns in one call; above it each nonzero real and imaginary part
+of each datum is solved as a real vector by diagonally preconditioned
+BiCGStab, with a restarted GMRES fallback on breakdown, so no product
+upcasts the real matrices to complex.  Both paths refuse a non-finite
+right-hand side before solving and gate every column's per-step
+residual.  A dense scaling-and-squaring exponential is provided as a test
+oracle for small systems.
 """
 
 from __future__ import annotations
@@ -112,6 +116,9 @@ class Trajectory:
     # (n_snapshots, n_nodes) complex, or (k, n_snapshots, n_nodes) for k data
     values: np.ndarray = field(repr=False)
     stats: list[StepStats] = field(default_factory=list, repr=False)
+    # per-step sums of a pair evolved as one block, one array shared by both
+    # members' trajectories (``harness.run_scenario``)
+    step_products: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -133,14 +140,10 @@ class _LinearStep:
     def __init__(self, op: DiscreteOperator, dt: float, scheme: Scheme,
                  solver: SolverConfig):
         self.solver = solver
+        self.midpoint = scheme is Scheme.CRANK_NICOLSON
         n = op.n
-        eye = sp.identity(n, format="csr")
-        if scheme is Scheme.BACKWARD_EULER:
-            self.lhs = (eye + dt * op.matrix).tocsr()
-            self.rhs_mat = None
-        else:
-            self.lhs = (eye + 0.5 * dt * op.matrix).tocsr()
-            self.rhs_mat = (eye - 0.5 * dt * op.matrix).tocsr()
+        theta = 0.5 if self.midpoint else 1.0
+        self.lhs = (sp.identity(n, format="csr") + theta * dt * op.matrix).tocsr()
         self.lu = self.M = None
         if n <= DIRECT_LIMIT:
             self.lu = spla.splu(self.lhs.tocsc())
@@ -150,22 +153,20 @@ class _LinearStep:
             inv = 1.0 / d
             self.M = spla.LinearOperator((n, n), matvec=lambda x: inv * x)
 
-    def _solve_real(self, b: np.ndarray, x0: np.ndarray):
-        if not np.any(b):
-            return np.zeros_like(b), 0, "bicgstab"
+    def _solve_real(self, b: np.ndarray):
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        x, info = spla.bicgstab(self.lhs, b, x0=x0, rtol=self.solver.tol,
+        x, info = spla.bicgstab(self.lhs, b, x0=b, rtol=self.solver.tol,
                                 atol=0.0, maxiter=self.solver.max_iter,
                                 M=self.M, callback=cb)
         if info == 0 and np.all(np.isfinite(x)):
             return x, count[0], "bicgstab"
         # restarted GMRES fallback on breakdown
         count = [0]
-        x, info = spla.gmres(self.lhs, b, x0=x0, rtol=self.solver.tol, atol=0.0,
+        x, info = spla.gmres(self.lhs, b, x0=b, rtol=self.solver.tol, atol=0.0,
                              restart=50, maxiter=self.solver.max_iter, M=self.M,
                              callback=cb, callback_type="pr_norm")
         if info != 0 or not np.all(np.isfinite(x)):
@@ -174,20 +175,23 @@ class _LinearStep:
         return x, count[0], "gmres"
 
     def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
-        """Advance the complex (n, k) block ``u`` of k data by one step.
+        """Solve (I + theta dt L_h) x = u for the complex (n, k) block ``u``
+        of k data; the caller steps to x (backward Euler) or 2x - u
+        (Crank-Nicolson).
 
         The stats give the summed iterations and the worst column's
         relative residual; the method is "splu", or "gmres" if any column
         fell back from "bicgstab"."""
+        if not np.all(np.isfinite(u)):
+            raise ConvergenceError("non-finite right-hand side", 0, float("nan"))
         if self.lu is not None:
-            b = u if self.rhs_mat is None else self.rhs_mat @ u
             # SuperLU refuses a complex right-hand side on a real factor:
             # solve the real (n, 2k) view, real and imaginary parts interleaved
-            x = self.lu.solve(np.ascontiguousarray(b).view(np.float64))
+            x = self.lu.solve(np.ascontiguousarray(u).view(np.float64))
             x = np.ascontiguousarray(x).view(np.complex128)
             iters, method = 0, "splu"
-            bn = np.linalg.norm(b, axis=0)
-            rn = np.linalg.norm(self.lhs @ x - b, axis=0)
+            bn = np.linalg.norm(u, axis=0)
+            rn = np.linalg.norm(self.lhs @ x - u, axis=0)
         else:
             # each nonzero real and imaginary part on its own, as a contiguous
             # real vector: a datum's floats match its own evolution, and no
@@ -198,11 +202,10 @@ class _LinearStep:
             bn2 = np.zeros(parts.shape[1])
             iters, method = 0, "bicgstab"
             for c in range(parts.shape[1]):
-                up = np.ascontiguousarray(parts[:, c])
-                if not np.any(up):
+                bp = np.ascontiguousarray(parts[:, c])
+                if not np.any(bp):
                     continue
-                bp = up if self.rhs_mat is None else self.rhs_mat @ up
-                xp, it, m = self._solve_real(bp, up)
+                xp, it, m = self._solve_real(bp)
                 x[:, c] = xp
                 r = self.lhs @ xp - bp
                 rn2[c], bn2[c] = r @ r, bp @ bp
@@ -225,18 +228,21 @@ def step(op: DiscreteOperator, u: GridFunction, dt: float,
          scheme: Scheme = Scheme.CRANK_NICOLSON,
          solver: SolverConfig = SolverConfig()) -> GridFunction:
     """Advance u by one implicit step of size dt."""
-    stepper = _LinearStep(op, dt, scheme, solver)
-    x, _ = stepper.advance(u.flat[:, None])
-    return GridFunction(u.grid, x[:, 0])
+    traj = evolve(op, u, TimeGrid(dt=dt, T=dt, scheme=scheme), solver)
+    return GridFunction(u.grid, traj.values[-1])
 
 
 def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
-           timegrid: TimeGrid, solver: SolverConfig = SolverConfig()) -> Trajectory:
+           timegrid: TimeGrid, solver: SolverConfig = SolverConfig(),
+           on_step=None) -> Trajectory:
     """Compose steps up to the horizon, recording the requested snapshots.
 
     ``data`` is one initial datum or a tuple of k of them, advanced together
     as one block.  For a tuple, ``values`` has a leading data axis,
     (k, n_snapshots, n_nodes), and each step's stats cover all k columns.
+    ``on_step``, if given, is called after every step with that step's
+    (n_nodes, k) solve output x: u^(n+1) for backward Euler, the midpoint
+    u^(n+1/2) for Crank-Nicolson.
     """
     single = isinstance(data, GridFunction)
     fs = (data,) if single else tuple(data)
@@ -250,8 +256,11 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
     stats: list[StepStats] = []
     pos = 1
     for k in range(1, timegrid.n_steps + 1):
-        u, st = stepper.advance(u)
+        x, st = stepper.advance(u)
+        u = 2.0 * x - u if stepper.midpoint else x
         stats.append(st)
+        if on_step is not None:
+            on_step(x)
         if pos < len(snap_steps) and k == snap_steps[pos]:
             out[:, pos] = u.T
             pos += 1

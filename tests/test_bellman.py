@@ -114,6 +114,10 @@ class TestParams:
     def test_derived_fields(self):
         P = BellmanParams(2.0)
         assert P.q == 2.0 and P.delta == 0.25
+        # q and delta are derived from p, never passed
+        for kwargs in ({"q": 2.0}, {"delta": 0.25}):
+            with pytest.raises(TypeError):
+                BellmanParams(2.0, **kwargs)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0, 17.0, 64.0])
     def test_invariants(self, p):
@@ -136,8 +140,6 @@ class TestParams:
             BellmanParams(1.5)
         with pytest.raises(DomainError):
             BellmanParams(float("nan"))
-        with pytest.raises(DomainError):
-            BellmanParams(2.0, q=1.9)
 
 
 class TestPhi:

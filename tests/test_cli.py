@@ -1,5 +1,6 @@
 """Tests for the scenario file format, presets, and the CLI runner."""
 
+import ast
 import filecmp
 import json
 import os
@@ -23,6 +24,20 @@ from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
 from oracles import _assemble_neg_hess
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _benchmark_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/run.py, read as a literal without importing
+    the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no WORKLOADS")
+
 
 SCENARIO_TEXT = """
 # example scenario
@@ -354,6 +369,20 @@ class TestCli:
         rc = main(["semigroup-verify", "--out", str(tmp_path)])
         assert rc == 1
         assert "FAIL  eigenmode-step-oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload", sorted(_benchmark_workloads()))
+def test_benchmark_workload_contract(workload, tmp_path):
+    # the benchmark counts each repetition's PASS lines and CSV rows against
+    # WORKLOADS; a command that drops a summary line fails it there
+    cli_args, n_checks, rows, _ = _benchmark_workloads()[workload]
+    rc = main([*cli_args, "--seed", "1", "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert sum(ln.startswith("PASS") for ln in lines) == n_checks
+    assert not any(ln.startswith("FAIL") for ln in lines)
+    written = {p.stem: len(p.read_text().splitlines()) - 1 for p in tmp_path.glob("*.csv")}
+    assert written == rows
 
 
 def test_trace_contract_of_evolve(tmp_path):

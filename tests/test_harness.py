@@ -12,8 +12,9 @@ import divbell.harness as hz
 import divbell.operators as ops
 import divbell.presets as ps
 from divbell.bellman import BellmanParams
-from divbell.errors import DomainError, GeometryError
+from divbell.errors import DivbellError, DomainError, GeometryError
 from divbell.grids import Boundary, Grid, GridFunction
+from divbell.scenario import build_scenario
 from divbell.semigroup import Scheme, SolverConfig, TimeGrid, evolve
 from oracles import stack_mollified_neg_hess
 
@@ -118,6 +119,54 @@ class TestLprime:
         times[-1] *= 1.5
         with pytest.raises(DomainError):
             hz.lprime(ev.op, ev.traj_f.values, times)
+
+
+class TestGrad4:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exact_on_quartics_away_from_the_edge(self, dim):
+        # the five-point stencil differentiates polynomials of degree <= 4 in
+        # its axis exactly; nodes two or more from the edge never see the
+        # zero extension
+        g = Grid(cells=(10,) * dim, lo=(-1.0,) * dim, hi=(1.5,) * dim,
+                 boundary=Boundary.DIRICHLET)
+        xs = g.node_coords()
+        prod = np.prod(xs, axis=0)
+        u = sum((a + 1) * x ** 4 - 2 * x ** 3 + x for a, x in enumerate(xs)) + prod ** 2
+        grads = hz.grad4(g, np.stack([u.ravel(), 2j * u.ravel()]))
+        inner = tuple(slice(2, -2) for _ in range(dim))
+        for a, x in enumerate(xs):
+            others = np.prod([y for b, y in enumerate(xs) if b != a], axis=0)
+            exact = 4 * (a + 1) * x ** 3 - 6 * x ** 2 + 1 + 2 * x * others ** 2
+            got = grads[a].reshape((2,) + g.node_shape)
+            assert np.allclose(got[0][inner], exact[inner], rtol=0, atol=1e-11)
+            assert np.allclose(got[1][inner], 2j * exact[inner], rtol=0, atol=1e-11)
+
+    def test_zero_extension_at_the_dirichlet_edge(self):
+        g = Grid(cells=(12, 9), lo=(0.0, 0.0), hi=(1.2, 0.9), boundary=Boundary.DIRICHLET)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(g.node_shape)
+        gx, gy = hz.grad4(g, u.reshape(1, -1))[:, 0].reshape((2,) + g.node_shape)
+        hx, hy = g.spacing
+        padded = np.pad(u, 2)
+        for k in (0, 1, -2, -1):
+            i = k + 2 if k >= 0 else u.shape[0] + 2 + k
+            ref = (-padded[i + 2, 2:-2] + 8 * padded[i + 1, 2:-2]
+                   - 8 * padded[i - 1, 2:-2] + padded[i - 2, 2:-2]) / (12 * hx)
+            assert np.array_equal(gx[k], ref)
+        assert np.array_equal(gy[:, 0], (-u[:, 2] + 8 * u[:, 1]) / (12 * hy))
+        assert np.array_equal(gy[:, -1], (-8 * u[:, -2] + u[:, -3]) / (12 * hy))
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_periodic_fourier_modes(self, k):
+        # grad4 e^(i kappa x) = i (8 sin(kappa h) - sin(2 kappa h)) / (6 h) e^(i kappa x)
+        g = Grid(cells=(32, 24), lo=(0.0, 0.0), hi=(1.0, 2.0), boundary=Boundary.PERIODIC)
+        x, y = g.node_coords()
+        kappa = (2 * np.pi * k, 2 * np.pi * (k + 1) / 2.0)
+        u = np.exp(1j * (kappa[0] * x + kappa[1] * y))
+        grads = hz.grad4(g, u.reshape(1, -1))[:, 0]
+        for a, (kap, h) in enumerate(zip(kappa, g.spacing)):
+            symbol = 1j * (8 * np.sin(kap * h) - np.sin(2 * kap * h)) / (6 * h)
+            assert np.allclose(grads[a], symbol * u.ravel(), rtol=0, atol=1e-12 * abs(symbol))
 
 
 class TestChainRule:
@@ -279,13 +328,11 @@ class TestPointwise:
 class TestBilinear:
     def test_zero_datum(self):
         spec = make_scenario(N=32, steps=20)
-        op = ops.assemble(spec.grid, spec.coefficients, spec.potential)
         z = GridFunction.zeros(spec.grid)
-        tz = evolve(op, z, spec.timegrid, TIGHT)
-        tg = evolve(op, spec.g, spec.timegrid, TIGHT)
-        ev = hz.EvolvedScenario(spec, op, tz, tg)
-        rep = hz.bilinear_functional(ev)
-        assert rep.E_T == 0.0
+        spec = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients, spec.potential,
+                               z, spec.g, spec.params, spec.timegrid, spec.solver)
+        rep = hz.bilinear_functional(hz.run_scenario(spec))
+        assert rep.E_T == 0.0 and rep.tail == 0.0
 
     def test_symmetry(self, evolved_identity_1d):
         ev = evolved_identity_1d
@@ -295,12 +342,85 @@ class TestBilinear:
         assert a.E_T == b.E_T
 
     def test_monotone_in_horizon(self, evolved_identity_1d):
+        # E over [0, t_n] is the partial sum of the per-step products
         ev = evolved_identity_1d
+        products = ev.traj_f.step_products
+        assert products is ev.traj_g.step_products
+        assert len(products) == ev.spec.timegrid.n_steps
+        assert np.all(np.diff(np.cumsum(products)) >= 0.0)
+        assert hz.bilinear_functional(ev).E_T == pytest.approx(np.cumsum(products)[-1],
+                                                               rel=1e-14)
+
+    def test_trajectories_without_the_pair_products_raise(self, evolved_identity_1d):
+        ev = evolved_identity_1d
+        spec, op = ev.spec, ev.op
+        separate = [evolve(op, f, spec.timegrid, TIGHT) for f in (spec.f, spec.g)]
+        other = hz.run_scenario(spec)
+        for tf, tg in (separate, (ev.traj_f, ev.traj_f), (ev.traj_f, other.traj_g)):
+            with pytest.raises(DivbellError):
+                hz.embedding_check(hz.EvolvedScenario(spec, op, tf, tg))
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_four_field_rebuild_reads_the_run_value(self, evolved_identity_1d, p):
+        # sweep and the acceptance suite rebuild an evolved scenario for each
+        # p from its four fields; the products travel with the trajectories
+        ev = evolved_identity_1d
+        s = ev.spec
+        spec_p = hz.ScenarioSpec(s.name, s.grid, s.coefficients, s.potential, s.f, s.g,
+                                 BellmanParams(p), s.timegrid, s.solver, s.cutoff_radii)
+        rebuilt = hz.embedding_check(hz.EvolvedScenario(spec_p, ev.op, ev.traj_f, ev.traj_g))
+        direct = hz.embedding_check(hz.run_scenario(spec_p))
+        assert rebuilt.E_T > 0.0
+        assert rebuilt == direct
+
+    @pytest.mark.parametrize("dim,N", [(1, 96), (2, 32)])
+    def test_periodic_energy_identity(self, dim, N):
+        # A = I, V = 0, f = g on a periodic grid: every face feeds two nodes,
+        # so sum_x w |x|_*^2 = Re <L_h x, x>_w, and the Crank-Nicolson energy
+        # identity sums E_T to (||f||^2 - ||f^N||^2) / 2
+        spec = make_scenario("identity", dim=dim, N=N, T=0.2, steps=100, equal=True,
+                             boundary=Boundary.PERIODIC)
+        spec = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients, spec.potential,
+                               spec.f, spec.g, spec.params, spec.timegrid,
+                               SolverConfig(tol=1e-13))
+        ev = hz.run_scenario(spec)
+        assert ev.op.gamma == 1.0 and not np.any(ev.op.potential)
+        w = spec.grid.cell_volume
+        exact = 0.5 * w * (np.linalg.norm(spec.f.flat) ** 2
+                           - np.linalg.norm(ev.traj_f.values[-1]) ** 2)
         rep = hz.bilinear_functional(ev)
-        times = rep.times
-        partial = [np.trapezoid(rep.integrand[: k + 1], times[: k + 1])
-                   for k in range(2, len(times))]
-        assert np.all(np.diff(partial) >= -1e-15)
+        assert rep.E_T == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.PERIODIC])
+    @pytest.mark.parametrize("preset", ps.PRESET_NAMES)
+    def test_energy_bound_is_a_theorem_of_the_scheme(self, preset, boundary, scheme):
+        # E_T + tail <= ||f||_2 ||g||_2 / (2 min(1, gamma)) for every p
+        spec = make_scenario(preset, dim=2, N=12, p=4.0, T=0.3, steps=40,
+                             boundary=boundary, scheme=scheme)
+        ev = hz.run_scenario(spec)
+        rep = hz.embedding_check(ev)
+        bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
+        assert rep.energy_bound == pytest.approx(bound, rel=1e-15)
+        assert rep.E_T + rep.tail <= bound + rep.quad_error_est
+        assert rep.energy_ok and rep.energy_margin == bound - (rep.E_T + rep.tail)
+        assert 0.0 < rep.quad_error_est <= 1e-6 * bound
+
+    def test_rough_data_respect_the_p2_bound(self):
+        # f = g = bump * tanh(20 sin 6x): a snapshot trapezoid read
+        # p * ratio = 0.714 here, above the 1/2 the scheme cannot exceed
+        spec = build_scenario(preset="identity", dim=1, cells=(256,), p=2.0)
+        x = spec.grid.node_coords()[0]
+        f = GridFunction(spec.grid, ps.make_bump(spec.grid, 0.0, 1.5).values
+                         * np.tanh(20.0 * np.sin(6.0 * x)))
+        spec = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients, spec.potential,
+                               f, f, spec.params, spec.timegrid, spec.solver)
+        ev = hz.run_scenario(spec)
+        rep = hz.embedding_check(ev)
+        assert ev.op.gamma == 1.0
+        assert 2.0 * rep.ratio_empirical <= 0.5 + rep.quad_error_est / (
+            rep.norm_f_p * rep.norm_g_q)
+        assert rep.ok
 
 
 class TestPolarize:
@@ -399,6 +519,17 @@ class TestCutoffAndIbp:
         for r in rep.rows:
             total = r.time_term_quad + r.flux_term + r.potential_term
             assert r.I_RT == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+    def test_flux_matches_the_per_snapshot_loop(self):
+        ev = hz.run_scenario(make_scenario("rotation", dim=2, N=24, steps=60))
+        rep = hz.ibp_upper_check(ev)
+        op, w = ev.op, ev.spec.grid.cell_volume
+        b = hz.compose_b(ev.spec.params, ev.traj_f, ev.traj_g)
+        for r in rep.rows:
+            gpsi = op.gradient @ hz.CutoffSpec(r.R).values_at(ev.spec.grid).ravel()
+            loop = np.trapezoid(w * np.array([np.dot(gpsi, op.face_action @ (op.gradient @ bk))
+                                              for bk in b]), ev.traj_f.times)
+            assert r.flux_term == pytest.approx(loop, rel=1e-13)
 
     def test_report(self, evolved_identity_1d):
         rep = hz.ibp_upper_check(evolved_identity_1d)

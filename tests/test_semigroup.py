@@ -186,10 +186,10 @@ class TestBlockEvolution:
         stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         assert stepper.lu is None
         u = np.stack([f.flat * (1 + 2j), spec.g.flat * (0.5 - 1j)], axis=1)
+        # both schemes solve (I + theta dt L_h) x = u: the right-hand side is u
         x, st = stepper.advance(u)
-        b = stepper.rhs_mat @ u
-        recomputed = (np.linalg.norm(stepper.lhs @ x - b, axis=0)
-                      / np.linalg.norm(b, axis=0)).max()
+        recomputed = (np.linalg.norm(stepper.lhs @ x - u, axis=0)
+                      / np.linalg.norm(u, axis=0)).max()
         assert st.iterations > 0
         assert abs(st.residual - recomputed) <= 1e-13
 
@@ -228,6 +228,23 @@ class TestBlockEvolution:
         with pytest.raises(ConvergenceError):
             sg.evolve(L, (GridFunction(spec.grid, vals), spec.g), tg,
                       sg.SolverConfig(max_iter=5))
+
+    def test_non_finite_datum_fails_before_any_krylov_solve(self, monkeypatch):
+        # at the default max_iter, BiCGStab and then restarted GMRES would
+        # spend every iteration on NaN before the residual gate could raise
+        spec, L = random_accretive(2, 16)
+        monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a non-finite right-hand side reached a solver")
+
+        monkeypatch.setattr(sg.spla, "bicgstab", no_solve)
+        monkeypatch.setattr(sg.spla, "gmres", no_solve)
+        vals = spec.f.values.copy()
+        vals.flat[vals.size // 2] = np.nan
+        with pytest.raises(ConvergenceError, match="non-finite") as info:
+            sg.evolve(L, (GridFunction(spec.grid, vals), spec.g), sg.TimeGrid(dt=0.01, T=0.01))
+        assert info.value.iterations == 0
 
 
 class TestDenseOracle:
