@@ -35,7 +35,7 @@ from . import presets as ps
 from . import semigroup as sg
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grids import Boundary, Grid, GridFunction
-from .reports import Summary, emit_report, fmt
+from .reports import FieldRows, Summary, emit_report, fmt
 from .scenario import build_scenario, load_scenario_file
 
 
@@ -177,15 +177,11 @@ def cmd_semigroup_verify(args) -> tuple[Summary, dict]:
 
 def cmd_pointwise(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
-    ev = hz.run_scenario(spec)
+    ev = hz.run_scenario(spec, embedding=False)
     rep = hz.pointwise_check(ev)
-    dimcols = _coords_header(spec.grid.dim)
-    header = dimcols + ["t", "lhs", "rhs", "slack"]
-    coords = [c.ravel().tolist() for c in spec.grid.node_coords()]
-    rows = []
-    for k, t in enumerate(ev.traj_f.times.tolist()):
-        rows.extend(zip(*coords, repeat(t), rep.lhs[k].tolist(), rep.rhs[k].tolist(),
-                        rep.slack[k].tolist()))
+    header = _coords_header(spec.grid.dim) + ["t", "lhs", "rhs", "slack"]
+    rows = FieldRows(spec.grid.node_coords(), ev.traj_f.times,
+                     (rep.lhs, rep.rhs, rep.slack))
     summary = Summary()
     summary.add("pointwise-lower-bound", rep.worst_slack + rep.eps_h, rep.ok,
                 note=f"eps_h={fmt(rep.eps_h)}, mollified={rep.n_mollified}")
@@ -211,7 +207,7 @@ def cmd_embed(args) -> tuple[Summary, dict]:
 
 def cmd_ibp(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
-    ev = hz.run_scenario(spec)
+    ev = hz.run_scenario(spec, embedding=False)
     rep = hz.ibp_upper_check(ev)
     header = ["R", "term", "value"]
     rows = []

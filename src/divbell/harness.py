@@ -103,10 +103,21 @@ class EvolvedScenario:
 STAR_BLOCK_VALUES = 2 ** 14
 
 
-def run_scenario(spec: ScenarioSpec) -> EvolvedScenario:
-    """Assemble L_h and evolve f and g as one block; both trajectories carry
-    the per-step sums dt w sum_x |x_f|_* |x_g|_* of its solve outputs x."""
+def run_scenario(spec: ScenarioSpec, embedding: bool = True) -> EvolvedScenario:
+    """Assemble L_h and evolve f and g as one block.  With ``embedding`` both
+    trajectories carry the per-step sums dt w sum_x |x_f|_* |x_g|_* of its
+    solve outputs x, which ``bilinear_functional`` reads; without it no star
+    norm is taken and ``step_products`` is None."""
     op = assemble(spec.grid, spec.coefficients, spec.potential)
+    products, add_step = _embedding_hook(spec) if embedding else (None, None)
+    traj = evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=add_step)
+    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats, products)
+                      for values in traj.values)
+    return EvolvedScenario(spec, op, traj_f, traj_g)
+
+
+def _embedding_hook(spec: ScenarioSpec):
+    """The per-step products array and the ``evolve`` hook that fills it."""
     products = np.empty(spec.timegrid.n_steps)
     steps = max(1, STAR_BLOCK_VALUES // (2 * spec.grid.n_nodes))
     block = np.empty((spec.grid.n_nodes, 2 * steps), dtype=np.complex128)
@@ -122,10 +133,7 @@ def run_scenario(spec: ScenarioSpec) -> EvolvedScenario:
             products[done - j - 1:done] = (spec.timegrid.dt * spec.grid.cell_volume
                                            * np.sum(s[:, 0::2] * s[:, 1::2], axis=0))
 
-    traj = evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=add_step)
-    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats, products)
-                      for values in traj.values)
-    return EvolvedScenario(spec, op, traj_f, traj_g)
+    return products, add_step
 
 
 # ---------------------------------------------------------------------------

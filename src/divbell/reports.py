@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 
 def fmt(x) -> str:
@@ -51,11 +52,52 @@ def _csv_lines(rows):
         yield tmpl % row if tmpl is not None else ",".join(map(fmt, row)) + "\n"
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+class FieldRows:
+    """Rows ``(*coords, t, *values)`` of float fields sampled at every
+    snapshot time and node, snapshot-major: row k * n + i holds node i's
+    coordinates, ``times[k]`` and ``fld[k, i]`` of each (nt, n) field.
+
+    Iteration yields the rows as tuples of Python floats, the reference
+    rendering.  ``lines`` renders the same text one snapshot at a time: each
+    node's coordinates and each snapshot's time are formatted once, and no
+    row tuple is built.
+    """
+
+    def __init__(self, coords, times, fields):
+        self.coords = [np.asarray(c, dtype=np.float64).ravel() for c in coords]
+        self.times = np.asarray(times, dtype=np.float64)
+        self.fields = [np.asarray(f, dtype=np.float64) for f in fields]
+        shape = (self.times.size, self.coords[0].size)
+        if (any(c.size != shape[1] for c in self.coords)
+                or any(f.shape != shape for f in self.fields)):
+            raise DomainError(f"fields {[f.shape for f in self.fields]} do not match "
+                              f"{shape[0]} times x {shape[1]} nodes")
+
+    def __len__(self) -> int:
+        return self.times.size * self.coords[0].size
+
+    def __iter__(self):
+        coords = [c.tolist() for c in self.coords]
+        for t, *vals in zip(self.times.tolist(), *self.fields):
+            yield from zip(*coords, repeat(t), *(v.tolist() for v in vals))
+
+    def lines(self):
+        """One string per snapshot, equal to the ``fmt`` CSV lines of its rows."""
+        prefixes = ["".join("%.17g," % x for x in node)
+                    for node in zip(*(c.tolist() for c in self.coords))]
+        values = ",%.17g" * len(self.fields) + "\n"
+        for t, *vals in zip(self.times.tolist(), *self.fields):
+            line_tail = "%.17g" % t + values
+            template = line_tail.join(prefixes) + line_tail
+            yield template % tuple(np.column_stack(vals).ravel().tolist())
+
+
+def write_csv(path: str, header: list[str], rows: list[tuple] | FieldRows) -> None:
+    lines = rows.lines() if isinstance(rows, FieldRows) else _csv_lines(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(_csv_lines(rows))
+            fh.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -109,7 +151,8 @@ def ensure_outdir(path: str) -> str:
     return path
 
 
-def emit_report(summary: Summary, tables: dict[str, tuple[list[str], list[tuple]]],
+def emit_report(summary: Summary,
+                tables: dict[str, tuple[list[str], list[tuple] | FieldRows]],
                 outdir: str) -> list[str]:
     """Write every named CSV table plus the human-readable summary.
 

@@ -231,7 +231,7 @@ class TestCli:
         assert "mollified=0]" not in (tmp_path / "a" / "summary.txt").read_text()
         header, rows = COMMANDS["pointwise"](make_parser().parse_args(args))[1]["pointwise"]
         expected = "".join(",".join(fmt(x) for x in row) + "\n"
-                           for row in [header] + rows)
+                           for row in [header] + list(rows))
         assert (tmp_path / "a" / "pointwise.csv").read_text() == expected
 
     def test_operator_and_semigroup_verify(self, tmp_path):
@@ -385,23 +385,42 @@ def test_benchmark_workload_contract(workload, tmp_path):
     assert written == rows
 
 
-def test_trace_contract_of_evolve(tmp_path):
-    # the benchmark's traced repetition wraps semigroup.evolve and reads
-    # its stats; a return shape it cannot count would crash --trace runs
+def _run_benchmark_child(tmp_path, cli_args, trace):
+    """One repetition of perfbench/child.py; its result record."""
     root = pathlib.Path(__file__).resolve().parents[1]
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/child.py", str(result), "--trace", "--",
-         "pointwise", "--preset", "identity", "--grid", "16,16", "--p", "4",
-         "--out", str(tmp_path / "out"), "--quiet"],
+        [sys.executable, "perfbench/child.py", str(result), *(["--trace"] if trace else []),
+         "--", *cli_args, "--out", str(tmp_path / "out"), "--quiet"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(result.read_text())["spans"]
+    return json.loads(result.read_text())
+
+
+def test_trace_contract_of_evolve(tmp_path):
+    # the benchmark's traced repetition wraps semigroup.evolve and reads
+    # its stats; a return shape it cannot count would crash --trace runs
+    spans = _run_benchmark_child(tmp_path, ["pointwise", "--preset", "identity",
+                                            "--grid", "16,16", "--p", "4"], trace=True)["spans"]
     evolves = [s for s in spans if s["name"] == "semigroup.evolve"]
     assert len(evolves) == 1
     assert {"steps", "krylov_iters", "worst_residual"} <= evolves[0]["counts"].keys()
     assert evolves[0]["counts"]["steps"] > 0
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+def test_benchmark_row_counts_of_pointwise(trace, tmp_path):
+    # the benchmark child reports len(rows) of each table, and a traced
+    # repetition's reports.emit span sums them; both count the CSV lines
+    record = _run_benchmark_child(tmp_path, ["pointwise", "--preset", "random-accretive",
+                                             "--grid", "12,12", "--p", "4"], trace)
+    written = len((tmp_path / "out" / "pointwise.csv").read_text().splitlines()) - 1
+    assert written > 0
+    assert record["rows"] == {"pointwise": written}
+    if trace:
+        emits = [s for s in record["spans"] if s["name"] == "reports.emit"]
+        assert [s["counts"]["rows"] for s in emits] == [written]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,7 +9,7 @@ import divbell.operators as ops
 import divbell.presets as ps
 import divbell.reports as rp
 import divbell.semigroup as sg
-from divbell.errors import ConfigError
+from divbell.errors import ConfigError, DomainError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario, parse_scenario_text
 
@@ -46,6 +46,38 @@ def test_write_csv_matches_fmt_reference(tmp_path):
     expected = "".join(",".join(rp.fmt(x) for x in row) + "\n" for row in [header] + rows)
     assert path.read_text() == expected
     assert path.read_text().splitlines()[1] == "1,0,True,False,None"
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("cells", [(5,), (4, 3), (3, 2, 4)], ids=["1d", "2d", "3d"])
+def test_field_rows_match_fmt_of_their_rows(cells, boundary, tmp_path):
+    # the per-snapshot lines equal the fmt rendering of the iterated rows,
+    # special values included
+    g = Grid(cells=cells, lo=(-1.0,) * len(cells), hi=(2.0,) * len(cells),
+             boundary=boundary)
+    times = np.array([0.0, 0.1, 1.0 / 3.0, 2.5])
+    rng = np.random.default_rng(len(cells))
+    fields = rng.standard_normal((3, times.size, g.n_nodes))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+    for fld in fields:
+        fld.flat[rng.choice(fld.size, len(special), replace=False)] = special
+    rows = rp.FieldRows(g.node_coords(), times, fields)
+    assert len(rows) == times.size * g.n_nodes
+    listed = list(rows)
+    assert len(listed) == len(rows)
+    assert all(type(x) is float for row in listed for x in row)
+    coords = [np.tile(c.ravel(), times.size) for c in g.node_coords()]
+    np.testing.assert_array_equal(
+        np.array(listed),
+        np.column_stack(coords + [np.repeat(times, g.n_nodes)]
+                        + [f.ravel() for f in fields]))
+    header = ["x", "y", "z"][:len(cells)] + ["t", "a", "b", "c"]
+    path = tmp_path / "f.csv"
+    rp.write_csv(str(path), header, rows)
+    expected = "".join(",".join(rp.fmt(x) for x in row) + "\n" for row in [header] + listed)
+    assert path.read_text() == expected
+    with pytest.raises(DomainError):
+        rp.FieldRows(g.node_coords(), times[1:], fields)
 
 
 def test_empty_report_and_summary(tmp_path):
