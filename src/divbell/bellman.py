@@ -494,14 +494,17 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     }
 
 
+# Certification points: moduli log-uniform in SAMPLE_MODULI, and |u^p - v^q|
+# above SAMPLE_INTERFACE_MARGIN relative to max(u^p, v^q, 1).
+SAMPLE_MODULI = (1e-3, 10.0)
+SAMPLE_INTERFACE_MARGIN = 1e-6
+
+
 def sample_certification_points(params: BellmanParams, n: int,
-                                rng: np.random.Generator,
-                                modulus_range: tuple[float, float] = (1e-3, 10.0),
-                                margin_rel: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded sample of n points with log-uniform moduli in modulus_range
+                                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded sample of n points with log-uniform moduli in SAMPLE_MODULI
     and uniform phases, resampled until clear of the interface margin."""
-    lo, hi = modulus_range
-    llo, lhi = math.log(lo), math.log(hi)
+    llo, lhi = (math.log(m) for m in SAMPLE_MODULI)
     zetas = np.empty(n, dtype=np.complex128)
     etas = np.empty(n, dtype=np.complex128)
     need = np.ones(n, dtype=bool)
@@ -513,7 +516,7 @@ def sample_certification_points(params: BellmanParams, n: int,
         b = rng.uniform(0.0, 2.0 * np.pi, size=k)
         t1 = u ** params.p
         t2 = v ** params.q
-        good = np.abs(t1 - t2) > margin_rel * np.maximum(np.maximum(t1, t2), 1.0)
+        good = np.abs(t1 - t2) > SAMPLE_INTERFACE_MARGIN * np.maximum(np.maximum(t1, t2), 1.0)
         idx = np.flatnonzero(need)[:k][good]
         zetas[idx] = u[good] * np.exp(1j * a[good])
         etas[idx] = v[good] * np.exp(1j * b[good])

@@ -1,12 +1,12 @@
 """Rectangular grids and complex grid functions.
 
-Unknowns live on lattice vertices.  With n cells per axis on [lo, hi] and
-spacing h = (hi - lo)/n, a periodic axis carries n unknowns at lo + i*h and
-a Dirichlet axis carries the n - 1 interior vertices (the boundary value is
-pinned to zero).  Faces are the lattice edges; axis-a faces on a Dirichlet
-axis run over all n edges of that axis but only over interior transverse
-lines, since edges lying inside the boundary hyperplane carry identically
-zero differences.
+Unknowns live on lattice vertices.  With n cells per axis on [lo, hi],
+vertex i sits at lo + i*h, h = (hi - lo)/n.  One boundary rule fixes the
+rest, per axis: a periodic axis has n vertices (vertex n is vertex 0), all
+of them nodes; a Dirichlet axis has n + 1 vertices, of which 1..n-1 are
+nodes (the boundary value is pinned to zero).  Shapes and coordinates
+derive from that rule.  Face f joins vertices f and (f + 1) mod the vertex
+count, so each axis has n faces, on the node lines across the other axes.
 """
 
 from __future__ import annotations
@@ -60,19 +60,23 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple((b - a) / n for n, a, b in zip(self.cells, self.lo, self.hi))
 
+    def vertex_count(self, axis: int) -> int:
+        """Lattice points along an axis: n if periodic (vertex n is vertex 0),
+        n + 1 if Dirichlet (the boundary ring carries coefficient samples)."""
+        return self.cells[axis] + (0 if self.periodic else 1)
+
+    def node_vertices(self, axis: int) -> np.ndarray:
+        """Vertex index of each node along an axis, vertex_count - n up to
+        n - 1: every vertex if periodic, vertices 1..n-1 if Dirichlet."""
+        return np.arange(self.vertex_count(axis) - self.cells[axis], self.cells[axis])
+
     @cached_property
     def node_shape(self) -> tuple[int, ...]:
-        if self.periodic:
-            return self.cells
-        return tuple(n - 1 for n in self.cells)
+        return tuple(len(self.node_vertices(a)) for a in range(self.dim))
 
     @cached_property
     def vertex_shape(self) -> tuple[int, ...]:
-        """Lattice points carrying coefficient samples (includes the boundary
-        ring on Dirichlet grids)."""
-        if self.periodic:
-            return self.cells
-        return tuple(n + 1 for n in self.cells)
+        return tuple(self.vertex_count(a) for a in range(self.dim))
 
     @property
     def n_nodes(self) -> int:
@@ -83,21 +87,14 @@ class Grid:
         return float(np.prod(self.spacing))
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
-        if self.periodic:
-            return self.cells
-        return tuple(n if a == axis else n - 1 for a, n in enumerate(self.cells))
+        """Axis-a faces: all n edges along a, on every node line across it."""
+        return tuple(self.cells[a] if a == axis else m for a, m in enumerate(self.node_shape))
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        if self.periodic:
-            return self.lo[axis] + h * np.arange(self.cells[axis])
-        return self.lo[axis] + h * np.arange(1, self.cells[axis])
+        return self.lo[axis] + self.spacing[axis] * self.node_vertices(axis)
 
     def axis_vertices(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        if self.periodic:
-            return self.lo[axis] + h * np.arange(self.cells[axis])
-        return self.lo[axis] + h * np.arange(self.cells[axis] + 1)
+        return self.lo[axis] + self.spacing[axis] * np.arange(self.vertex_count(axis))
 
     def node_coords(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays broadcast to node_shape."""
@@ -110,13 +107,9 @@ class Grid:
 
     def face_midpoints(self, axis: int) -> list[np.ndarray]:
         """Coordinates of axis-a face midpoints, broadcast to face_shape."""
-        h = self.spacing[axis]
-        per_axis = []
-        for a in range(self.dim):
-            if a == axis:
-                per_axis.append(self.lo[a] + h * (np.arange(self.cells[a]) + 0.5))
-            else:
-                per_axis.append(self.axis_nodes(a))
+        per_axis = [self.axis_nodes(a) for a in range(self.dim)]
+        per_axis[axis] = (self.lo[axis]
+                          + self.spacing[axis] * (np.arange(self.cells[axis]) + 0.5))
         return list(np.meshgrid(*per_axis, indexing="ij"))
 
 

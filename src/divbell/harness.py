@@ -42,6 +42,10 @@ ARRANGEMENT_TOL = 1e-10
 MOLLIFY_SCALE_FLOOR = 1e-3
 
 FLOAT_FLOOR = 1e-12  # off-diagonal ratios at or below this are excluded
+OFFDIAG_STEPS = 64   # backward Euler steps to each off-diagonal time t
+SUPPORT_MARGIN_FRAC = 0.25  # data supports keep this fraction of each box width
+IDENTITY_T_MIN_FRAC = 0.25  # the chain-rule identity is read on t >= this * T
+TIGHT_SOLVER = SolverConfig(tol=1e-12)  # off-diagonal and square-function solves
 
 
 def slack_tolerance(h: float, dt: float) -> float:
@@ -72,8 +76,7 @@ class ScenarioSpec:
             _check_support_margin(self.grid, gf, name)
 
 
-def _check_support_margin(grid: Grid, gf: GridFunction, name: str,
-                          margin_frac: float = 0.25) -> None:
+def _check_support_margin(grid: Grid, gf: GridFunction, name: str) -> None:
     mask = np.abs(gf.values) > 0.0
     if not mask.any():
         return
@@ -82,10 +85,10 @@ def _check_support_margin(grid: Grid, gf: GridFunction, name: str,
         xs = coords[a][mask]
         width = grid.hi[a] - grid.lo[a]
         margin = min(xs.min() - grid.lo[a], grid.hi[a] - xs.max())
-        if margin < margin_frac * width - 1e-12:
+        if margin < SUPPORT_MARGIN_FRAC * width - 1e-12:
             raise DomainError(
                 f"support of {name} too close to the boundary on axis {a}: "
-                f"margin {margin:.3g} < {margin_frac} * width {width:.3g}")
+                f"margin {margin:.3g} < {SUPPORT_MARGIN_FRAC} * width {width:.3g}")
 
 
 @dataclass
@@ -307,9 +310,9 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
                           arrangement_gap=gap, n_mollified=int(ti.size))
 
 
-def chain_rule_identity_error(ev: EvolvedScenario, t_min_frac: float = 0.25) -> float:
+def chain_rule_identity_error(ev: EvolvedScenario) -> float:
     """sup |L'b - chain-rule right-hand side| over snapshots with
-    t >= t_min_frac * T.
+    t >= IDENTITY_T_MIN_FRAC * T.
 
     The early-time window is excluded: at t = 0 the compactly supported
     data vanish to infinite order at their support edge, where discrete
@@ -321,7 +324,7 @@ def chain_rule_identity_error(ev: EvolvedScenario, t_min_frac: float = 0.25) -> 
     lp = lprime(ev.op, b, ev.traj_f.times)
     cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
     times = ev.traj_f.times
-    keep = times >= t_min_frac * times[-1] - 1e-12
+    keep = times >= IDENTITY_T_MIN_FRAC * times[-1] - 1e-12
     return float(np.abs(lp[keep] - cr.rhs[keep]).max())
 
 
@@ -450,6 +453,13 @@ class EmbeddingReport:
     def ok(self) -> bool:
         return self.sum_form_ok and self.product_form_ok and self.energy_ok
 
+    @property
+    def margin(self) -> float:
+        """Least distance of the three forms to their thresholds (NaN if any is)."""
+        return float(np.min([self.sum_margin - self.quad_error_est,
+                             self.product_margin - self.quad_error_est,
+                             self.energy_margin + self.quad_error_est]))
+
 
 def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     """The two closed forms of the embedding bound, and the p = 2 theorem of
@@ -540,10 +550,15 @@ class IbpReport:
     final_nonpositive_ok: bool
 
     @property
+    def eps_growth_margin(self) -> float:
+        """Least rounding allowance left over eps_R's growth; inf for one R."""
+        eps = np.array([r.eps_R for r in self.rows])
+        return float(np.min(1e-10 + 1e-6 * np.abs(eps[:-1]) - np.diff(eps), initial=np.inf))
+
+    @property
     def eps_nonincreasing(self) -> bool:
         """eps_R does not grow with R, up to rounding."""
-        eps = [r.eps_R for r in self.rows]
-        return all(e1 - e0 <= 1e-10 + 1e-6 * abs(e0) for e0, e1 in zip(eps, eps[1:]))
+        return self.eps_growth_margin >= 0.0
 
     @property
     def flux_decays(self) -> bool:
@@ -643,6 +658,11 @@ class OffdiagReport:
     def ok(self) -> bool:
         return self.slope < 0.0 and self.r_squared >= 0.9
 
+    @property
+    def margin(self) -> float:
+        """Distance to the nearer of the two thresholds of ``ok``."""
+        return float(np.min([self.r_squared - 0.9, -self.slope]))
+
 
 def _l2_over_mask(grid: Grid, vals: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(np.abs(vals.ravel()[mask.ravel()]) ** 2)))
@@ -650,9 +670,7 @@ def _l2_over_mask(grid: Grid, vals: np.ndarray, mask: np.ndarray) -> float:
 
 def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
                   e_center, e_radius: float, distances, band_width: float,
-                  ts, operator: str = "P", steps: int = 64,
-                  solver: SolverConfig | None = None,
-                  floor: float = FLOAT_FLOOR) -> OffdiagReport:
+                  ts, operator: str = "P") -> OffdiagReport:
     """Fit log(||T_t h||_{L2(F)} / ||h||_{L2(E)}) against d(E,F)^2 / t.
 
     ``operator`` selects T_t from {"P", "tLP", "sqrt-t-grad-P"}.  Far sets F
@@ -662,7 +680,6 @@ def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
     if operator not in ("P", "tLP", "sqrt-t-grad-P"):
         raise DomainError(f"unknown operator choice {operator!r}")
     grid = op.grid
-    solver = solver or SolverConfig(tol=1e-12)
     center = np.atleast_1d(np.asarray(e_center, dtype=float))
     coords = grid.node_coords()
     r_node = np.sqrt(sum((x - c) ** 2 for x, c in zip(coords, center)))
@@ -672,12 +689,12 @@ def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
     outside = np.abs(h_datum.values)[~e_mask]
     if outside.size and outside.max() > 0:
         raise DomainError("datum must be supported inside the near set E")
-    grads, _, _ = _grid_maps(grid)
+    grads = _grid_maps(grid)[0]
     samples = []
     for t in ts:
-        tg = TimeGrid(dt=t / steps, T=t, scheme=Scheme.BACKWARD_EULER,
-                      snapshot_stride=steps)
-        traj = evolve(op, h_datum, tg, solver)
+        tg = TimeGrid(dt=t / OFFDIAG_STEPS, T=t, scheme=Scheme.BACKWARD_EULER,
+                      snapshot_stride=OFFDIAG_STEPS)
+        traj = evolve(op, h_datum, tg, TIGHT_SOLVER)
         u_t = traj.values[-1]
         if operator == "tLP":
             vals = t * (op.matrix @ u_t)
@@ -700,7 +717,7 @@ def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
             ratio = norm_f / h_norm
             samples.append(OffdiagSample(t=float(t), distance=float(d0),
                                          ratio=float(ratio),
-                                         excluded=bool(ratio <= floor)))
+                                         excluded=bool(ratio <= FLOAT_FLOOR)))
     xs = np.array([s.distance ** 2 / s.t for s in samples if not s.excluded])
     ys = np.array([math.log(s.ratio) for s in samples if not s.excluded])
     if len(xs) < 3:
@@ -725,15 +742,12 @@ class SquareFunctionResult:
     mu: float
 
 
-def square_function(op: DiscreteOperator, u: GridFunction, T: float, dt: float,
-                    solver: SolverConfig | None = None,
-                    scheme: Scheme = Scheme.CRANK_NICOLSON) -> SquareFunctionResult:
+def square_function(op: DiscreteOperator, u: GridFunction, T: float,
+                    dt: float) -> SquareFunctionResult:
     """G u(x) = (int_0^inf |grad P_t u(x)|^2 dt)^(1/2), by trapezoid over
     [0, T] plus a per-node exponential tail estimate fitted from the decay
-    of the integrated gradient energy."""
-    solver = solver or SolverConfig(tol=1e-12)
-    tg = TimeGrid(dt=dt, T=T, scheme=scheme)
-    traj = evolve(op, u, tg, solver)
+    of the integrated gradient energy, on Crank-Nicolson steps."""
+    traj = evolve(op, u, TimeGrid(dt=dt, T=T, scheme=Scheme.CRANK_NICOLSON), TIGHT_SOLVER)
     nt = len(traj.times)
     g2 = grad_sq_at_nodes(op.grid, traj.values.T).T
     integral = np.trapezoid(g2, traj.times, axis=0)

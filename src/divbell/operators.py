@@ -149,67 +149,23 @@ def matrix_sqrt_spd(M: np.ndarray) -> np.ndarray:
 # sparse building blocks (cached per grid)
 # ---------------------------------------------------------------------------
 
-def _diff_1d(n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    """1D staggered difference, faces x nodes."""
-    if periodic:
-        rows = np.repeat(np.arange(n), 2)
-        cols = np.empty(2 * n, dtype=np.int64)
-        vals = np.empty(2 * n)
-        cols[0::2] = np.arange(n)
-        vals[0::2] = -1.0 / h
-        cols[1::2] = (np.arange(n) + 1) % n
-        vals[1::2] = 1.0 / h
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    rows, cols, vals = [], [], []
-    for f in range(n):
-        if f >= 1:
-            rows.append(f)
-            cols.append(f - 1)
-            vals.append(-1.0 / h)
-        if f <= n - 2:
-            rows.append(f)
-            cols.append(f)
-            vals.append(1.0 / h)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n - 1))
-
-
-def _vertex_avg_1d(n: int, periodic: bool) -> sp.csr_matrix:
-    """Averages the two endpoint vertex samples onto each face."""
-    if periodic:
-        rows = np.repeat(np.arange(n), 2)
-        cols = np.empty(2 * n, dtype=np.int64)
-        cols[0::2] = np.arange(n)
-        cols[1::2] = (np.arange(n) + 1) % n
-        return sp.csr_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, n))
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.empty(2 * n, dtype=np.int64)
-    cols[0::2] = np.arange(n)
-    cols[1::2] = np.arange(n) + 1
-    return sp.csr_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, n + 1))
-
-
-def _vertex_select_1d(n: int, periodic: bool) -> sp.csr_matrix:
-    """Vertex samples restricted to node lines (interior for Dirichlet)."""
-    if periodic:
-        return sp.identity(n, format="csr")
-    rows = np.arange(n - 1)
-    cols = np.arange(1, n)
-    return sp.csr_matrix((np.ones(n - 1), (rows, cols)), shape=(n - 1, n + 1))
-
-
-def _face_to_node_avg_1d(n: int, periodic: bool) -> sp.csr_matrix:
-    """Averages the two adjacent face values onto each node."""
-    if periodic:
-        rows = np.repeat(np.arange(n), 2)
-        cols = np.empty(2 * n, dtype=np.int64)
-        cols[0::2] = (np.arange(n) - 1) % n
-        cols[1::2] = np.arange(n)
-        return sp.csr_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, n))
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=np.int64)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(n - 1) + 1
-    return sp.csr_matrix((np.full(2 * (n - 1), 0.5), (rows, cols)), shape=(n - 1, n))
+def _axis_maps(grid: Grid, axis: int):
+    """One axis's sparse maps, all read off its face-vertex incidence D:
+    face f joins vertices f and (f + 1) mod the vertex count, which closes a
+    periodic axis, and the nodes sit at the axis's node vertices.  Returns
+    the difference D / h on the nodes (faces x nodes), the vertex-to-face
+    average |D| / 2, the vertex-to-node selection, and the face-to-node
+    average |D|^T / 2 on the nodes (nodes x faces)."""
+    n, m = grid.cells[axis], grid.vertex_count(axis)
+    nodes = grid.node_vertices(axis)
+    faces = np.arange(n)
+    D = sp.csr_matrix((np.repeat([-1.0, 1.0], n),
+                       (np.tile(faces, 2), np.concatenate([faces, (faces + 1) % m]))),
+                      shape=(n, m))
+    select = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), nodes)),
+                           shape=(len(nodes), m))
+    return (D[:, nodes] / grid.spacing[axis], abs(D) / 2, select,
+            abs(D).T.tocsr()[nodes] / 2)
 
 
 def _kron(mats) -> sp.csr_matrix:
@@ -219,32 +175,17 @@ def _kron(mats) -> sp.csr_matrix:
 @lru_cache(maxsize=32)
 def _grid_maps(grid: Grid):
     """Per-grid sparse maps: gradient G_a, vertex-to-face T_a, face-to-node
-    averaging N_a, per axis a."""
+    averaging N_a per axis a, and the vertex-to-node restriction R."""
     d = grid.dim
-    per = grid.periodic
+    diffs, avgs, selects, to_nodes = zip(*(_axis_maps(grid, a) for a in range(d)))
     eye_nodes = [sp.identity(m, format="csr") for m in grid.node_shape]
-    grads, t_maps, n_maps = [], [], []
-    for a in range(d):
-        g_parts, t_parts, n_parts = [], [], []
-        for b in range(d):
-            n = grid.cells[b]
-            if b == a:
-                g_parts.append(_diff_1d(n, grid.spacing[b], per))
-                t_parts.append(_vertex_avg_1d(n, per))
-                n_parts.append(_face_to_node_avg_1d(n, per))
-            else:
-                g_parts.append(eye_nodes[b])
-                t_parts.append(_vertex_select_1d(n, per))
-                n_parts.append(eye_nodes[b])
-        grads.append(_kron(g_parts))
-        t_maps.append(_kron(t_parts))
-        n_maps.append(_kron(n_parts))
-    return grads, t_maps, n_maps
 
+    def per_axis(along, across):
+        """Axis a's map: ``along[a]`` on axis a, ``across[b]`` on every other b."""
+        return [_kron([along[b] if b == a else across[b] for b in range(d)]) for a in range(d)]
 
-def _node_restriction(grid: Grid) -> sp.csr_matrix:
-    """Vertex samples restricted to the node lattice."""
-    return _kron([_vertex_select_1d(n, grid.periodic) for n in grid.cells])
+    return (per_axis(diffs, eye_nodes), per_axis(avgs, selects), per_axis(to_nodes, eye_nodes),
+            _kron(selects))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +208,15 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def is_monotone_stencil(self, tol: float = 1e-12) -> bool:
-        """True when every off-diagonal entry of L_h is nonpositive, so the
-        backward Euler step matrix is an M-matrix."""
+    def is_monotone_stencil(self) -> bool:
+        """True when no off-diagonal entry of L_h exceeds 1e-12 times its
+        largest |entry|, so the backward Euler step matrix is an M-matrix."""
         c = self.matrix.tocoo()
         off = c.row != c.col
         if not off.any():
             return True
         scale = max(abs(c.data).max(), 1e-300)
-        return bool(c.data[off].max(initial=-np.inf) <= tol * scale)
+        return bool(c.data[off].max(initial=-np.inf) <= 1e-12 * scale)
 
 
 def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOperator:
@@ -290,7 +231,7 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     if gamma <= 0.0:
         raise DomainError(f"coefficient field is not accretive: gamma = {gamma}")
     d = grid.dim
-    grads, t_maps, _ = _grid_maps(grid)
+    grads, t_maps, _, _ = _grid_maps(grid)
     G = sp.vstack(grads, format="csr")
     blocks = [[None] * d for _ in range(d)]
     for a in range(d):
@@ -318,7 +259,7 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
     """
     if isinstance(u, GridFunction):
         return grad_sq_at_nodes(grid, u.flat[:, None])[:, 0].reshape(grid.node_shape)
-    grads, _, n_maps = _grid_maps(grid)
+    grads, _, n_maps, _ = _grid_maps(grid)
     out = np.zeros(u.shape)
     for a in range(grid.dim):
         w = grads[a] @ u
@@ -329,7 +270,5 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
 def node_coefficients(A: CoefficientField) -> np.ndarray:
     """Coefficient samples restricted to the node lattice, (n_nodes, d, d)."""
     grid = A.grid
-    R = _node_restriction(grid)
     d = grid.dim
-    flat = A.values.reshape(-1, d * d)
-    return (R @ flat).reshape(grid.n_nodes, d, d)
+    return (_grid_maps(grid)[3] @ A.values.reshape(-1, d * d)).reshape(grid.n_nodes, d, d)

@@ -13,7 +13,7 @@ Section and key names are case-insensitive.  The accepted keys are:
 * ``[time]`` T, dt, scheme (crank-nicolson or backward-euler),
   snapshot-stride (0 or absent: about 64 uniform snapshots)
 * ``[solver]`` tol (positive, finite), max-iter (at least 1)
-* ``[cutoff]`` radii (one or more, each positive and finite)
+* ``[cutoff]`` radii (one or more, positive, finite, 2R <= box half-width)
 
 An unknown section or key, and a NaN or infinite number, is a
 configuration error, never ignored.
@@ -286,14 +286,17 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
         raise ConfigError(f"[solver] max-iter: expected at least 1, got {max_iter}")
     solver = SolverConfig(tol=tol, max_iter=max_iter)
 
+    half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
     rraw = _get(s, "cutoff", "radii")
     if rraw is not None:
         radii = _parse_numbers(rraw, "cutoff", "radii")
         if not radii or not all(0.0 < r < np.inf for r in radii):
             raise ConfigError(f"[cutoff] radii: expected one or more positive finite "
                               f"radii, got {rraw!r}")
+        if 2.0 * max(radii) > half + 1e-12:
+            raise ConfigError(f"[cutoff] radii: 2R = {2 * max(radii):g} exceeds the box "
+                              f"half-width {half:g}")
     else:
-        half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
         radii = (0.25 * half, 0.375 * half, 0.5 * half)
 
     try:

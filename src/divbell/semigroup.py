@@ -292,11 +292,13 @@ class ContractionReport:
     worst_ratio: float
     asserted: bool
     ok: bool
-    per_step_bound: float = 1.0 + 1e-12
 
 
-def linf_contraction_check(op: DiscreteOperator, traj: Trajectory,
-                           per_step_bound: float = 1.0 + 1e-12) -> ContractionReport:
+# Largest sup-norm ratio of consecutive snapshots that counts as a contraction.
+CONTRACTION_BOUND = 1.0 + 1e-12
+
+
+def linf_contraction_check(op: DiscreteOperator, traj: Trajectory) -> ContractionReport:
     """Per-step sup-norm monotonicity of consecutive snapshots.
 
     On monotone stencils (all off-diagonal entries of L_h nonpositive, so
@@ -313,7 +315,6 @@ def linf_contraction_check(op: DiscreteOperator, traj: Trajectory,
     mask = prev > 0.0
     worst = float(np.max(nxt[mask] / prev[mask], initial=0.0))
     monotone = op.is_monotone_stencil()
-    ok = worst <= per_step_bound
+    ok = worst <= CONTRACTION_BOUND
     return ContractionReport(monotone_stencil=monotone, worst_ratio=worst,
-                             asserted=monotone, ok=(ok or not monotone),
-                             per_step_bound=per_step_bound)
+                             asserted=monotone, ok=(ok or not monotone))

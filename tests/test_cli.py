@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import divbell.bellman as bl
 import divbell.cli as cli
@@ -323,6 +324,7 @@ class TestCli:
         ("[cutoff]\nradii = 1.0 -1\n", "[cutoff] radii"),
         ("[cutoff]\nradii = 0\n", "[cutoff] radii"),
         ("[cutoff]\nradii = nan 1.0\n", "[cutoff] radii"),
+        ("[cutoff]\nradii = 1.0 3.0\n", "[cutoff] radii"),
         ("[coefficients]\nbeta = nan\n", "[coefficients] beta"),
         ("[coefficients]\ngamma-min = inf\n", "[coefficients] gamma-min"),
         ("[coefficients]\nvalues = " + "1 " * 32 + "nan\n", "[coefficients] values"),
@@ -335,6 +337,7 @@ class TestCli:
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
             "negative-stride", "non-integer-cells", "empty-datum",
             "empty-radii", "negative-radius", "zero-radius", "nan-radius",
+            "radius-beyond-half-width",
             "nan-beta", "inf-gamma-min", "nan-coefficient", "nan-potential",
             "nan-bump-radius", "inf-bump-amp", "zero-bump-radius", "infinite-extent"])
     def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
@@ -345,6 +348,13 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and where in err
+
+    def test_accuracy_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        # any arrangement gap exceeds a negative tolerance: AccuracyError
+        monkeypatch.setattr(hz, "ARRANGEMENT_TOL", -1.0)
+        rc = main(["pointwise", "--grid", "32", "--out", str(tmp_path), "--quiet"])
+        assert rc == 3
+        assert "numerical failure:" in capsys.readouterr().err
 
     def test_nan_operator_fails_operator_verify(self, tmp_path, capsys, monkeypatch):
         # a NaN in L_h makes the ellipticity slack NaN, which must FAIL
@@ -369,6 +379,97 @@ class TestCli:
         rc = main(["semigroup-verify", "--out", str(tmp_path)])
         assert rc == 1
         assert "FAIL  eigenmode-step-oracle" in capsys.readouterr().out
+
+
+def _run_command(argv):
+    """A command's summary; every line's margin has its verdict's sign."""
+    summary, _ = COMMANDS[argv[0]](make_parser().parse_args(argv))
+    for c in summary.checks:
+        assert c.margin >= 0.0 if c.passed else not c.margin > 0.0, (c.name, c.margin)
+    return {c.name: c for c in summary.checks}
+
+
+class TestMarginsMatchVerdicts:
+    """Each summary margin is the distance to the threshold its verdict
+    uses: a PASS line never shows a negative margin, a FAIL line never a
+    positive one."""
+
+    def test_offdiag_rising_fit_fails_with_nonpositive_margin(self, monkeypatch):
+        def rising(op, *args, operator="P", **kwargs):
+            return hz.OffdiagReport(operator=operator, samples=[], slope=0.5,
+                                    intercept=0.0, r_squared=0.95, n_excluded=0)
+
+        monkeypatch.setattr(hz, "offdiag_check", rising)
+        checks = _run_command(["offdiag", "--grid", "32"])
+        assert not checks["offdiag-decay(P)"].passed
+        assert checks["offdiag-decay(P)"].margin == -0.5
+
+    @pytest.mark.parametrize("eps, passed", [([1.0, 1.0 + 5e-7], True),
+                                             ([2.0, 0.5, 1.0], False),
+                                             ([1.0, np.nan, 0.5], False)])
+    def test_ibp_eps_margin_is_the_pairwise_rule(self, eps, passed, monkeypatch):
+        rows = [hz.IbpRow(R=0.5 * (k + 1), I_RT=0.0, bound=1.0, eps_R=e, time_term_quad=0.0,
+                          time_term_exact=0.0, flux_term=0.0, potential_term=0.0)
+                for k, e in enumerate(eps)]
+        monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: None)
+        monkeypatch.setattr(hz, "ibp_upper_check", lambda ev: hz.IbpReport(rows, True, True))
+        assert _run_command(["ibp", "--grid", "32"])["ibp-eps-nonincreasing"].passed == passed
+
+    @pytest.mark.parametrize("sum_margin, energy_margin", [(1.0, -1.0), (5e-4, 1.0)],
+                             ids=["energy-form", "quad-error"])
+    def test_sweep_margin_covers_every_form(self, sum_margin, energy_margin, monkeypatch):
+        ev = hz.EvolvedScenario(None, ops.DiscreteOperator(None, None, None, None, None,
+                                                           gamma=1.0), None, None)
+        em = hz.EmbeddingReport(
+            E_T=1.0, tail=0.0, norm_f_p=1.0, norm_g_q=1.0, gamma=1.0, sum_bound=2.0,
+            sum_margin=sum_margin, lambda_star=1.0, product_bound=2.0, product_margin=1.0,
+            ratio_empirical=0.5, energy_bound=2.0, energy_margin=energy_margin,
+            quad_error_est=1e-3)
+        pw = hz.PointwiseReport(worst_slack=0.1, eps_h=0.01, lhs=None, rhs=None, slack=None)
+        monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: ev)
+        monkeypatch.setattr(hz, "pointwise_check", lambda ev: pw)
+        monkeypatch.setattr(hz, "embedding_check", lambda ev: em)
+        checks = _run_command(["sweep", "--p", "4"])
+        assert len(checks) == 2 * len(ps.PRESET_NAMES)
+        assert not any(c.passed for c in checks.values())
+
+    def test_convexity_margin_includes_the_tolerance(self, monkeypatch):
+        certify = bl.certify_batch
+
+        def just_below_zero(*args, **kwargs):
+            res = certify(*args, **kwargs)
+            res["margin_hessian"] = np.full_like(res["margin_hessian"], -5e-11)
+            return res
+
+        monkeypatch.setattr(bl, "certify_batch", just_below_zero)
+        check = _run_command(["bellman-verify", "--p", "4", "--points", "50"])[
+            "convexity+drift-tau(p=4)"]
+        assert check.passed and check.margin == pytest.approx(5e-11, rel=1e-9)
+
+    def test_ellipticity_margin_includes_the_tolerance(self, monkeypatch):
+        # L_h - 1e-11 I moves the slack of A = I to about -3e-10, within -1e-9
+        assemble = ops.assemble
+
+        def shifted(*args, **kwargs):
+            op = assemble(*args, **kwargs)
+            op.matrix = (op.matrix - 1e-11 * sp.identity(op.n)).tocsr()
+            return op
+
+        monkeypatch.setattr(cli.ops, "assemble", shifted)
+        check = _run_command(["operator-verify", "--preset", "identity", "--grid", "8"])[
+            "discrete-ellipticity"]
+        assert check.passed and 0.0 < check.margin < 1e-9
+
+    def test_sqrt_margin_scales_with_sup_norm(self, tmp_path, monkeypatch):
+        # A = 3 I: the reconstruction tolerance is 3e-12, and a root off by
+        # a relative 3.3e-13 leaves an error of about 2e-12
+        cfg = tmp_path / "three.scenario"
+        cfg.write_text("[grid]\ndim = 1\ncells = 8\n"
+                       "[coefficients]\nvalues = " + "3 " * 9 + "\n")
+        sqrt = ops.matrix_sqrt_spd
+        monkeypatch.setattr(cli.ops, "matrix_sqrt_spd", lambda M: sqrt(M) * (1.0 + 3.3e-13))
+        check = _run_command(["operator-verify", "--config", str(cfg)])["sqrt-reconstruction"]
+        assert check.passed and check.margin == pytest.approx(1e-12, rel=0.1)
 
 
 @pytest.mark.parametrize("workload", sorted(_benchmark_workloads()))

@@ -43,6 +43,30 @@ class TestGrid:
         gp = periodic_grid(8, dim=2)
         assert gp.node_shape == (8, 8) == gp.vertex_shape == gp.face_shape(0)
 
+    def test_boundary_rule(self):
+        g, gp = dirichlet_grid(5), periodic_grid(5)
+        assert g.vertex_count(0) == 6 and g.node_vertices(0).tolist() == [1, 2, 3, 4]
+        assert gp.vertex_count(0) == 5 and gp.node_vertices(0).tolist() == [0, 1, 2, 3, 4]
+        assert np.array_equal(g.axis_nodes(0), g.axis_vertices(0)[1:-1])
+        assert np.array_equal(gp.axis_nodes(0), gp.axis_vertices(0))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_axis_maps_for_three_cells(self, boundary):
+        # h = 1/2; face f joins vertices f and f + 1 mod the vertex count
+        g = Grid(cells=(3,), lo=(0.0,), hi=(1.5,), boundary=boundary)
+        if boundary is Boundary.DIRICHLET:
+            diff = [[2, 0], [-2, 2], [0, -2]]
+            avg = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5]]
+            select = [[0, 1, 0, 0], [0, 0, 1, 0]]
+            to_node = [[.5, .5, 0], [0, .5, .5]]
+        else:
+            diff = [[-2, 2, 0], [0, -2, 2], [2, 0, -2]]
+            avg = [[.5, .5, 0], [0, .5, .5], [.5, 0, .5]]
+            select = np.eye(3)
+            to_node = [[.5, 0, .5], [.5, .5, 0], [0, .5, .5]]
+        for got, want in zip(ops._axis_maps(g, 0), (diff, avg, select, to_node)):
+            assert np.array_equal(got.toarray(), np.asarray(want, dtype=float))
+
     def test_spacing_times_count_is_extent(self):
         g = Grid(cells=(10, 4), lo=(0.0, -1.0), hi=(2.5, 1.0), boundary=Boundary.DIRICHLET)
         for n, h, a, b in zip(g.cells, g.spacing, g.lo, g.hi):
