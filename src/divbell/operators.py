@@ -256,14 +256,26 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
 
     ``u`` is a GridFunction, with the result in the node shape, or an
     (n_nodes, k) array of k fields, with an (n_nodes, k) result.
+
+    The real maps act on real arrays only (a complex operand would make
+    SciPy copy them to complex): on the contiguous (n_nodes, 2k) view of
+    the real and imaginary parts, or on the one part that is not all zero.
     """
     if isinstance(u, GridFunction):
         return grad_sq_at_nodes(grid, u.flat[:, None])[:, 0].reshape(grid.node_shape)
     grads, _, n_maps, _ = _grid_maps(grid)
+    u = np.asarray(u)
+    has_imag = np.iscomplexobj(u) and u.imag.any()
+    interleaved = has_imag and u.real.any()
+    if interleaved:     # columns re, im, re, im, ...
+        x = np.ascontiguousarray(u, dtype=np.complex128).view(np.float64)
+    else:
+        x = np.ascontiguousarray(u.imag if has_imag else u.real, dtype=np.float64)
     out = np.zeros(u.shape)
     for a in range(grid.dim):
-        w = grads[a] @ u
-        out += n_maps[a] @ (w.real ** 2 + w.imag ** 2)
+        w = grads[a] @ x
+        w *= w
+        out += n_maps[a] @ (w[:, 0::2] + w[:, 1::2] if interleaved else w)
     return out
 
 

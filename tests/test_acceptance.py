@@ -255,7 +255,7 @@ def test_criterion_05_chain_rule_ladder():
         ev = hz.run_scenario(spec)
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
         gap = max(gap, cr.arrangement_gap)
-        errs.append(hz.chain_rule_identity_error(ev))
+        errs.append(hz.chain_rule_identity_error(ev, cr))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     assert min(ratios) >= 1.8, (errs, ratios)
     assert gap <= 1e-10

@@ -350,11 +350,22 @@ class TestCli:
         assert "configuration error" in err and where in err
 
     def test_accuracy_failure_exits_three(self, tmp_path, capsys, monkeypatch):
-        # any arrangement gap exceeds a negative tolerance: AccuracyError
-        monkeypatch.setattr(hz, "ARRANGEMENT_TOL", -1.0)
-        rc = main(["pointwise", "--grid", "32", "--out", str(tmp_path), "--quiet"])
+        # every off-diagonal ratio sits at or below an infinite floor, so
+        # too few samples remain to fit: AccuracyError
+        monkeypatch.setattr(hz, "FLOAT_FLOOR", np.inf)
+        rc = main(["offdiag", "--grid", "32", "--out", str(tmp_path), "--quiet"])
         assert rc == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_arrangement_gap_fails_its_line(self, tmp_path, capsys, monkeypatch):
+        # any arrangement gap exceeds a negative tolerance
+        monkeypatch.setattr(hz, "ARRANGEMENT_TOL", -1.0)
+        rc = main(["pointwise", "--grid", "32", "--out", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "PASS  pointwise-lower-bound" in out
+        assert "FAIL  chain-rule-arrangements" in out
+        assert (tmp_path / "pointwise.csv").exists()
 
     def test_nan_operator_fails_operator_verify(self, tmp_path, capsys, monkeypatch):
         # a NaN in L_h makes the ellipticity slack NaN, which must FAIL
@@ -412,12 +423,33 @@ class TestMarginsMatchVerdicts:
                           time_term_exact=0.0, flux_term=0.0, potential_term=0.0)
                 for k, e in enumerate(eps)]
         monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: None)
-        monkeypatch.setattr(hz, "ibp_upper_check", lambda ev: hz.IbpReport(rows, True, True))
+        monkeypatch.setattr(hz, "ibp_upper_check", lambda ev: hz.IbpReport(rows, 0.0, 0.0))
         assert _run_command(["ibp", "--grid", "32"])["ibp-eps-nonincreasing"].passed == passed
 
-    @pytest.mark.parametrize("sum_margin, energy_margin", [(1.0, -1.0), (5e-4, 1.0)],
-                             ids=["energy-form", "quad-error"])
-    def test_sweep_margin_covers_every_form(self, sum_margin, energy_margin, monkeypatch):
+    @pytest.mark.parametrize("shift, failing", [(0.0, None),
+                                                (1.0, "ibp-final-nonpositive"),
+                                                (-1e6, "ibp-initial-nodewise-bound")],
+                             ids=["as-is", "positive-final-b", "large-initial-b"])
+    def test_ibp_nodewise_and_final_margins(self, shift, failing, monkeypatch):
+        compose_b = hz.compose_b
+        monkeypatch.setattr(hz, "compose_b", lambda *args: compose_b(*args) + shift)
+        checks = _run_command(["ibp", "--grid", "32"])
+        for name in ("ibp-initial-nodewise-bound", "ibp-final-nonpositive"):
+            assert checks[name].passed == (name != failing)
+            assert checks[name].margin != 0.0
+
+    def test_arrangement_gap_fails_with_negative_margin(self, monkeypatch):
+        monkeypatch.setattr(hz, "ARRANGEMENT_TOL", -1.0)
+        checks = _run_command(["pointwise", "--grid", "32"])
+        assert len(checks) == 2 and checks["pointwise-lower-bound"].passed
+        check = checks["chain-rule-arrangements"]
+        assert not check.passed and check.margin <= -1.0
+
+    @pytest.mark.parametrize("sum_margin, energy_margin, gap",
+                             [(1.0, -1.0, 0.0), (5e-4, 1.0, 0.0), (1.0, 1.0, 1e-6)],
+                             ids=["energy-form", "quad-error", "arrangement-gap"])
+    def test_sweep_margin_covers_every_form(self, sum_margin, energy_margin, gap,
+                                            monkeypatch):
         ev = hz.EvolvedScenario(None, ops.DiscreteOperator(None, None, None, None, None,
                                                            gamma=1.0), None, None)
         em = hz.EmbeddingReport(
@@ -425,7 +457,8 @@ class TestMarginsMatchVerdicts:
             sum_margin=sum_margin, lambda_star=1.0, product_bound=2.0, product_margin=1.0,
             ratio_empirical=0.5, energy_bound=2.0, energy_margin=energy_margin,
             quad_error_est=1e-3)
-        pw = hz.PointwiseReport(worst_slack=0.1, eps_h=0.01, lhs=None, rhs=None, slack=None)
+        pw = hz.PointwiseReport(worst_slack=0.1, eps_h=0.01, lhs=None, rhs=None, slack=None,
+                                arrangement_gap=gap)
         monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: ev)
         monkeypatch.setattr(hz, "pointwise_check", lambda ev: pw)
         monkeypatch.setattr(hz, "embedding_check", lambda ev: em)

@@ -197,7 +197,8 @@ class TestChainRule:
             spec = make_scenario("rotation", dim=2, N=N, p=4.0, T=0.2,
                                  steps=steps, amp_f=0.55, equal=True)
             ev = hz.run_scenario(spec)
-            errs.append(hz.chain_rule_identity_error(ev))
+            cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+            errs.append(hz.chain_rule_identity_error(ev, cr))
         assert errs[0] / errs[1] >= 1.8
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -216,7 +217,8 @@ class TestChainRule:
         f, g = ev.traj_f.values, ev.traj_g.values
         u, v, _, _ = bl._phases(f, g)
         eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
-        ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps))
+        scale = hz._modulus_scale(f, g)
+        ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps, scale))
         assert ti.size == cr.n_mollified
         mats = bl.mollified_neg_hess(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
         grads = hz._pairs_to_real(hz.grad4(spec.grid, f)[:, ti, ni],
@@ -277,7 +279,7 @@ class TestMollifiedPath:
         v = np.array([1.0, 0.1, 0.5 ** 3])
         eps = hz._mollify_scale(u, v, 0.01)
         assert np.allclose(eps, [0.2, 0.045, 0.45 * 0.125], rtol=1e-15)
-        assert hz._interface_margin_mask(P, u, v, eps).tolist() == [True, False, True]
+        assert hz._interface_margin_mask(P, u, v, eps, 2.0).tolist() == [True, False, True]
 
     @staticmethod
     def _temporary_peak(blocks):
@@ -323,6 +325,58 @@ class TestPointwise:
             rep = hz.pointwise_check(hz.run_scenario(spec))
             floors.append(min(rep.worst_slack, 0.0))
         assert floors[1] >= floors[0] - 1e-12
+
+
+class TestSnapshotBlocks:
+    @pytest.mark.parametrize("dim", [1, 2, 3], ids=lambda d: f"d={d}")
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.PERIODIC],
+                             ids=lambda b: b.value)
+    def test_blocked_walk_matches_one_block(self, dim, boundary, monkeypatch):
+        preset, N = {1: ("checker", 48), 2: ("random-accretive", 12),
+                     3: ("random-accretive", 6)}[dim]
+        spec = make_scenario(preset, dim=dim, N=N, p=3.0, T=0.1, steps=24, boundary=boundary)
+        ev = hz.run_scenario(spec, embedding=False)
+        f, g = ev.traj_f.values, ev.traj_g.values
+        nt, n = f.shape
+        runs = []
+        for values, blocks in ((2 ** 62, 1), (7 * n, -(-nt // 7))):
+            monkeypatch.setattr(hz, "SNAPSHOT_BLOCK_VALUES", values)
+            assert len(hz._snapshot_blocks(nt, n)) == blocks
+            runs.append((hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g),
+                         hz.pointwise_check(ev)))
+        assert nt % 7
+        (cr1, pw1), (cr, pw) = runs
+        u, v, _, _ = bl._phases(f, g)
+        eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
+        mol = hz._interface_margin_mask(spec.params, u, v, eps, hz._modulus_scale(f, g))
+        assert cr.n_mollified == cr1.n_mollified == pw.n_mollified == mol.sum() > 0
+        assert cr.arrangement_gap == cr1.arrangement_gap == pw.arrangement_gap
+        assert np.array_equal(pw.rhs, pw1.rhs)
+        # mollified_neg_hess groups the mollified nodes of each call in its
+        # own blocks, which may round their last bit differently
+        for fld, ref in ((cr.rhs, cr1.rhs), (cr.rhs_aij, cr1.rhs_aij),
+                         (pw.lhs, pw1.lhs), (pw.slack, pw1.slack)):
+            assert np.array_equal(fld[~mol], ref[~mol])
+            assert (np.abs(fld[mol] - ref[mol]) <= 1e-15 * np.abs(ref[mol])).all()
+        assert pw.worst_slack == pytest.approx(pw1.worst_slack, rel=1e-15, abs=0.0)
+
+    def test_pointwise_temporaries_scale_with_the_block(self):
+        # 51 snapshots of 47^2 nodes: every temporary over all snapshots at
+        # once would take about 170 block-sized complex arrays
+        spec = make_scenario("random-accretive", dim=2, N=48, p=4.0, T=0.1, steps=50)
+        ev = hz.run_scenario(spec, embedding=False)
+        hz.pointwise_check(ev)
+        tracemalloc.start()
+        try:
+            rep = hz.pointwise_check(ev)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.n_mollified > 0
+        # lhs, rhs and slack, and the chain rule's rhs_aij
+        outputs = 4 * rep.lhs.nbytes
+        assert outputs > 2 ** 20
+        assert peak - outputs <= 64 * hz.SNAPSHOT_BLOCK_VALUES * 16
 
 
 class TestBilinear:
@@ -633,7 +687,8 @@ class TestComplexData:
         ev = hz.run_scenario(spec)
         rep = hz.pointwise_check(ev)
         assert rep.ok
-        assert hz.chain_rule_identity_error(ev) < 0.1
+        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        assert hz.chain_rule_identity_error(ev, cr) < 0.1
         emb = hz.embedding_check(ev)
         assert emb.ok
 

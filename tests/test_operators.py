@@ -240,6 +240,30 @@ class TestApply:
 
 
 class TestStarNorm:
+    @pytest.mark.parametrize("grid", [dirichlet_grid(7, dim=2), periodic_grid(5, dim=3)],
+                             ids=["dirichlet-2d", "periodic-3d"])
+    @pytest.mark.parametrize("part", ["complex", "real", "imag", "zero", "float",
+                                      "nan-real", "nan-imag"])
+    def test_grad_sq_on_real_parts_matches_complex_maps(self, grid, part):
+        # the reference applies the maps as complex matrices, as SciPy does
+        # to a complex operand
+        rng = np.random.default_rng(7)
+        re, im = rng.standard_normal((2, 3, grid.n_nodes))
+        u = {"complex": re + 1j * im, "real": re + 0j, "imag": 1j * im,
+             "zero": np.zeros_like(re + 0j), "float": re,
+             "nan-real": re + 0j, "nan-imag": re + 1j * im}[part]
+        if part.startswith("nan"):
+            u[1, 4] = complex(np.nan, 0.0) if part == "nan-real" else complex(0.5, np.nan)
+        u = u.T                                        # (n_nodes, 3), not contiguous
+        grads, _, n_maps, _ = ops._grid_maps(grid)
+        ref = np.zeros(u.shape)
+        for a in range(grid.dim):
+            w = grads[a].astype(np.complex128) @ u
+            ref += n_maps[a] @ (w.real ** 2 + w.imag ** 2)
+        out = ops.grad_sq_at_nodes(grid, u)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.isnan(out).any() == part.startswith("nan")
+
     def test_linear_function_exact_away_from_boundary(self):
         g = Grid(cells=(16,), lo=(0.0,), hi=(16.0,), boundary=Boundary.DIRICHLET)
         u = GridFunction.from_function(g, lambda x: x)
