@@ -24,6 +24,7 @@ from .grids import Grid, GridFunction
 from .operators import (CoefficientField, DiscreteOperator, PotentialField,
                         _grid_maps, assemble, grad_sq_at_nodes, matrix_sqrt_spd,
                         node_coefficients)
+from .reports import passes
 from .semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 
 # Pointwise-check tolerance eps_h = C1*h + C2*dt^2.  The constants were
@@ -50,6 +51,17 @@ TIGHT_SOLVER = SolverConfig(tol=1e-12)  # off-diagonal and square-function solve
 
 def slack_tolerance(h: float, dt: float) -> float:
     return EPS_SLACK_C1 * h + EPS_SLACK_C2 * dt * dt
+
+
+class _Verdict:
+    """A report whose ``margins`` map each summary-line name to its margin,
+    in summary order; it passes when every margin does."""
+
+    margins: dict[str, float]
+
+    @property
+    def ok(self) -> bool:
+        return all(map(passes, self.margins.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +374,7 @@ def chain_rule_identity_error(ev: EvolvedScenario, cr: ChainRuleField) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PointwiseReport:
+class PointwiseReport(_Verdict):
     worst_slack: float
     eps_h: float
     lhs: np.ndarray = field(repr=False)
@@ -372,18 +384,16 @@ class PointwiseReport:
     arrangement_gap: float = 0.0
 
     @property
-    def ok(self) -> bool:
-        return self.worst_slack >= -self.eps_h
-
-    @property
-    def arrangements_ok(self) -> bool:
-        """The chain rule's two arrangements agree to ``ARRANGEMENT_TOL``."""
-        return self.arrangement_gap <= ARRANGEMENT_TOL
+    def margins(self) -> dict[str, float]:
+        """The slack floor against -eps_h, and the chain rule's two
+        arrangements against ``ARRANGEMENT_TOL``."""
+        return {"pointwise-lower-bound": self.worst_slack + self.eps_h,
+                "chain-rule-arrangements": ARRANGEMENT_TOL - self.arrangement_gap}
 
 
 def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
     """Slack of L'b >= 2 delta min(1, gamma) |f~|_* |g~|_* over all nodes
-    and snapshot times; acceptance requires worst slack >= -eps_h."""
+    and snapshot times; acceptance requires worst slack > -eps_h."""
     spec = ev.spec
     params = spec.params
     cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
@@ -452,7 +462,7 @@ def polarize(a: float, b: float, p: float) -> PolarizeResult:
 
 
 @dataclass
-class EmbeddingReport:
+class EmbeddingReport(_Verdict):
     E_T: float
     tail: float
     norm_f_p: float
@@ -469,32 +479,12 @@ class EmbeddingReport:
     quad_error_est: float
 
     @property
-    def tail_reliable(self) -> bool:
-        """Always true: the tail is the energy bound, not a fit."""
-        return True
-
-    @property
-    def sum_form_ok(self) -> bool:
-        return self.sum_margin > self.quad_error_est
-
-    @property
-    def product_form_ok(self) -> bool:
-        return self.product_margin > self.quad_error_est
-
-    @property
-    def energy_ok(self) -> bool:
-        return self.energy_margin >= -self.quad_error_est
-
-    @property
-    def ok(self) -> bool:
-        return self.sum_form_ok and self.product_form_ok and self.energy_ok
-
-    @property
-    def margin(self) -> float:
-        """Least distance of the three forms to their thresholds (NaN if any is)."""
-        return float(np.min([self.sum_margin - self.quad_error_est,
-                             self.product_margin - self.quad_error_est,
-                             self.energy_margin + self.quad_error_est]))
+    def margins(self) -> dict[str, float]:
+        """The two closed forms must beat the floating-point tolerance; the
+        energy form may fall short of its bound by at most that much."""
+        return {"embedding-sum-form": self.sum_margin - self.quad_error_est,
+                "embedding-product-form": self.product_margin - self.quad_error_est,
+                "embedding-energy-bound": self.energy_margin + self.quad_error_est}
 
 
 def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
@@ -574,47 +564,33 @@ class IbpRow:
     flux_term: float
     potential_term: float
 
-    @property
-    def ok(self) -> bool:
-        return self.I_RT <= self.bound + self.eps_R
-
 
 @dataclass
-class IbpReport:
+class IbpReport(_Verdict):
     rows: list[IbpRow]
-    nodewise_initial_margin: float   # min(|f|^p + |g|^q - (-b(0))), with tolerances
+    # min over nodes of (|f|^p + |g|^q - (-b(0))) / (|f|^p + |g|^q), with tolerances
+    nodewise_initial_margin: float
     final_nonpositive_margin: float  # 1e-300 - max b(T)
 
     @property
-    def nodewise_initial_ok(self) -> bool:
-        return self.nodewise_initial_margin >= 0.0
-
-    @property
-    def final_nonpositive_ok(self) -> bool:
-        return self.final_nonpositive_margin >= 0.0
-
-    @property
-    def eps_growth_margin(self) -> float:
-        """Least rounding allowance left over eps_R's growth; inf for one R."""
+    def margins(self) -> dict[str, float]:
+        """I_RT <= bound + eps_R for every R; eps_R does not grow with R, up
+        to rounding (inf for one R); the flux through the largest cutoff
+        annulus is at most half the flux through the smallest; and the
+        nodewise bounds on b at t = 0 and t = T."""
         eps = np.array([r.eps_R for r in self.rows])
-        return float(np.min(1e-10 + 1e-6 * np.abs(eps[:-1]) - np.diff(eps), initial=np.inf))
-
-    @property
-    def eps_nonincreasing(self) -> bool:
-        """eps_R does not grow with R, up to rounding."""
-        return self.eps_growth_margin >= 0.0
-
-    @property
-    def flux_decays(self) -> bool:
-        """The flux through the largest cutoff annulus is at most half the
-        flux through the smallest."""
-        return abs(self.rows[0].flux_term) >= 2.0 * abs(self.rows[-1].flux_term)
-
-    @property
-    def ok(self) -> bool:
-        return (all(r.ok for r in self.rows) and self.eps_nonincreasing
-                and self.flux_decays
-                and self.nodewise_initial_ok and self.final_nonpositive_ok)
+        first, last = self.rows[0], self.rows[-1]
+        margins = {}
+        for r in self.rows:  # radii that print alike share one line, their worst
+            name = f"ibp-upper-bound(R={r.R:g})"
+            margins[name] = float(np.minimum(margins.get(name, np.inf),
+                                             r.bound + r.eps_R - r.I_RT))
+        margins["ibp-eps-nonincreasing"] = float(
+            np.min(1e-10 + 1e-6 * np.abs(eps[:-1]) - np.diff(eps), initial=np.inf))
+        margins["ibp-flux-decay"] = abs(first.flux_term) - 2.0 * abs(last.flux_term)
+        margins["ibp-initial-nodewise-bound"] = self.nodewise_initial_margin
+        margins["ibp-final-nonpositive"] = self.final_nonpositive_margin
+        return margins
 
 
 def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
@@ -660,11 +636,12 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
         rows.append(IbpRow(R=R, I_RT=I_RT, bound=bound, eps_R=eps_R,
                            time_term_quad=t_quad, time_term_exact=t_exact,
                            flux_term=flux, potential_term=pot))
-    # nodewise: -b(x,0) = phi(|f|,|g|)/2 <= |f|^p + |g|^q by the range bound
+    # nodewise: -b(x,0) = phi(|f|,|g|)/2 <= |f|^p + |g|^q by the range bound,
+    # read as the slack relative to the right-hand side
     lhs0 = -b_field[0]
     rhs0 = np.abs(spec.f.flat) ** params.p + np.abs(spec.g.flat) ** params.q
-    return IbpReport(rows=rows,
-                     nodewise_initial_margin=float(np.min(rhs0 * (1 + 1e-12) + 1e-300 - lhs0)),
+    initial = (rhs0 * (1 + 1e-12) + 1e-300 - lhs0) / np.maximum(rhs0, 1e-300)
+    return IbpReport(rows=rows, nodewise_initial_margin=float(np.min(initial)),
                      final_nonpositive_margin=float(1e-300 - np.max(b_field[-1])))
 
 
@@ -680,8 +657,13 @@ class OffdiagSample:
     excluded: bool
 
 
+# The operators T_t whose off-diagonal decay ``offdiag_check`` fits, in the
+# order of its reports: P_t, t L P_t and sqrt(t) grad P_t.
+OFFDIAG_OPERATORS = ("P", "tLP", "sqrt-t-grad-P")
+
+
 @dataclass
-class OffdiagReport:
+class OffdiagReport(_Verdict):
     operator: str
     samples: list[OffdiagSample]
     slope: float
@@ -698,13 +680,10 @@ class OffdiagReport:
         return -self.slope
 
     @property
-    def ok(self) -> bool:
-        return self.slope < 0.0 and self.r_squared >= 0.9
-
-    @property
-    def margin(self) -> float:
-        """Distance to the nearer of the two thresholds of ``ok``."""
-        return float(np.min([self.r_squared - 0.9, -self.slope]))
+    def margins(self) -> dict[str, float]:
+        """A decaying fit: negative slope, and R^2 above 0.9."""
+        return {f"offdiag-decay({self.operator})":
+                float(np.min([self.r_squared - 0.9, -self.slope]))}
 
 
 def _l2_over_mask(grid: Grid, vals: np.ndarray, mask: np.ndarray) -> float:
@@ -713,15 +692,15 @@ def _l2_over_mask(grid: Grid, vals: np.ndarray, mask: np.ndarray) -> float:
 
 def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
                   e_center, e_radius: float, distances, band_width: float,
-                  ts, operator: str = "P") -> OffdiagReport:
-    """Fit log(||T_t h||_{L2(F)} / ||h||_{L2(E)}) against d(E,F)^2 / t.
+                  ts) -> tuple[OffdiagReport, ...]:
+    """Fit log(||T_t h||_{L2(F)} / ||h||_{L2(E)}) against d(E,F)^2 / t for
+    each T_t of ``OFFDIAG_OPERATORS``, in that order, from one evolution of
+    h to each t.
 
-    ``operator`` selects T_t from {"P", "tLP", "sqrt-t-grad-P"}.  Far sets F
-    are the annuli dist(x, E) in [d, d + band_width].  Samples whose ratio
-    sits at the floating-point floor are excluded from the fit and counted.
+    Far sets F are the annuli dist(x, E) in [d, d + band_width].  Samples
+    whose ratio sits at the floating-point floor are excluded from the fit
+    and counted.
     """
-    if operator not in ("P", "tLP", "sqrt-t-grad-P"):
-        raise DomainError(f"unknown operator choice {operator!r}")
     grid = op.grid
     center = np.atleast_1d(np.asarray(e_center, dtype=float))
     coords = grid.node_coords()
@@ -733,34 +712,36 @@ def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
     if outside.size and outside.max() > 0:
         raise DomainError("datum must be supported inside the near set E")
     grads = _grid_maps(grid)[0]
-    samples = []
+    dist_face = []   # dist(face midpoint, E) per axis, in the order of grads[a]'s rows
+    for a in range(grid.dim):
+        r_face = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.face_midpoints(a), center)))
+        dist_face.append(np.maximum(r_face - e_radius, 0.0).ravel())
+    samples = {which: [] for which in OFFDIAG_OPERATORS}
     for t in ts:
         tg = TimeGrid(dt=t / OFFDIAG_STEPS, T=t, scheme=Scheme.BACKWARD_EULER,
                       snapshot_stride=OFFDIAG_STEPS)
-        traj = evolve(op, h_datum, tg, TIGHT_SOLVER)
-        u_t = traj.values[-1]
-        if operator == "tLP":
-            vals = t * (op.matrix @ u_t)
-        else:
-            vals = u_t
+        u_t = evolve(op, h_datum, tg, TIGHT_SOLVER).values[-1]
+        lu_t = t * (op.matrix @ u_t)
+        grad_u = [(G @ u_t).ravel() for G in grads]
         for d0 in distances:
-            if operator == "sqrt-t-grad-P":
-                total = 0.0
-                for a in range(grid.dim):
-                    mids = grid.face_midpoints(a)
-                    rf = np.sqrt(sum((x - c) ** 2 for x, c in zip(mids, center)))
-                    df = np.maximum(rf - e_radius, 0.0)
-                    fm = (df >= d0) & (df <= d0 + band_width)
-                    w = grads[a] @ u_t
-                    total += np.sum(np.abs(w.ravel()[fm.ravel()]) ** 2)
-                norm_f = math.sqrt(grid.cell_volume * total) * math.sqrt(t)
-            else:
-                f_mask = (dist_node >= d0) & (dist_node <= d0 + band_width)
-                norm_f = _l2_over_mask(grid, vals, f_mask)
-            ratio = norm_f / h_norm
-            samples.append(OffdiagSample(t=float(t), distance=float(d0),
-                                         ratio=float(ratio),
-                                         excluded=bool(ratio <= FLOAT_FLOOR)))
+            f_mask = (dist_node >= d0) & (dist_node <= d0 + band_width)
+            total = 0.0
+            for w, df in zip(grad_u, dist_face):
+                fm = (df >= d0) & (df <= d0 + band_width)
+                total += np.sum(np.abs(w[fm]) ** 2)
+            norms = (_l2_over_mask(grid, u_t, f_mask), _l2_over_mask(grid, lu_t, f_mask),
+                     math.sqrt(grid.cell_volume * total) * math.sqrt(t))
+            for which, norm_f in zip(OFFDIAG_OPERATORS, norms):
+                ratio = norm_f / h_norm
+                samples[which].append(OffdiagSample(t=float(t), distance=float(d0),
+                                                    ratio=float(ratio),
+                                                    excluded=bool(ratio <= FLOAT_FLOOR)))
+    return tuple(_offdiag_fit(which, samples[which]) for which in OFFDIAG_OPERATORS)
+
+
+def _offdiag_fit(operator: str, samples: list[OffdiagSample]) -> OffdiagReport:
+    """Least-squares line through (d^2 / t, log ratio) of the samples above
+    the floor."""
     xs = np.array([s.distance ** 2 / s.t for s in samples if not s.excluded])
     ys = np.array([math.log(s.ratio) for s in samples if not s.excluded])
     if len(xs) < 3:

@@ -102,6 +102,12 @@ def write_csv(path: str, header: list[str], rows: list[tuple] | FieldRows) -> No
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def passes(margin: float) -> bool:
+    """The one verdict rule: a check passes when its margin is positive, so
+    a margin of 0.0 or NaN fails."""
+    return margin > 0.0
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -114,8 +120,16 @@ class CheckResult:
 class Summary:
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, margin: float, passed: bool, note: str = "") -> None:
-        self.checks.append(CheckResult(name, float(margin), bool(passed), note))
+    def add(self, name: str, margin: float, note: str = "") -> None:
+        margin = float(margin)
+        self.checks.append(CheckResult(name, margin, passes(margin), note))
+
+    def add_margins(self, margins: dict[str, float],
+                    notes: dict[str, str] | None = None) -> None:
+        """One line per entry of a report's ``margins``, in its order."""
+        notes = notes or {}
+        for name, margin in margins.items():
+            self.add(name, margin, notes.get(name, ""))
 
     @property
     def all_passed(self) -> bool:

@@ -293,7 +293,6 @@ def test_criterion_07_embedding(evolved_cells):
     for (preset, dim), ev in evolved_cells.items():
         for p in (2.0, 4.0):
             rep = hz.embedding_check(_with_p(ev, p))
-            assert rep.tail_reliable, (preset, dim, p)
             assert rep.sum_margin > rep.quad_error_est, (preset, dim, p)
             assert rep.product_margin > rep.quad_error_est, (preset, dim, p)
             worst_sum = min(worst_sum, rep.sum_margin)
@@ -337,9 +336,9 @@ def test_criterion_09_offdiag_decay():
     op = ops.assemble(g, ops.CoefficientField.identity(g), ops.PotentialField.zero(g))
     datum = ps.make_bump(g, 0.0, 0.5, 1.0)
     fits = {}
-    for which in ("P", "tLP", "sqrt-t-grad-P"):
-        rep = hz.offdiag_check(op, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
-                               band_width=1.0, ts=(0.1, 0.2, 0.4), operator=which)
+    for rep in hz.offdiag_check(op, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
+                                band_width=1.0, ts=(0.1, 0.2, 0.4)):
+        which = rep.operator
         assert rep.slope < 0.0 and rep.r_squared >= 0.9, (which, rep.slope, rep.r_squared)
         fits[which] = (rep.slope, rep.r_squared)
     _passline(9, "; ".join(f"{k}: slope {v[0]:.3f}, R2 {v[1]:.3f}" for k, v in fits.items()))

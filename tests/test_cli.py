@@ -393,22 +393,22 @@ class TestCli:
 
 
 def _run_command(argv):
-    """A command's summary; every line's margin has its verdict's sign."""
+    """A command's summary; every line passes exactly when its margin is positive."""
     summary, _ = COMMANDS[argv[0]](make_parser().parse_args(argv))
     for c in summary.checks:
-        assert c.margin >= 0.0 if c.passed else not c.margin > 0.0, (c.name, c.margin)
+        assert c.passed == (c.margin > 0), (c.name, c.margin)
     return {c.name: c for c in summary.checks}
 
 
 class TestMarginsMatchVerdicts:
-    """Each summary margin is the distance to the threshold its verdict
-    uses: a PASS line never shows a negative margin, a FAIL line never a
-    positive one."""
+    """Each summary margin is the distance to the threshold of its check,
+    and the line's verdict is that margin's sign."""
 
     def test_offdiag_rising_fit_fails_with_nonpositive_margin(self, monkeypatch):
-        def rising(op, *args, operator="P", **kwargs):
-            return hz.OffdiagReport(operator=operator, samples=[], slope=0.5,
-                                    intercept=0.0, r_squared=0.95, n_excluded=0)
+        def rising(op, *args, **kwargs):
+            return tuple(hz.OffdiagReport(operator=which, samples=[], slope=0.5,
+                                          intercept=0.0, r_squared=0.95, n_excluded=0)
+                         for which in hz.OFFDIAG_OPERATORS)
 
         monkeypatch.setattr(hz, "offdiag_check", rising)
         checks = _run_command(["offdiag", "--grid", "32"])
@@ -425,6 +425,32 @@ class TestMarginsMatchVerdicts:
         monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: None)
         monkeypatch.setattr(hz, "ibp_upper_check", lambda ev: hz.IbpReport(rows, 0.0, 0.0))
         assert _run_command(["ibp", "--grid", "32"])["ibp-eps-nonincreasing"].passed == passed
+
+    def test_ibp_margins_are_its_summary_lines(self, monkeypatch):
+        reports = []
+        ibp_upper_check = hz.ibp_upper_check
+
+        def recorded(ev):
+            reports.append(ibp_upper_check(ev))
+            return reports[-1]
+
+        monkeypatch.setattr(hz, "ibp_upper_check", recorded)
+        checks = _run_command(["ibp", "--grid", "32"])
+        names = list(reports[0].margins)
+        assert names == list(checks)
+        assert all(n.startswith("ibp-upper-bound(R=") for n in names[:-4])
+        assert names[-4:] == ["ibp-eps-nonincreasing", "ibp-flux-decay",
+                              "ibp-initial-nodewise-bound", "ibp-final-nonpositive"]
+        # the nodewise bound reads as a relative slack, not the 1e-300 floor
+        assert checks["ibp-initial-nodewise-bound"].margin > 0.1
+
+    def test_ibp_radii_that_print_alike_keep_the_worst_margin(self):
+        rows = [hz.IbpRow(R=0.5, I_RT=i, bound=1.0, eps_R=0.0, time_term_quad=0.0,
+                          time_term_exact=0.0, flux_term=1.0, potential_term=0.0)
+                for i in (0.0, 2.0, np.nan)]
+        rep = hz.IbpReport(rows[:2], 1.0, 1.0)
+        assert rep.margins["ibp-upper-bound(R=0.5)"] == -1.0
+        assert np.isnan(hz.IbpReport(rows[::2], 1.0, 1.0).margins["ibp-upper-bound(R=0.5)"])
 
     @pytest.mark.parametrize("shift, failing", [(0.0, None),
                                                 (1.0, "ibp-final-nonpositive"),

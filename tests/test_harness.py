@@ -468,7 +468,8 @@ class TestBilinear:
         bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
         assert rep.energy_bound == pytest.approx(bound, rel=1e-15)
         assert rep.E_T + rep.tail <= bound + rep.quad_error_est
-        assert rep.energy_ok and rep.energy_margin == bound - (rep.E_T + rep.tail)
+        assert rep.margins["embedding-energy-bound"] > 0.0
+        assert rep.energy_margin == bound - (rep.E_T + rep.tail)
         assert 0.0 < rep.quad_error_est <= 1e-6 * bound
 
     def test_rough_data_respect_the_p2_bound(self):
@@ -599,7 +600,7 @@ class TestCutoffAndIbp:
     def test_report(self, evolved_identity_1d):
         rep = hz.ibp_upper_check(evolved_identity_1d)
         assert rep.ok
-        assert rep.final_nonpositive_ok and rep.nodewise_initial_ok
+        assert rep.final_nonpositive_margin > 0.0 and rep.nodewise_initial_margin > 0.0
         eps = [r.eps_R for r in rep.rows]
         assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(eps, eps[1:]))
         flux = [abs(r.flux_term) for r in rep.rows]
@@ -620,24 +621,25 @@ class TestOffdiag:
 
     def test_all_three_operators_fit(self, setup_1d):
         g, L, datum = setup_1d
-        for which in ("P", "tLP", "sqrt-t-grad-P"):
-            rep = hz.offdiag_check(L, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
-                                   band_width=1.0, ts=(0.1, 0.2, 0.4), operator=which)
-            assert rep.ok, (which, rep.slope, rep.r_squared)
+        reps = hz.offdiag_check(L, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
+                                band_width=1.0, ts=(0.1, 0.2, 0.4))
+        assert tuple(rep.operator for rep in reps) == hz.OFFDIAG_OPERATORS
+        for rep in reps:
+            assert rep.ok, (rep.operator, rep.slope, rep.r_squared)
 
     def test_floor_exclusion(self, setup_1d):
         g, L, datum = setup_1d
         # t small and d large pushes the ratio under the floating floor
-        rep = hz.offdiag_check(L, datum, 0.0, 0.5, (1.0, 5.5), band_width=1.0,
-                               ts=(0.02, 0.3), operator="P")
+        rep, *_ = hz.offdiag_check(L, datum, 0.0, 0.5, (1.0, 5.5), band_width=1.0,
+                                   ts=(0.02, 0.3))
         assert rep.n_excluded >= 1
         excl = [s for s in rep.samples if s.excluded]
         assert all(s.ratio <= 1e-12 for s in excl)
 
     def test_monotone_in_distance(self, setup_1d):
         g, L, datum = setup_1d
-        rep = hz.offdiag_check(L, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
-                               band_width=1.0, ts=(0.2,), operator="P")
+        rep, *_ = hz.offdiag_check(L, datum, 0.0, 0.5, (0.75, 1.25, 1.75, 2.25),
+                                   band_width=1.0, ts=(0.2,))
         ratios = [s.ratio for s in rep.samples]
         assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))
 

@@ -88,6 +88,16 @@ def test_empty_report_and_summary(tmp_path):
     assert s.all_passed
 
 
+@pytest.mark.parametrize("margin, passed", [(1e-300, True), (0.0, False), (-0.0, False),
+                                            (float("nan"), False), (float("inf"), True)])
+def test_summary_verdict_is_a_positive_margin(margin, passed):
+    s = rp.Summary()
+    s.add("check", margin)
+    assert s.checks[0].passed is passed
+    assert s.all_passed is passed
+    assert s.render().startswith("PASS" if passed else "FAIL")
+
+
 def test_unwritable_outdir_raises_config_error(tmp_path):
     target = tmp_path / "file"
     target.write_text("x")
