@@ -114,9 +114,10 @@ class EvolvedScenario:
 # Node values per block of snapshots (or of solve outputs) that the
 # embedding hook, ``chain_rule_rhs`` and ``pointwise_check`` process
 # together, so their temporaries are O(block) whatever the snapshot count.
-# Over 200 steps of the hook (one BLAS thread): 0.26 s at 24^3 in blocks of
-# one step, 0.39 s in blocks of 16; 3.5 ms at 16^2 in blocks of 32 steps,
-# 5.8 ms in blocks of 64.
+# Over 200 steps of the hook (best of 5, one BLAS thread): 0.15-0.20 s at
+# 24^3 in blocks of one step, one sparse product per row and axis, against
+# 0.32 s in blocks of 16; 2.4-3.0 ms at 16^2 in blocks of 32 steps and
+# 2.2-2.6 ms in blocks of 64.
 SNAPSHOT_BLOCK_VALUES = 2 ** 14
 
 
@@ -141,21 +142,39 @@ def run_scenario(spec: ScenarioSpec, embedding: bool = True) -> EvolvedScenario:
 
 
 def _embedding_hook(spec: ScenarioSpec):
-    """The per-step products array and the ``evolve`` hook that fills it."""
+    """The per-step products array and the ``evolve`` hook that fills it.
+
+    The hook gathers the real solve-output rows of about
+    ``SNAPSHOT_BLOCK_VALUES`` / 2 node values per datum, adds up each
+    datum's squared star norm over its rows, and writes one product per
+    step.  A block of one step takes one sparse product per row and axis,
+    since a two-column CSR product costs about three single ones."""
+    grid = spec.grid
+    V = spec.potential.values.reshape(-1)
     products = np.empty(spec.timegrid.n_steps)
-    steps = max(1, SNAPSHOT_BLOCK_VALUES // (2 * spec.grid.n_nodes))
-    block = np.empty((spec.grid.n_nodes, 2 * steps), dtype=np.complex128)
+    steps = max(1, SNAPSHOT_BLOCK_VALUES // (2 * grid.n_nodes))
+    pending = []
     done = 0
 
-    def add_step(x):
+    def add_step(x, datum):
         nonlocal done
-        j = done % steps
-        block[:, 2 * j:2 * j + 2] = x
+        pending.append(x)
         done += 1
-        if j + 1 == steps or done == len(products):
-            s = star_norm_field(spec.grid, block[:, :2 * (j + 1)].T, spec.potential).T
-            products[done - j - 1:done] = (spec.timegrid.dt * spec.grid.cell_volume
-                                           * np.sum(s[:, 0::2] * s[:, 1::2], axis=0))
+        if len(pending) < steps and done < len(products):
+            return
+        rows = np.stack(pending).reshape(-1, grid.n_nodes)
+        if len(pending) == 1:
+            grad_sq = np.stack([grad_sq_at_nodes(grid, row[:, None])[:, 0] for row in rows])
+        else:
+            grad_sq = grad_sq_at_nodes(grid, rows.T).T
+        sq = (grad_sq + V * rows ** 2).reshape(len(pending), len(datum), -1)
+        star_sq = np.zeros((len(pending), 2, grid.n_nodes))
+        for i, j in enumerate(datum):
+            star_sq[:, j] += sq[:, i]
+        products[done - len(pending):done] = (
+            spec.timegrid.dt * grid.cell_volume
+            * np.sum(np.sqrt(star_sq[:, 0]) * np.sqrt(star_sq[:, 1]), axis=1))
+        pending.clear()
 
     return products, add_step
 

@@ -72,18 +72,20 @@ def _rotation_modulation(coords, grid: Grid) -> np.ndarray:
     return w
 
 
-def _smooth_random(coords, grid: Grid, rng: np.random.Generator,
+def _smooth_random(axes, grid: Grid, rng: np.random.Generator,
                    modes: int = 2) -> np.ndarray:
-    """Low-order random trigonometric polynomial, O(1) amplitude."""
-    out = np.zeros_like(coords[0])
+    """Low-order random trigonometric polynomial, O(1) amplitude, on the
+    product of the 1D coordinates ``axes``: each mode's cosines are taken
+    on the axes and broadcasting forms their product."""
+    out = np.zeros(tuple(len(x) for x in axes))
     for _ in range(modes * grid.dim + 1):
         ks = rng.integers(1, modes + 1, size=grid.dim)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
-        c = rng.normal(0.0, 1.0)
-        term = np.ones_like(coords[0]) * c
-        for a, x in enumerate(coords):
+        term = rng.normal(0.0, 1.0)
+        for a, x in enumerate(axes):
             L = grid.hi[a] - grid.lo[a]
-            term = term * np.cos(2.0 * np.pi * ks[a] * (x - grid.lo[a]) / L + phases[a])
+            cos = np.cos(2.0 * np.pi * ks[a] * (x - grid.lo[a]) / L + phases[a])
+            term = term * cos.reshape([-1 if b == a else 1 for b in range(grid.dim)])
         out = out + term
     return out / np.sqrt(modes * grid.dim + 1)
 
@@ -113,10 +115,11 @@ def coefficient_preset(name: str, grid: Grid, seed: int = 0, beta: float = 0.5,
             vals[..., 1, 0] += 0.15 * c
     elif name == "random-accretive":
         rng = rng_for(seed, "coefficients")
+        axes = [grid.axis_vertices(a) for a in range(d)]
         vals = _identity_values(coords, d)
         for i in range(d):
             for j in range(d):
-                vals[..., i, j] += 0.45 * _smooth_random(coords, grid, rng)
+                vals[..., i, j] += 0.45 * _smooth_random(axes, grid, rng)
         # clamp: raising the diagonal lifts lambda_min(sym part) by the same
         # amount, so the clamped field has gamma >= gamma_min exactly
         sym = 0.5 * (vals + np.swapaxes(vals, -1, -2))
@@ -142,7 +145,7 @@ def potential_preset(name: str, grid: Grid, seed: int = 0) -> PotentialField:
         return PotentialField(grid, v)
     if name == "random-accretive":
         rng = rng_for(seed, "potential")
-        raw = _smooth_random(coords, grid, rng)
+        raw = _smooth_random([grid.axis_nodes(a) for a in range(grid.dim)], grid, rng)
         return PotentialField(grid, 0.5 * raw * raw)
     return PotentialField.zero(grid)
 

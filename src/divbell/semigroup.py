@@ -6,15 +6,22 @@ so its x is the midpoint (u + u')/2.  Each solve output x is where its
 scheme's energy identity (Crank-Nicolson) or inequality (backward Euler)
 holds, and ``evolve`` can hand it to a per-step hook.  ``evolve`` advances
 one datum or a tuple of data under one operator as one block, so P_t f
-and P_t g share every step.  Up to ``DIRECT_LIMIT`` unknowns the
-left-hand matrix is factored once by SuperLU and each step solves all
-data columns in one call; above it each nonzero real and imaginary part
-of each datum is solved as a real vector by diagonally preconditioned
-BiCGStab, with a restarted GMRES fallback on breakdown, so no product
-upcasts the real matrices to complex.  Both paths refuse a non-finite
-right-hand side before solving and gate every column's per-step
-residual.  A dense scaling-and-squaring exponential is provided as a test
-oracle for small systems.
+and P_t g share every step.  The state is a set of real rows, one for
+each nonzero real or imaginary part of each datum, so no product upcasts
+the real matrices to complex.  Up to ``DIRECT_LIMIT`` unknowns
+(``DIRECT_LIMIT_3D`` in 3D) the left-hand matrix is factored once by
+SuperLU and each step solves all rows in one call.  Above it each row is
+solved by Jacobi-preconditioned BiCGStab, whose breakdown test is
+relative to the residual norms and so blind to the scale of the data,
+with a restarted GMRES fallback on breakdown or non-convergence.  Each
+Krylov solve starts from the linear extrapolation 2 x_n - x_(n-1) of
+that row's last two solve outputs, and takes its initial residual from
+the products of those outputs that the residual gate computed, so a
+solve costs its iterations' matvecs plus the gate's one.  Both paths
+refuse a non-finite right-hand side before solving and gate every
+datum's per-step residual on a freshly computed product.  A dense
+scaling-and-squaring exponential is provided as a test oracle for small
+systems.
 """
 
 from __future__ import annotations
@@ -124,18 +131,77 @@ class Trajectory:
         return len(self.times)
 
 
-# Largest system factored directly.  200 Crank-Nicolson steps of two data
-# on random-accretive operators (best of 5, one BLAS thread, 2 vCPUs),
-# direct against Krylov: 1D 1,023 unknowns 0.031 s / 0.65 s; 2D 961
-# 0.061 / 0.075 s; 2D 2,209 0.16 / 0.12 s; 3D 1,331 0.20 / 0.10 s.  Fill-in
-# makes SuperLU lose from about 2,000 unknowns in 2D, and in 3D already
-# at 1,000 (0.13 / 0.09 s); the cutoff serves the 1D and 2D grids.
+# Largest system factored directly, in one and two dimensions and in
+# three.  200 Crank-Nicolson steps of two data on random-accretive
+# operators (best of 9 in each of two runs, one BLAS thread, 2 vCPUs),
+# direct against Krylov: 1D 1,023 unknowns 0.020 s / 0.29 s; 2D 961
+# 0.040 / 0.050 s; 2D 2,209 0.12 / 0.11 s; 3D 512 0.051 / 0.065 s; 3D 729
+# 0.081 / 0.043 s; 3D 1,000 0.083 / 0.060 s; 3D 1,331 0.17 / 0.076 s.
+# Fill-in makes SuperLU lose from about 2,000 unknowns in 2D, and in 3D
+# already at 729.
 DIRECT_LIMIT = 1024
+DIRECT_LIMIT_3D = 512
+
+# BiCGStab breaks down when |rho| falls below this times ||r~|| ||r||.
+# SciPy compares |rho| with eps^2 itself, which data of scale 1e-12 reach
+# on every step; relative to the two norms the test is blind to scale.
+BREAKDOWN = np.finfo(np.float64).eps ** 2
+
+
+def _bicgstab(A, b, x, r, inv_diag, tol: float, max_iter: int):
+    """Jacobi-preconditioned BiCGStab (van der Vorst 1992) for A x = b from
+    the guess x with residual r = b - A x, both updated in place.
+
+    Returns (x, converged, iterations): converged once the updated residual
+    is below tol ||b||, with iterations counted as SciPy's ``bicgstab``
+    callback counts them (an exit at a half step adds none)."""
+    atol = tol * np.sqrt(b @ b)
+    rt = r.copy()
+    rt_norm = np.sqrt(rt @ rt)
+    p = None
+    for it in range(max_iter):
+        r_norm = np.sqrt(r @ r)
+        if r_norm < atol:
+            return x, True, it
+        rho = rt @ r
+        if abs(rho) < BREAKDOWN * rt_norm * r_norm:
+            return x, False, it
+        if p is None:
+            p = r.copy()
+        else:
+            if abs(omega) < BREAKDOWN:
+                return x, False, it
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        phat = inv_diag * p
+        v = A @ phat
+        rv = rt @ v
+        if rv == 0.0:
+            return x, False, it
+        alpha = rho / rv
+        r -= alpha * v
+        if np.sqrt(r @ r) < atol:
+            x += alpha * phat
+            return x, True, it
+        shat = inv_diag * r
+        t = A @ shat
+        omega = (t @ r) / (t @ t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, False, max_iter
 
 
 class _LinearStep:
     """One implicit step, with the matrices and the factor or the
-    preconditioner built once."""
+    preconditioner built once.
+
+    It solves real rows, each one real or imaginary part of one datum.  On
+    the Krylov path it keeps the last two solve outputs of each row and
+    their products with the left-hand matrix, from which the next solve of
+    that row starts."""
 
     def __init__(self, op: DiscreteOperator, dt: float, scheme: Scheme,
                  solver: SolverConfig):
@@ -144,84 +210,106 @@ class _LinearStep:
         n = op.n
         theta = 0.5 if self.midpoint else 1.0
         self.lhs = (sp.identity(n, format="csr") + theta * dt * op.matrix).tocsr()
-        self.lu = self.M = None
-        if n <= DIRECT_LIMIT:
+        self.lu = None
+        # (x, lhs @ x) of the last solve outputs of every row, newest last
+        self.history: list[tuple[np.ndarray, np.ndarray]] = []
+        if n <= (DIRECT_LIMIT_3D if op.grid.dim == 3 else DIRECT_LIMIT):
             self.lu = spla.splu(self.lhs.tocsc())
             return
         d = self.lhs.diagonal()
-        if np.all(d != 0.0):
-            inv = 1.0 / d
-            self.M = spla.LinearOperator((n, n), matvec=lambda x: inv * x)
+        self.inv_diag = 1.0 / d if np.all(d != 0.0) else np.ones(n)
 
-    def _solve_real(self, b: np.ndarray):
+    def _gmres(self, b: np.ndarray):
+        """Restarted GMRES from x0 = b, the fallback when BiCGStab breaks
+        down or does not converge."""
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        x, info = spla.bicgstab(self.lhs, b, x0=b, rtol=self.solver.tol,
-                                atol=0.0, maxiter=self.solver.max_iter,
-                                M=self.M, callback=cb)
-        if info == 0 and np.all(np.isfinite(x)):
-            return x, count[0], "bicgstab"
-        # restarted GMRES fallback on breakdown
-        count = [0]
         x, info = spla.gmres(self.lhs, b, x0=b, rtol=self.solver.tol, atol=0.0,
-                             restart=50, maxiter=self.solver.max_iter, M=self.M,
-                             callback=cb, callback_type="pr_norm")
+                             restart=50, maxiter=self.solver.max_iter,
+                             M=sp.diags(self.inv_diag), callback=cb,
+                             callback_type="pr_norm")
         if info != 0 or not np.all(np.isfinite(x)):
             res = float(np.linalg.norm(self.lhs @ x - b) / np.linalg.norm(b))
             raise ConvergenceError("linear solve stagnated", count[0], res)
-        return x, count[0], "gmres"
+        return x, count[0]
 
-    def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
-        """Solve (I + theta dt L_h) x = u for the complex (n, k) block ``u``
-        of k data; the caller steps to x (backward Euler) or 2x - u
-        (Crank-Nicolson).
+    def _krylov(self, b: np.ndarray):
+        """Solve each row of ``b``; return the outputs, their products with
+        the left-hand matrix, the summed iterations and the method.
 
-        The stats give the summed iterations and the worst column's
-        relative residual; the method is "splu", or "gmres" if any column
-        fell back from "bicgstab"."""
-        if not np.all(np.isfinite(u)):
+        A row starts from x0 = 2 x_n - x_(n-1), the linear extrapolation of
+        its last two outputs, with the initial residual built from their
+        stored products, so the solve adds no matvec of its own; until two
+        outputs exist it starts from x0 = b."""
+        hist = self.history if self.history and self.history[0][0].shape == b.shape else []
+        x = np.empty_like(b)
+        y = np.empty_like(b)
+        iters, method = 0, "bicgstab"
+        for i, bi in enumerate(b):
+            if len(hist) == 2:
+                (x_prev, y_prev), (x_last, y_last) = hist
+                x0 = 2.0 * x_last[i] - x_prev[i]
+                r0 = bi - (2.0 * y_last[i] - y_prev[i])
+            else:
+                x0 = bi.copy()
+                r0 = bi - self.lhs @ x0
+            xi, converged, it = _bicgstab(self.lhs, bi, x0, r0, self.inv_diag,
+                                          self.solver.tol, self.solver.max_iter)
+            if not (converged and np.all(np.isfinite(xi))):
+                xi, it = self._gmres(bi)
+                method = "gmres"
+            x[i] = xi
+            y[i] = self.lhs @ xi
+            iters += it
+        self.history = hist[-1:] + [(x, y)]
+        return x, y, iters, method
+
+    def advance_rows(self, b: np.ndarray, datum: np.ndarray) -> tuple[np.ndarray, StepStats]:
+        """Solve (I + theta dt L_h) x = b for the C-contiguous real (r, n)
+        rows ``b``, row i a real or imaginary part of datum ``datum[i]``.
+
+        The stats give the summed iterations and the worst datum's relative
+        residual, from a product of each output computed afresh; the method
+        is "splu", or "gmres" if any row fell back from "bicgstab"."""
+        if not np.all(np.isfinite(b)):
             raise ConvergenceError("non-finite right-hand side", 0, float("nan"))
         if self.lu is not None:
-            # SuperLU refuses a complex right-hand side on a real factor:
-            # solve the real (n, 2k) view, real and imaginary parts interleaved
-            x = self.lu.solve(np.ascontiguousarray(u).view(np.float64))
-            x = np.ascontiguousarray(x).view(np.complex128)
+            x = np.ascontiguousarray(self.lu.solve(b.T).T)
+            y = (self.lhs @ x.T).T
             iters, method = 0, "splu"
-            bn = np.linalg.norm(u, axis=0)
-            rn = np.linalg.norm(self.lhs @ x - u, axis=0)
         else:
-            # each nonzero real and imaginary part on its own, as a contiguous
-            # real vector: a datum's floats match its own evolution, and no
-            # product copies the real matrices to complex
-            parts = np.ascontiguousarray(u).view(np.float64)
-            x = np.zeros_like(parts)
-            rn2 = np.zeros(parts.shape[1])
-            bn2 = np.zeros(parts.shape[1])
-            iters, method = 0, "bicgstab"
-            for c in range(parts.shape[1]):
-                bp = np.ascontiguousarray(parts[:, c])
-                if not np.any(bp):
-                    continue
-                xp, it, m = self._solve_real(bp)
-                x[:, c] = xp
-                r = self.lhs @ xp - bp
-                rn2[c], bn2[c] = r @ r, bp @ bp
-                iters += it
-                if m == "gmres":
-                    method = m
-            x = x.view(np.complex128)
-            # column j of the block is parts 2j (real) and 2j + 1 (imaginary)
-            bn = np.sqrt(bn2[0::2] + bn2[1::2])
-            rn = np.sqrt(rn2[0::2] + rn2[1::2])
+            x, y, iters, method = self._krylov(b)
+        r = y - b
+        rn2 = np.bincount(datum, np.einsum("ij,ij->i", r, r))
+        bn2 = np.bincount(datum, np.einsum("ij,ij->i", b, b))
         # a NaN norm must reach the gate, which fails on it
-        residual = float(np.max(np.divide(rn, bn, out=np.zeros_like(rn), where=bn != 0)))
+        ratio = np.divide(rn2, bn2, out=np.zeros(rn2.shape), where=bn2 != 0)
+        residual = float(np.sqrt(np.max(ratio, initial=0.0)))
         if not residual <= 10.0 * self.solver.tol:
             raise ConvergenceError("residual above tolerance after solve",
                                    iters, residual)
         return x, StepStats(method, iters, residual)
+
+    def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
+        """``advance_rows`` for the complex (n, k) block ``u`` of k data;
+        returns the complex (n, k) outputs."""
+        rows, part = _real_rows(u)
+        x_rows, st = self.advance_rows(rows, part // 2)
+        x = np.zeros((2 * u.shape[1], u.shape[0]))
+        x[part] = x_rows
+        return (x[0::2] + 1j * x[1::2]).T, st
+
+
+def _real_rows(u: np.ndarray):
+    """The nonzero real and imaginary parts of the complex (n, k) block
+    ``u`` as C-contiguous real rows, and the index 2j + c of each: part c
+    (0 real, 1 imaginary) of datum j."""
+    parts = np.stack([u.real.T, u.imag.T], axis=1).reshape(-1, u.shape[0])
+    part = np.flatnonzero(parts.any(axis=1))
+    return parts[part], part
 
 
 def step(op: DiscreteOperator, u: GridFunction, dt: float,
@@ -239,10 +327,14 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
 
     ``data`` is one initial datum or a tuple of k of them, advanced together
     as one block.  For a tuple, ``values`` has a leading data axis,
-    (k, n_snapshots, n_nodes), and each step's stats cover all k columns.
+    (k, n_snapshots, n_nodes), and each step's stats cover all k data.
+
+    The state is held as real rows, one for each nonzero real or imaginary
+    part of each datum, in datum order and real part first; a real L_h
+    never makes a zero part nonzero, so the rows are chosen once.
     ``on_step``, if given, is called after every step with that step's
-    (n_nodes, k) solve output x: u^(n+1) for backward Euler, the midpoint
-    u^(n+1/2) for Crank-Nicolson.
+    (rows, n_nodes) solve output x and the datum index of each row: x is
+    u^(n+1) for backward Euler, the midpoint u^(n+1/2) for Crank-Nicolson.
     """
     single = isinstance(data, GridFunction)
     fs = (data,) if single else tuple(data)
@@ -250,19 +342,22 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
         raise DomainError("initial datum does not live on the operator's grid")
     stepper = _LinearStep(op, timegrid.dt, timegrid.scheme, solver)
     snap_steps = timegrid.snapshot_steps()
-    out = np.empty((len(fs), len(snap_steps), op.n), dtype=np.complex128)
-    u = np.stack([f.flat for f in fs], axis=1)
-    out[:, 0] = u.T
+    out = np.zeros((len(fs), len(snap_steps), op.n), dtype=np.complex128)
+    out[:, 0] = [f.flat for f in fs]
+    u, part = _real_rows(out[:, 0].T)
+    datum = part // 2
+    targets = [(out.real, out.imag)[c % 2][c // 2] for c in part]
     stats: list[StepStats] = []
     pos = 1
     for k in range(1, timegrid.n_steps + 1):
-        x, st = stepper.advance(u)
+        x, st = stepper.advance_rows(u, datum)
         u = 2.0 * x - u if stepper.midpoint else x
         stats.append(st)
         if on_step is not None:
-            on_step(x)
+            on_step(x, datum)
         if pos < len(snap_steps) and k == snap_steps[pos]:
-            out[:, pos] = u.T
+            for target, row in zip(targets, u):
+                target[pos] = row
             pos += 1
     return Trajectory(grid=op.grid, times=snap_steps * timegrid.dt,
                       values=out[0] if single else out, stats=stats)

@@ -185,3 +185,19 @@ def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER):
                              np.maximum(v, bl.ZERO_MODULUS))
     mats = _assemble_neg_hess(*coeffs, ph1, ph2).reshape(zeta.size, mol.weights.size, 4, 4)
     return np.einsum("q,kqij->kij", mol.weights, mats)
+
+
+def smooth_random_full(coords, grid, rng: np.random.Generator, modes: int = 2) -> np.ndarray:
+    """``presets._smooth_random`` evaluated on the full coordinate arrays
+    ``coords``: every mode's cosine product is formed point by point."""
+    out = np.zeros_like(coords[0])
+    for _ in range(modes * grid.dim + 1):
+        ks = rng.integers(1, modes + 1, size=grid.dim)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
+        c = rng.normal(0.0, 1.0)
+        term = np.ones_like(coords[0]) * c
+        for a, x in enumerate(coords):
+            L = grid.hi[a] - grid.lo[a]
+            term = term * np.cos(2.0 * np.pi * ks[a] * (x - grid.lo[a]) / L + phases[a])
+        out = out + term
+    return out / np.sqrt(modes * grid.dim + 1)

@@ -24,7 +24,7 @@ from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
-from oracles import _assemble_neg_hess
+from oracles import _assemble_neg_hess, smooth_random_full
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -126,6 +126,19 @@ class TestPresets:
         V = ps.potential_preset(name, g, seed=5)
         assert check_accretive(A) > 0.0
         assert np.all(V.values >= 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_smooth_random_matches_full_array_oracle(self, dim):
+        # cosines on the 1D axes, multiplied by broadcasting, give the same
+        # floats as the product formed on the full coordinate arrays
+        g = Grid(cells=(24, 20, 16)[:dim], lo=(-4.0, -3.0, -2.5)[:dim],
+                 hi=(4.0, 3.5, 2.0)[:dim], boundary=Boundary.DIRICHLET)
+        for axes, coords in (([g.axis_vertices(a) for a in range(dim)], g.vertex_coords()),
+                             ([g.axis_nodes(a) for a in range(dim)], g.node_coords())):
+            fast = ps._smooth_random(axes, g, ps.rng_for(3, "coefficients"))
+            full = smooth_random_full(coords, g, ps.rng_for(3, "coefficients"))
+            assert fast.shape == coords[0].shape
+            assert np.array_equal(fast, full)
 
     def test_random_accretive_clamped(self):
         g = Grid(cells=(16, 16), lo=(-4.0, -4.0), hi=(4.0, 4.0),

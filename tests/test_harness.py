@@ -405,6 +405,34 @@ class TestBilinear:
         assert hz.bilinear_functional(ev).E_T == pytest.approx(np.cumsum(products)[-1],
                                                                rel=1e-14)
 
+    @pytest.mark.parametrize("block_values", [1, hz.SNAPSHOT_BLOCK_VALUES])
+    def test_step_products_match_complex_star_norms(self, block_values, monkeypatch):
+        # the hook sums each datum's squared star norm over its real rows;
+        # an oracle takes the star norms of the complex solve outputs, in
+        # blocks of one step (one product per row and axis) or of many
+        spec = build_scenario(None, preset="random-accretive", dim=2, cells=(12, 12),
+                              T=0.05, seed=2)
+        f = GridFunction(spec.grid, spec.f.values * (0.6 - 0.8j))
+        spec = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients, spec.potential,
+                               f, spec.g, spec.params, spec.timegrid, spec.solver)
+        monkeypatch.setattr(hz, "SNAPSHOT_BLOCK_VALUES", block_values)
+        products, add_step = hz._embedding_hook(spec)
+        outputs = []
+
+        def both(x, datum):
+            assert list(datum) == [0, 0, 1]     # f real, f imaginary, g real
+            z = np.zeros((2, 2, spec.grid.n_nodes))
+            z[datum, [0, 1, 0]] = x
+            outputs.append(z[:, 0] + 1j * z[:, 1])
+            add_step(x, datum)
+
+        op = ops.assemble(spec.grid, spec.coefficients, spec.potential)
+        evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=both)
+        w = spec.timegrid.dt * spec.grid.cell_volume
+        for n, z in enumerate(outputs):
+            s = hz.star_norm_field(spec.grid, z, spec.potential)
+            assert products[n] == pytest.approx(w * np.sum(s[0] * s[1]), rel=1e-13)
+
     def test_trajectories_without_the_pair_products_raise(self, evolved_identity_1d):
         ev = evolved_identity_1d
         spec, op = ev.spec, ev.op

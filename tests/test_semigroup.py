@@ -156,6 +156,14 @@ class TestBlockEvolution:
                    / np.linalg.norm(krylov.values[k], axis=1))
             assert rel.max() <= 1e-8, k
 
+    @pytest.mark.parametrize("dim, cells, direct", [(2, 32, True), (3, 9, True), (3, 10, False)])
+    def test_direct_limit_by_dimension(self, dim, cells, direct):
+        # SuperLU's fill-in loses to Krylov from 729 unknowns in 3D, and
+        # only above 961 in 2D
+        _, L = random_accretive(dim, cells)
+        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        assert (stepper.lu is not None) == direct
+
     def test_krylov_pair_equals_single_evolutions(self):
         # above the cutoff each column runs its own Krylov solves, so a pair
         # reproduces the floats and the iteration counts of two evolutions
@@ -201,10 +209,10 @@ class TestBlockEvolution:
         reference = sg.evolve(L, data, tg)
         assert {st.method for st in reference.stats} == {"bicgstab"}
 
-        def breakdown(A, b, x0=None, **kwargs):
-            return np.array(x0, copy=True), -10
+        def breakdown(A, b, x, r, *args):
+            return x, False, 0
 
-        monkeypatch.setattr(sg.spla, "bicgstab", breakdown)
+        monkeypatch.setattr(sg, "_bicgstab", breakdown)
         fallback = sg.evolve(L, data, tg)
         assert len(fallback.stats) == tg.n_steps
         for st in fallback.stats:
@@ -213,6 +221,61 @@ class TestBlockEvolution:
         rel = (np.linalg.norm(fallback.values - reference.values, axis=2)
                / np.linalg.norm(reference.values, axis=2))
         assert rel.max() <= 1e-8
+
+    def test_scaled_data_evolve_to_the_scaled_trajectory(self):
+        # the breakdown test is relative to the residual norms, so data
+        # scaled by a power of two take the same solves, floats scaled
+        spec, L = random_accretive(3, 12)
+        assert L.n > sg.DIRECT_LIMIT_3D
+        tg = sg.TimeGrid(dt=0.01, T=0.1)
+        s = 2.0 ** -40
+        ref = sg.evolve(L, (spec.f, spec.g), tg)
+        scaled = sg.evolve(L, tuple(GridFunction(spec.grid, s * f.values)
+                                    for f in (spec.f, spec.g)), tg)
+        assert np.array_equal(scaled.values, s * ref.values)
+        assert [(st.method, st.iterations) for st in scaled.stats] == \
+            [(st.method, st.iterations) for st in ref.stats]
+        assert {st.method for st in ref.stats} == {"bicgstab"}
+
+    @pytest.mark.parametrize("scheme", list(sg.Scheme))
+    def test_warm_start_saves_iterations(self, scheme, monkeypatch):
+        # each solve starts from the extrapolation of its last two outputs;
+        # a fresh stepper per step starts every solve from its right-hand side
+        spec, L = random_accretive(3, 12)
+        tg = sg.TimeGrid(dt=0.01, T=0.2, scheme=scheme)
+        warm = sg.evolve(L, (spec.f, spec.g), tg)
+        u = np.stack([spec.f.flat, spec.g.flat], axis=1)
+        cold_iters = 0
+        for _ in range(tg.n_steps):
+            x, st = sg._LinearStep(L, tg.dt, scheme, sg.SolverConfig()).advance(u)
+            u = 2.0 * x - u if scheme is sg.Scheme.CRANK_NICOLSON else x
+            cold_iters += st.iterations
+        assert sum(st.iterations for st in warm.stats) < cold_iters
+        monkeypatch.setattr(sg, "DIRECT_LIMIT_3D", L.n)
+        direct = sg.evolve(L, (spec.f, spec.g), tg)
+        assert {st.method for st in direct.stats} == {"splu"}
+        for end in (warm.values[:, -1], u.T):
+            rel = (np.linalg.norm(end - direct.values[:, -1], axis=1)
+                   / np.linalg.norm(direct.values[:, -1], axis=1))
+            assert rel.max() <= 1e-8
+
+    def test_residual_after_history_on_an_unrelated_right_hand_side(self):
+        # the warm start guesses from the history; the gate still reports
+        # the true residual of whatever right-hand side comes next
+        spec, L = random_accretive(3, 12)
+        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        u = np.stack([spec.f.flat, spec.g.flat], axis=1)
+        for _ in range(4):
+            x, _ = stepper.advance(u)
+            u = 2.0 * x - u
+        assert len(stepper.history) == 2
+        b = np.random.default_rng(0).standard_normal((L.n, 2)) + 0j
+        x, st = stepper.advance(b)
+        recomputed = (np.linalg.norm(stepper.lhs @ x - b, axis=0)
+                      / np.linalg.norm(b, axis=0)).max()
+        assert st.iterations > 0
+        assert abs(st.residual - recomputed) <= 1e-13
+        assert st.residual <= 10.0 * stepper.solver.tol
 
     @pytest.mark.parametrize("path", ["direct", "krylov"])
     def test_nan_datum_fails_the_residual_gate(self, path, monkeypatch):
@@ -238,7 +301,7 @@ class TestBlockEvolution:
         def no_solve(*args, **kwargs):
             raise AssertionError("a non-finite right-hand side reached a solver")
 
-        monkeypatch.setattr(sg.spla, "bicgstab", no_solve)
+        monkeypatch.setattr(sg, "_bicgstab", no_solve)
         monkeypatch.setattr(sg.spla, "gmres", no_solve)
         vals = spec.f.values.copy()
         vals.flat[vals.size // 2] = np.nan
