@@ -81,36 +81,53 @@ class BellmanParams:
 # vectorized derivative tables and forms of -d2Q
 # ---------------------------------------------------------------------------
 
-def second_order(p, q, delta, u, v, r1=None):
+def _v_powers(q, v):
+    """(w, v2q, v1q): w = vc^(2-q) on the clamped modulus
+    vc = max(v, MOD_FLOOR), the unclamped v^(2-q), and vc^(1-q) = w/vc.
+    w is the one power of vc; every negative power of v divides it."""
+    vc = np.maximum(v, MOD_FLOOR)
+    w = vc ** (2.0 - q)       # exponent in [0, 1)
+    low = v < MOD_FLOOR
+    v2q = np.where(low, v ** (2.0 - q), w) if low.any() else w
+    return w, v2q, w / vc
+
+
+def second_order(p, q, delta, u, v, r1=None, vpow=None):
     """Second-order radial derivatives of phi, vectorized.
 
     Returns (phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v) in the
-    shape of u and v.  r1 is the region-1 mask; it is computed when not
-    given.
+    shape of u and v.  r1 is the region-1 mask and vpow the powers of v
+    from ``_v_powers``; each is computed when not given.
+
+    Both branch formulas are evaluated at every point and summed with the
+    weights r (1 on region 1, else 0) and 1 - r; a select is several times
+    slower on the interleaved masks of the mollifier quadrature.  The
+    region-1 v terms use s = u vc^(1-q) and u^2 vc^(-q) = s^2 vc^(q-2), so
+    they are (q -/+ c s^2) vc^(q-2) with c = delta(2-q), and phi_uv is
+    2c s.  The weight multiplies u first, so no region-1 overflow reaches
+    region 2.  Underflow loses nothing the select formulas kept: s is never
+    smaller than phi_uv, and s^2 only ever adds to q.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if r1 is None:
         r1 = u ** p <= v ** q
-    vc = np.maximum(v, MOD_FLOOR)
-    up2 = u ** (p - 2.0)
-    v2q = v ** (2.0 - q)      # exponent in [0, 1)
-    v1q = vc ** (1.0 - q)     # negative exponent, clamped
-    vq2 = vc ** (q - 2.0)
-    vmq = vc ** (-q)
-    u2 = u * u
-    c2p = p + 2.0 * delta
-    c2q = q + delta * (2.0 - q)
+    w, v2q, v1q = _v_powers(q, v) if vpow is None else vpow
+    r = r1.astype(np.float64)
+    r2 = 1.0 - r
+    c = delta * (2.0 - q)
 
-    phi_uu = np.where(r1, p * (p - 1.0) * up2 + 2.0 * delta * v2q, c2p * (p - 1.0) * up2)
-    phi_uv = np.where(r1, 2.0 * delta * (2.0 - q) * u * v1q, 0.0)
-    phi_vv = np.where(
-        r1,
-        q * (q - 1.0) * vq2 + delta * (2.0 - q) * (1.0 - q) * u2 * vmq,
-        c2q * (q - 1.0) * vq2,
-    )
-    phi_u_over_u = np.where(r1, p * up2 + 2.0 * delta * v2q, c2p * up2)
-    phi_v_over_v = np.where(r1, q * vq2 + delta * (2.0 - q) * u2 * vmq, c2q * vq2)
+    tu = (p + (2.0 * delta) * r2) * (u ** (p - 2.0))     # p or p + 2 delta
+    au = ((2.0 * delta) * v2q) * r
+    rs = (r * u) * v1q
+    cs2 = c * (rs * rs)
+    kv = q + c * r2                                      # q or q + c
+    vq2 = 1.0 / w
+    phi_uu = (p - 1.0) * tu + au
+    phi_uv = (2.0 * c) * rs
+    phi_vv = (q - 1.0) * ((kv - cs2) * vq2)
+    phi_u_over_u = tu + au
+    phi_v_over_v = (kv + cs2) * vq2
     return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
 
 
@@ -126,12 +143,11 @@ def bellman_tables(p, q, delta, u, v):
     up = u ** p
     vq = v ** q
     r1 = up <= vq
-    vc = np.maximum(v, MOD_FLOOR)
+    vpow = _v_powers(q, v)
+    _, v2q, v1q = vpow
 
     up1 = u ** (p - 1.0)
     vq1 = v ** (q - 1.0)
-    v2q = v ** (2.0 - q)
-    v1q = vc ** (1.0 - q)
     u2 = u * u
 
     c2p = p + 2.0 * delta
@@ -140,7 +156,7 @@ def bellman_tables(p, q, delta, u, v):
     phi = up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
     phi_u = np.where(r1, p * up1 + 2.0 * delta * u * v2q, c2p * up1)
     phi_v = np.where(r1, q * vq1 + delta * (2.0 - q) * u2 * v1q, c2q * vq1)
-    return (r1, phi, phi_u, phi_v) + second_order(p, q, delta, u, v, r1)
+    return (r1, phi, phi_u, phi_v) + second_order(p, q, delta, u, v, r1, vpow)
 
 
 def prop_i_slack(p, q, delta, u, v):
@@ -275,8 +291,13 @@ def cap_mollify_scale(u, v, eps):
 
 # Nodes per block of ``mollified_neg_hess``: one block's quadrature
 # temporaries are a few (block * quadrature points) arrays, whatever the
-# node count.
-_MOLLIFY_BLOCK = 128
+# node count.  On the 15 calls (11,211 nodes) of `sweep --p 4 --seed 1`,
+# one BLAS thread, 2 vCPUs: repeated in one process, blocks of 32, 64 and
+# 128 took 0.14 s, 16 took 0.16 s, 256 took 0.21 s and 512 took 0.27 s.
+# Inside the `sweep` command, where freed temporaries go back to the
+# system and fault in again, 32-64 took 0.16-0.18 s with 700-6,200 page
+# faults, and 96-128 took 0.20-0.21 s with 13,000-15,000.
+_MOLLIFY_BLOCK = 64
 
 # Positions of the 10 independent entries of a symmetric 4x4 -d2Q: the
 # three of each diagonal 2x2 block, then the off-diagonal block.
@@ -292,11 +313,14 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps) -> np.ndarray:
     capped by ``cap_mollify_scale``, with the ``MOLLIFIER_ORDER`` rule.
     Both moduli must be positive (SingularityError naming the zero ray
     otherwise): the cap would shrink the scale to zero there.
-    Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block only the
-    five radial coefficients and the phases are evaluated at the quadrature
-    points, and the weighted average of the 10 independent matrix entries
-    is one (10, block, nq) @ weights product, so no per-quadrature-point
-    4x4 matrix is ever formed.
+    Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block the
+    quadrature points are four real coordinate arrays, each in units of its
+    node's modulus, so their squared moduli lie between 0.55^2 and 1.45^2
+    at any scale.  Only the five radial coefficients are evaluated at the
+    quadrature points; the phase products are coordinate products over the
+    squared moduli.  The 10 independent matrix entries go into one
+    (10, block, nq) buffer, whose weighted average is one product with the
+    weights, so no per-quadrature-point 4x4 matrix is ever formed.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128)).ravel()
     eta = np.atleast_1d(np.asarray(eta, dtype=np.complex128)).ravel()
@@ -313,27 +337,41 @@ def mollified_neg_hess(params: BellmanParams, zeta, eta, eps) -> np.ndarray:
                                f"got ({u0[i]}, {v0[i]}) at point {i}")
     eps = cap_mollify_scale(u0, v0, eps)
     mol = _mollifier()
-    y1 = mol.nodes[:, 0] + 1j * mol.nodes[:, 1]
-    y2 = mol.nodes[:, 2] + 1j * mol.nodes[:, 3]
-    nq = y1.size
+    nq = mol.weights.size
+    # coordinate c of (zr, zi, er, ei) at quadrature node j of point i is
+    # base[c, i] - scale[c, i] * y[j, c], in units of the point's modulus:
+    # one (block, 2) @ (2, nq) product per coordinate
+    base_scale = np.stack([
+        np.stack([zeta.real / u0, zeta.imag / u0, eta.real / v0, eta.imag / v0]),
+        np.stack([eps / u0, eps / u0, eps / v0, eps / v0])], axis=-1)     # (4, n, 2)
+    one_y = np.stack([np.ones((4, nq)), -mol.nodes.T], axis=1)           # (4, 2, nq)
+    mod0 = np.stack([u0, v0])
     out = np.empty((zeta.size, 4, 4))
+    ent_buf = np.empty(10 * min(zeta.size, _MOLLIFY_BLOCK) * nq)
+    x_buf = np.empty(4 * min(zeta.size, _MOLLIFY_BLOCK) * nq)
     for lo in range(0, zeta.size, _MOLLIFY_BLOCK):
         blk = slice(lo, lo + _MOLLIFY_BLOCK)
-        zs = (zeta[blk, None] - eps[blk, None] * y1).ravel()
-        es = (eta[blk, None] - eps[blk, None] * y2).ravel()
-        u = np.maximum(np.abs(zs), ZERO_MODULUS)
-        v = np.maximum(np.abs(es), ZERO_MODULUS)
-        c1, s1 = zs.real / u, zs.imag / u
-        c2, s2 = es.real / v, es.imag / v
-        crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
-        a = crr - ctt
-        b = drr - dtt
-        ent = np.stack([
-            ctt + a * (c1 * c1), a * (c1 * s1), ctt + a * (s1 * s1),
-            dtt + b * (c2 * c2), b * (c2 * s2), dtt + b * (s2 * s2),
-            m * (c1 * c2), m * (c1 * s2), m * (s1 * c2), m * (s1 * s2),
-        ])
-        avg = (ent.reshape(10, -1, nq) @ mol.weights).T     # (block, 10)
+        k = min(_MOLLIFY_BLOCK, zeta.size - lo)
+        ent = ent_buf[:10 * k * nq].reshape(10, k, nq)
+        x = x_buf[:4 * k * nq].reshape(4, k, nq)        # (zr, zi, er, ei)
+        np.matmul(base_scale[:, blk], one_y, out=x)
+        # entries before their coefficients: zr^2, zr zi, zi^2, er^2, er ei,
+        # ei^2, then the four cross products
+        np.square(x[0:2], out=ent[0:3:2])
+        np.square(x[2:4], out=ent[3:6:2])
+        np.multiply(x[0::2], x[1::2], out=ent[1:5:3])
+        np.multiply(x[0:2, None], x[None, 2:4], out=ent[6:10].reshape(2, 2, k, nq))
+        mod2 = ent[0:4:3] + ent[2:6:3]                   # squared moduli / (u0, v0)^2
+        root = np.sqrt(mod2)
+        mods = root * mod0[:, blk, None]
+        np.maximum(mods, ZERO_MODULUS, out=mods)
+        crr, ctt, drr, dtt, m = _form_coeffs(params, mods[0], mods[1])
+        ent[0:3] *= (crr - ctt) / mod2[0]
+        ent[3:6] *= (drr - dtt) / mod2[1]
+        ent[6:10] *= m / (root[0] * root[1])
+        ent[0:3:2] += ctt
+        ent[3:6:2] += dtt
+        avg = (ent @ mol.weights).T                      # (block, 10)
         out[blk, _SYM_ROWS, _SYM_COLS] = avg
         out[blk, _SYM_COLS, _SYM_ROWS] = avg
     return out

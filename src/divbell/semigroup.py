@@ -293,15 +293,6 @@ class _LinearStep:
                                    iters, residual)
         return x, StepStats(method, iters, residual)
 
-    def advance(self, u: np.ndarray) -> tuple[np.ndarray, StepStats]:
-        """``advance_rows`` for the complex (n, k) block ``u`` of k data;
-        returns the complex (n, k) outputs."""
-        rows, part = _real_rows(u)
-        x_rows, st = self.advance_rows(rows, part // 2)
-        x = np.zeros((2 * u.shape[1], u.shape[0]))
-        x[part] = x_rows
-        return (x[0::2] + 1j * x[1::2]).T, st
-
 
 def _real_rows(u: np.ndarray):
     """The nonzero real and imaginary parts of the complex (n, k) block

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 import divbell.bellman as bl
+import divbell.semigroup as sg
 from divbell.bellman import BellmanParams, _form_coeffs, _phases
 from divbell.errors import AccuracyError, DomainError, SingularityError
 
@@ -164,6 +165,33 @@ def _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2) -> np.ndarray:
     return out
 
 
+def second_order_ref(p, q, delta, u, v, r1=None, vpow=None):
+    """Reference for ``bellman.second_order``, in its signature so that it
+    can stand in for it: each of the five tables as a select between its
+    two branch formulas, with every power of v its own ``**``, the negative
+    ones on v clamped to ``MOD_FLOOR``.  ``vpow`` is ignored."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if r1 is None:
+        r1 = u ** p <= v ** q
+    vc = np.maximum(v, bl.MOD_FLOOR)
+    up2 = u ** (p - 2.0)
+    v2q = v ** (2.0 - q)
+    v1q = vc ** (1.0 - q)
+    vq2 = vc ** (q - 2.0)
+    vmq = vc ** (-q)
+    u2 = u * u
+    c2p = p + 2.0 * delta
+    c2q = q + delta * (2.0 - q)
+    phi_uu = np.where(r1, p * (p - 1.0) * up2 + 2.0 * delta * v2q, c2p * (p - 1.0) * up2)
+    phi_uv = np.where(r1, 2.0 * delta * (2.0 - q) * u * v1q, 0.0)
+    phi_vv = np.where(r1, q * (q - 1.0) * vq2 + delta * (2.0 - q) * (1.0 - q) * u2 * vmq,
+                      c2q * (q - 1.0) * vq2)
+    phi_u_over_u = np.where(r1, p * up2 + 2.0 * delta * v2q, c2p * up2)
+    phi_v_over_v = np.where(r1, q * vq2 + delta * (2.0 - q) * u2 * vmq, c2q * vq2)
+    return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
+
+
 def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
     return np.array([complex(sigma[0]).real, complex(sigma[0]).imag,
                      complex(sigma[1]).real, complex(sigma[1]).imag])
@@ -201,3 +229,13 @@ def smooth_random_full(coords, grid, rng: np.random.Generator, modes: int = 2) -
             term = term * np.cos(2.0 * np.pi * ks[a] * (x - grid.lo[a]) / L + phases[a])
         out = out + term
     return out / np.sqrt(modes * grid.dim + 1)
+
+
+def advance_complex(stepper, u: np.ndarray):
+    """One ``_LinearStep.advance_rows`` solve for the complex (n, k) block
+    ``u`` of k data; returns the complex (n, k) outputs and the stats."""
+    rows, part = sg._real_rows(u)
+    x_rows, st = stepper.advance_rows(rows, part // 2)
+    x = np.zeros((2 * u.shape[1], u.shape[0]))
+    x[part] = x_rows
+    return (x[0::2] + 1j * x[1::2]).T, st

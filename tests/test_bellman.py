@@ -543,6 +543,36 @@ class TestMollifiedNegHess:
             assert np.array_equal(got, ref, equal_nan=True)
 
 
+class TestSecondOrder:
+    """``second_order`` against the branch-select reference of
+    ``oracles.second_order_ref``."""
+
+    EDGES = (0.0, 1e-300, 1e-160, bl.MOD_FLOOR, 1.0)
+
+    @pytest.mark.parametrize("p", [2.0, 2.01, 3.0, 4.0, 8.0])
+    def test_matches_branch_select_reference(self, p):
+        P = BellmanParams(p)
+        rng = np.random.default_rng(int(100 * p))
+        eu, ev = np.meshgrid(self.EDGES, self.EDGES)
+        u = np.concatenate([10.0 ** rng.uniform(-100.0, 100.0, 4000), eu.ravel()])
+        v = np.concatenate([10.0 ** rng.uniform(-100.0, 100.0, 4000), ev.ravel()])
+        with np.errstate(over="ignore"):
+            got = bl.second_order(P.p, P.q, P.delta, u, v)
+            ref = orc.second_order_ref(P.p, P.q, P.delta, u, v)
+            # the mask computed inside is u^p <= v^q, bitwise
+            given_mask = bl.second_order(P.p, P.q, P.delta, u, v, u ** P.p <= v ** P.q)
+        for g, gm, r in zip(got, given_mask, ref):
+            assert np.array_equal(g, gm, equal_nan=True)
+            finite = np.isfinite(r)
+            assert np.array_equal(np.isfinite(g), finite)
+            assert np.array_equal(g[~finite], r[~finite], equal_nan=True)
+            big = finite & (np.abs(r) > 1e-290)
+            assert (np.abs(g[big] - r[big]) <= 1e-14 * np.abs(r[big])).all()
+        if p == 8.0:
+            # u^(p-2) overflows for u above about 1e51
+            assert not np.isfinite(ref[0]).all()
+
+
 class TestFindTau:
     """``certify_batch`` at single points."""
 

@@ -24,7 +24,7 @@ from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
-from oracles import _assemble_neg_hess, smooth_random_full
+from oracles import _assemble_neg_hess, second_order_ref, smooth_random_full
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -247,6 +247,25 @@ class TestCli:
         expected = "".join(",".join(fmt(x) for x in row) + "\n"
                            for row in [header] + list(rows))
         assert (tmp_path / "a" / "pointwise.csv").read_text() == expected
+
+    def test_pointwise_chain_rule_matches_reference_tables(self, monkeypatch):
+        # the scenario above, with the branch-select second_order patched
+        # in for every table: exact and mollified nodes, the t = 0 nodes on
+        # the eta = 0 ray included
+        args = make_parser().parse_args(["pointwise", "--preset", "random-accretive",
+                                         "--grid", "12,12", "--p", "4", "--T", "0.1",
+                                         "--seed", "3"])
+        spec = cli._scenario_from_args(args)
+        ev = hz.run_scenario(spec, embedding=False)
+        runs = []
+        for second_order in (bl.second_order, second_order_ref):
+            monkeypatch.setattr(bl, "second_order", second_order)
+            runs.append(hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g))
+        cr, ref = runs
+        assert cr.n_mollified == ref.n_mollified > 0
+        assert np.abs(ref.rhs[0]).max() > 1e90      # t = 0, on the eta = 0 ray
+        for fld, ref_fld in ((cr.rhs, ref.rhs), (cr.rhs_aij, ref.rhs_aij)):
+            assert (np.abs(fld - ref_fld) <= 1e-12 * np.maximum(1.0, np.abs(ref_fld))).all()
 
     def test_operator_and_semigroup_verify(self, tmp_path):
         rc = main(["operator-verify", "--preset", "random-accretive",
