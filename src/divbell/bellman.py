@@ -191,15 +191,19 @@ def form_coeffs_and_drift(params: BellmanParams, u, v):
     return _radial_coeffs(*t[4:]), 0.5 * (u * t[2] + v * t[3] - t[1])
 
 
+def _part_dot(x, y):
+    """sum_c x[c] y[c] over the leading parts axis."""
+    return sum((x[c] * y[c] for c in range(1, len(x))), x[0] * y[0])
+
+
 def bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
-    """<-d2Q (a1,a2), (b1,b2)> elementwise over points.  The cross term is
-    grouped so that for a = b it rounds as 2 (m x1) x2."""
-    xa1 = np.real(np.conj(ph1) * a1)
-    xa2 = np.real(np.conj(ph2) * a2)
-    xb1 = np.real(np.conj(ph1) * b1)
-    xb2 = np.real(np.conj(ph2) * b2)
-    dot1 = np.real(a1 * np.conj(b1))
-    dot2 = np.real(a2 * np.conj(b2))
+    """<-d2Q (a1,a2), (b1,b2)> elementwise over points.  The phases and the
+    vectors are real (P, ...) stacks of the parts of complex numbers, the
+    real part and, for P = 2, the imaginary part, so xa1 = sum_c ph1_c a1_c
+    = Re(conj(ph1) a1) and dot1 = sum_c a1_c b1_c = Re(a1 conj(b1)).  The
+    cross term is grouped so that for a = b it rounds as 2 (m x1) x2."""
+    xa1, xa2, xb1, xb2, dot1, dot2 = (_part_dot(x, y) for x, y in (
+        (ph1, a1), (ph2, a2), (ph1, b1), (ph2, b2), (a1, b1), (a2, b2)))
     return (
         ctt * dot1
         + (crr - ctt) * xa1 * xb1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import (BellmanParams, _phases, bilinear_forms, cap_mollify_scale,
+from .bellman import (ZERO_MODULUS, BellmanParams, bilinear_forms, cap_mollify_scale,
                       form_coeffs_and_drift, mollified_neg_hess, q_values)
 from .errors import AccuracyError, DomainError, GeometryError
 from .grids import Grid, GridFunction
@@ -212,8 +212,11 @@ def lprime(op: DiscreteOperator, fld: np.ndarray, times: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def grad4(grid: Grid, fld: np.ndarray) -> np.ndarray:
-    """Fourth-order centered node gradient of an (nt, n_nodes) field,
-    returned as (dim, nt, n_nodes); zero extension outside Dirichlet boxes."""
+    """Fourth-order centered node gradient of a (..., n_nodes) field, such
+    as (nt, n_nodes) snapshots, returned as (dim, ..., n_nodes); zero
+    extension outside Dirichlet boxes."""
+    lead = fld.shape[:-1]
+    fld = fld.reshape(-1, grid.n_nodes)
     nt = fld.shape[0]
     n = grid.node_shape
     mode = "wrap" if grid.periodic else "constant"
@@ -228,7 +231,7 @@ def grad4(grid: Grid, fld: np.ndarray) -> np.ndarray:
 
         d = (-shift(2) + 8.0 * shift(1) - 8.0 * shift(-1) + shift(-2)) / (12.0 * grid.spacing[a])
         out[a] = d.reshape(nt, -1)
-    return out
+    return out.reshape((grid.dim,) + lead + (grid.n_nodes,))
 
 
 def star_norm_field(grid: Grid, fld: np.ndarray, V: PotentialField) -> np.ndarray:
@@ -276,21 +279,40 @@ def _modulus_scale(f: np.ndarray, g: np.ndarray) -> float:
                              for x in (f, g) for blk in blocks])), 1e-300)
 
 
+def _nonzero_parts(f: np.ndarray, g: np.ndarray) -> tuple:
+    """The parts of the pair (f, g) that the chain rule works on: the real
+    part, and the imaginary part only if f or g has a nonzero one anywhere."""
+    return (np.real, np.imag) if np.any(f.imag) or np.any(g.imag) else (np.real,)
+
+
 def _pairs_to_real(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """(..., 4) real vectors from two complex arrays."""
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+    """(..., 4) vectors (Re z1, Im z1, Re z2, Im z2) from two (P, ...) part
+    stacks; an absent imaginary part is a zero column."""
+    pad = [np.zeros(z1.shape[1:])] * (2 - len(z1))
+    return np.stack([*z1, *pad, *z2, *pad], axis=-1)
 
 
-def _arrangements(form, g1, g2, S, A):
+def _node_matvec(M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(M g)_i = sum_j M[i, j] g_j as d^2 real multiply-adds: node-last
+    coefficients M (d, d, n) against gradients g (d, ..., n)."""
+    out = np.empty(g.shape)
+    for i in range(len(g)):
+        np.multiply(M[i, 0], g[0], out=out[i])
+        for j in range(1, len(g)):
+            out[i] += M[i, j] * g[j]
+    return out
+
+
+def _arrangements(form, grads, S, A):
     """Both arrangements of sum_ij a_ij form(g_i, g_j), d calls of the
     symmetric bilinear ``form(a1, a2, b1, b2)`` each: (factored, double) with
     factored = sum_k form(theta_k, theta_k), theta = S g, and double =
-    sum_i form(g_i, (A g)_i).  g1, g2 are (d, ...) gradients; S = (sym A)^(1/2)
-    and A are (..., d, d) stacks that broadcast against them."""
-    th1, th2, ag1, ag2 = (np.einsum("...ij,j...->i...", M, g)
-                          for M in (S, A) for g in (g1, g2))
-    factored = sum(form(th1[k], th2[k], th1[k], th2[k]) for k in range(len(g1)))
-    double = sum(form(g1[i], g2[i], ag1[i], ag2[i]) for i in range(len(g1)))
+    sum_i form(g_i, (A g)_i).  ``grads`` holds the real gradients of both
+    fields as (d, 2, P, ..., n), P parts each; S = (sym A)^(1/2) and A are
+    node-last (d, d, n) and broadcast over the parts and snapshot axes."""
+    th, ag = _node_matvec(S, grads), _node_matvec(A, grads)
+    factored = sum(form(*th[k], *th[k]) for k in range(len(grads)))
+    double = sum(form(*grads[i], *ag[i]) for i in range(len(grads)))
     return factored, double
 
 
@@ -315,7 +337,9 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     ``ARRANGEMENT_TOL``.  Near the interface the exact second derivatives
     are replaced by mollified ones.  Spatial gradients use the fourth-order
     centered stencil so the Bellman-side discretization error stays below
-    the operator-side signal.
+    the operator-side signal.  All of it is real arithmetic on the parts
+    that ``_nonzero_parts`` keeps, which for real data (real A keeps them
+    real) is the real part alone.
 
     Every quantity is local in time, so the snapshots are walked in blocks
     of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the two
@@ -325,8 +349,10 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
         raise DomainError("trajectories must share grid and snapshot times")
     grid = op.grid
     f, g = traj_f.values, traj_g.values                  # (nt, n)
-    Anode = node_coefficients(op.coefficients)          # (n, d, d)
-    S = matrix_sqrt_spd(0.5 * (Anode + np.swapaxes(Anode, -1, -2)))
+    parts = _nonzero_parts(f, g)
+    A = node_coefficients(op.coefficients)              # (n, d, d)
+    S = matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
+    A, S = (np.ascontiguousarray(np.moveaxis(M, 0, -1)) for M in (A, S))  # (d, d, n)
     scale = _modulus_scale(f, g)
     h = min(grid.spacing)
     rhs = np.empty(f.shape)
@@ -335,12 +361,14 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     n_mollified = 0
     for blk in _snapshot_blocks(*f.shape):
         v1, v2 = f[blk], g[blk]
-        u, v, ph1, ph2 = _phases(v1, v2)
+        u, v = np.abs(v1), np.abs(v2)
+        x = np.array([[part(w) for part in parts] for w in (v1, v2)])  # (2, P, block, n)
+        # phases x * (1/|x|), rounded as complex division by a real rounds
+        ph = x * (1.0 / np.maximum(np.stack([u, v]), ZERO_MODULUS))[:, None]
         coeffs, drift = form_coeffs_and_drift(params, u, v)
-        g1 = grad4(grid, v1)                             # (d, block, n)
-        g2 = grad4(grid, v2)
-        exact = functools.partial(bilinear_forms, *coeffs, ph1, ph2)
-        a_part, aij_part = _arrangements(exact, g1, g2, S, Anode)
+        grads = grad4(grid, x)                           # (d, 2, P, block, n)
+        exact = functools.partial(bilinear_forms, *coeffs, *ph)
+        a_part, aij_part = _arrangements(exact, grads, S, A)
 
         # nodes where both fields are negligibly small contribute nothing in
         # the continuum; evaluating v^(q-2)-type tables against stencil
@@ -359,7 +387,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
                                  _pairs_to_real(b1, b2))
 
             a_part[ti, ni], aij_part[ti, ni] = _arrangements(
-                mollified, g1[:, ti, ni], g2[:, ti, ni], S[ni], Anode[ni])
+                mollified, grads[..., ti, ni], S[..., ni], A[..., ni])
 
         v_part = op.potential * drift
         # np.maximum, unlike Python's max, keeps a NaN gap

@@ -239,3 +239,49 @@ def advance_complex(stepper, u: np.ndarray):
     x = np.zeros((2 * u.shape[1], u.shape[0]))
     x[part] = x_rows
     return (x[0::2] + 1j * x[1::2]).T, st
+
+
+def parts(z) -> np.ndarray:
+    """The (2, ...) real stack (Re z, Im z) of a complex array: the parts
+    layout of ``bellman.bilinear_forms`` and ``harness._arrangements``."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag])
+
+
+def _from_parts(x) -> np.ndarray:
+    """The complex array of a (P, ...) real parts stack."""
+    out = np.array(x[0], dtype=complex)
+    if len(x) == 2:
+        out.imag = x[1]
+    return out
+
+
+def bilinear_forms_complex(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
+    """Reference for ``bellman.bilinear_forms``, in its signature so that it
+    can stand in for it: the parts stacks become complex arrays again and
+    the form is taken in complex arithmetic."""
+    ph1, ph2, a1, a2, b1, b2 = map(_from_parts, (ph1, ph2, a1, a2, b1, b2))
+    xa1 = np.real(np.conj(ph1) * a1)
+    xa2 = np.real(np.conj(ph2) * a2)
+    xb1 = np.real(np.conj(ph1) * b1)
+    xb2 = np.real(np.conj(ph2) * b2)
+    dot1 = np.real(a1 * np.conj(b1))
+    dot2 = np.real(a2 * np.conj(b2))
+    return (ctt * dot1 + (crr - ctt) * xa1 * xb1 + (m * xa1 * xb2 + m * xb1 * xa2)
+            + dtt * dot2 + (drr - dtt) * xa2 * xb2)
+
+
+def arrangements_complex(form, grads, S, A):
+    """Reference for ``harness._arrangements``, in its signature so that it
+    can stand in for it: the gradients become complex (d, ...) fields, S
+    and A (..., d, d) stacks, S g and A g one complex einsum each, and the
+    form receives (2, ...) parts stacks."""
+    g1, g2 = np.moveaxis(_from_parts(np.moveaxis(grads, 2, 0)), 1, 0)
+    S, A = (np.moveaxis(M, (0, 1), (-2, -1)) for M in (S, A))
+    th1, th2, ag1, ag2 = (np.einsum("...ij,j...->i...", M, g)
+                          for M in (S, A) for g in (g1, g2))
+    factored = sum(form(parts(th1[k]), parts(th2[k]), parts(th1[k]), parts(th2[k]))
+                   for k in range(len(g1)))
+    double = sum(form(parts(g1[i]), parts(g2[i]), parts(ag1[i]), parts(ag2[i]))
+                 for i in range(len(g1)))
+    return factored, double

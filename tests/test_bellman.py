@@ -78,7 +78,8 @@ def batched_neg_hess(params, zetas, etas):
     out = np.empty((u.size, 4, 4))
     for i, (a1, a2) in enumerate(basis):
         for j, (b1, b2) in enumerate(basis):
-            out[:, i, j] = bl.bilinear_forms(*coeffs, ph1, ph2, a1, a2, b1, b2)
+            out[:, i, j] = bl.bilinear_forms(
+                *coeffs, *map(orc.parts, (ph1, ph2, a1, a2, b1, b2)))
     return out
 
 
@@ -353,7 +354,7 @@ class TestSecondForm:
         P = BellmanParams(2.0)
         u, v, ph1, ph2 = bl._phases([1.0], [2.0])
         coeffs, _ = bl.form_coeffs_and_drift(P, u, v)
-        val = bl.bilinear_forms(*coeffs, ph1, ph2, 1.0, 0.0, 1.0, 0.0)
+        val = bl.bilinear_forms(*coeffs, *map(orc.parts, (ph1, ph2, 1.0, 0.0, 1.0, 0.0)))
         assert val[0] == pytest.approx(1.25, abs=1e-14)
 
     def test_symmetry(self):
@@ -366,9 +367,27 @@ class TestSecondForm:
                           + 1j * rng.standard_normal((4, u.size)))
         _, _, ph1, ph2 = bl._phases(z, e)
         coeffs, _ = bl.form_coeffs_and_drift(P, u, v)
+        ph1, ph2, s1, s2, w1, w2 = map(orc.parts, (ph1, ph2, s1, s2, w1, w2))
         a = bl.bilinear_forms(*coeffs, ph1, ph2, s1, s2, w1, w2)
         b = bl.bilinear_forms(*coeffs, ph1, ph2, w1, w2, s1, s2)
         assert (np.abs(a - b) <= 1e-10 * np.maximum(np.abs(a), 1.0)).all()
+
+    def test_matches_complex_reference(self):
+        # both parts against complex arithmetic, and the real part alone
+        # against the same numbers with zero imaginary parts
+        rng = np.random.default_rng(5)
+        P = BellmanParams(4.0)
+        u, v = np.array(interior_points(P, rng, 500)).T
+        coeffs, _ = bl.form_coeffs_and_drift(P, u, v)
+        for n_parts in (1, 2):
+            z, e, s1, s2, w1, w2 = (orc.parts(rng.standard_normal(u.size)
+                                              + 1j * rng.standard_normal(u.size))[:n_parts]
+                                    for _ in range(6))
+            ph1, ph2 = (x / np.sqrt(np.sum(x * x, axis=0)) for x in (z, e))
+            args = (*coeffs, ph1, ph2, s1, s2, w1, w2)
+            got = bl.bilinear_forms(*args)
+            ref = orc.bilinear_forms_complex(*args)
+            assert (np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)).all()
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
     def test_finite_difference_hessian(self, p):

@@ -16,6 +16,7 @@ from divbell.errors import DivbellError, DomainError, GeometryError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario
 from divbell.semigroup import Scheme, SolverConfig, TimeGrid, evolve
+import oracles as orc
 from oracles import stack_mollified_neg_hess
 
 TIGHT = SolverConfig(tol=1e-12)
@@ -37,6 +38,17 @@ def make_scenario(preset="identity", dim=1, N=96, p=2.0, T=0.3, steps=None,
         radii = tuple(L / 2 * s for s in (0.25, 0.375, 0.5))
     return hz.ScenarioSpec(preset, g, A, V, f, gg, BellmanParams(p), tg,
                            TIGHT, cutoff_radii=radii)
+
+
+def bump_pair_spec(phase_f=0.7, phase_g=-1.1):
+    """Two 1D identity-preset bumps with constant complex phases."""
+    g = Grid(cells=(64,), lo=(-4.0,), hi=(4.0,), boundary=Boundary.DIRICHLET)
+    A = ps.coefficient_preset("identity", g)
+    V = ps.potential_preset("identity", g)
+    f = ps.make_bump(g, -0.3, 1.2, 0.8, phase=phase_f)
+    gg = ps.make_bump(g, 0.3, 1.0, 0.6, phase=phase_g)
+    return hz.ScenarioSpec("complex", g, A, V, f, gg, BellmanParams(3.0),
+                           TimeGrid(dt=0.002, T=0.3, snapshot_stride=3), TIGHT)
 
 
 @pytest.fixture(scope="module")
@@ -221,8 +233,8 @@ class TestChainRule:
         ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps, scale))
         assert ti.size == cr.n_mollified
         mats = bl.mollified_neg_hess(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
-        grads = hz._pairs_to_real(hz.grad4(spec.grid, f)[:, ti, ni],
-                                  hz.grad4(spec.grid, g)[:, ti, ni])     # (d, k, 4)
+        grads = hz._pairs_to_real(orc.parts(hz.grad4(spec.grid, f)[:, ti, ni]),
+                                  orc.parts(hz.grad4(spec.grid, g)[:, ti, ni]))  # (d, k, 4)
         A = ops.node_coefficients(spec.coefficients)[ni]
         _, drift = bl.form_coeffs_and_drift(spec.params, u[ti, ni], v[ti, ni])
         expected = (np.einsum("kij,ika,kab,jkb->k", A, grads, mats, grads)
@@ -233,11 +245,12 @@ class TestChainRule:
 
     @pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
     def test_arrangements_match_double_sum(self, d):
-        # random complex gradients on (nt, n) = (5, 7) nodes, a nonsymmetric
-        # A per node, and radial coefficients that make the form positive
+        # random gradients on (nt, n) = (5, 7) nodes, their real parts alone
+        # and both parts, a nonsymmetric A per node, and radial coefficients
+        # that make the form positive
         rng = np.random.default_rng(d)
         shape = (5, 7)
-        g1, g2 = (rng.standard_normal((d,) + shape) + 1j * rng.standard_normal((d,) + shape)
+        z1, z2 = (rng.standard_normal((d,) + shape) + 1j * rng.standard_normal((d,) + shape)
                   for _ in range(2))
         B = rng.standard_normal((shape[1], d, d))
         K = rng.standard_normal((shape[1], d, d))
@@ -245,17 +258,64 @@ class TestChainRule:
         S = ops.matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
         crr, ctt, drr, dtt = rng.uniform(1.0, 2.0, (4,) + shape)
         m = rng.uniform(-0.5, 0.5, shape)
-        ph1, ph2 = np.exp(2j * np.pi * rng.uniform(size=(2,) + shape))
+        phases = np.exp(2j * np.pi * rng.uniform(size=(2,) + shape))
+        for n_parts in (1, 2):
+            grads = np.moveaxis(np.stack([orc.parts(z1), orc.parts(z2)]), 2, 0)[:, :, :n_parts]
+            ph1, ph2 = (orc.parts(ph)[:n_parts] for ph in phases)
 
-        def form(a1, a2, b1, b2):
-            return bl.bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2)
+            def form(a1, a2, b1, b2):
+                return bl.bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2)
 
-        explicit = sum(A[:, i, j] * form(g1[i], g2[i], g1[j], g2[j])
-                       for i in range(d) for j in range(d))
-        assert (explicit > 0.0).all()
-        for total in hz._arrangements(form, g1, g2, S, A):
-            assert total.shape == shape
-            assert (np.abs(total - explicit) <= 1e-13 * explicit).all()
+            explicit = sum(A[:, i, j] * form(*grads[i], *grads[j])
+                           for i in range(d) for j in range(d))
+            assert (explicit > 0.0).all()
+            node_last = (np.moveaxis(M, 0, -1) for M in (S, A))      # (d, d, n)
+            for total in hz._arrangements(form, grads, *node_last):
+                assert total.shape == shape
+                assert (np.abs(total - explicit) <= 1e-13 * explicit).all()
+
+    @pytest.mark.parametrize("case", ["real", "complex", "mixed"])
+    def test_chain_rule_matches_complex_oracle(self, case, monkeypatch):
+        # the real-part chain rule against complex arithmetic throughout:
+        # both parts kept, the einsum arrangements and the complex form, at
+        # exact and mollified nodes (on the real case the t = 0 nodes on the
+        # eta = 0 ray, up to 7.9e97, included)
+        spec = {"real": lambda: build_scenario(None, preset="random-accretive", dim=2,
+                                               cells=(12, 12), p=4.0, T=0.1, seed=3),
+                "complex": bump_pair_spec,
+                "mixed": lambda: bump_pair_spec(phase_f=0.0)}[case]()
+        ev = hz.run_scenario(spec, embedding=False)
+        f, g = ev.traj_f.values, ev.traj_g.values
+        assert (np.any(f.imag), np.any(g.imag)) == {"real": (False, False),
+                                                    "complex": (True, True),
+                                                    "mixed": (False, True)}[case]
+        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        monkeypatch.setattr(hz, "_arrangements", orc.arrangements_complex)
+        monkeypatch.setattr(hz, "bilinear_forms", orc.bilinear_forms_complex)
+        monkeypatch.setattr(hz, "_nonzero_parts", lambda f, g: (np.real, np.imag))
+        ref = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        assert cr.n_mollified == ref.n_mollified > 0
+        for fld, ref_fld in ((cr.rhs, ref.rhs), (cr.rhs_aij, ref.rhs_aij)):
+            assert (np.abs(fld - ref_fld) <= 1e-12 * np.maximum(1.0, np.abs(ref_fld))).all()
+
+    def test_real_data_take_one_real_part(self, monkeypatch):
+        # real A keeps real data real, so every gradient the arrangements
+        # receive, at exact and at mollified nodes, is one float64 part
+        spec = make_scenario("random-accretive", dim=2, N=12, p=3.0, T=0.1, steps=10)
+        ev = hz.run_scenario(spec, embedding=False)
+        assert np.iscomplexobj(ev.traj_f.values)
+        seen = []
+        arrangements = hz._arrangements
+
+        def spy(form, grads, S, A):
+            seen.append((grads.dtype, grads.shape[2]))
+            return arrangements(form, grads, S, A)
+
+        monkeypatch.setattr(hz, "_arrangements", spy)
+        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        assert cr.n_mollified > 0
+        assert len(seen) > len(hz._snapshot_blocks(*ev.traj_f.values.shape))
+        assert set(seen) == {(np.dtype(np.float64), 1)}
 
 
 class TestMollifiedPath:
@@ -706,14 +766,7 @@ class TestSquareFunction:
 
 class TestComplexData:
     def test_full_chain_with_complex_phases(self):
-        g = Grid(cells=(64,), lo=(-4.0,), hi=(4.0,), boundary=Boundary.DIRICHLET)
-        A = ps.coefficient_preset("identity", g)
-        V = ps.potential_preset("identity", g)
-        f = ps.make_bump(g, -0.3, 1.2, 0.8, phase=0.7)
-        gg = ps.make_bump(g, 0.3, 1.0, 0.6, phase=-1.1)
-        spec = hz.ScenarioSpec("complex", g, A, V, f, gg, BellmanParams(3.0),
-                               TimeGrid(dt=0.002, T=0.3, snapshot_stride=3),
-                               TIGHT)
+        spec = bump_pair_spec()
         ev = hz.run_scenario(spec)
         rep = hz.pointwise_check(ev)
         assert rep.ok
