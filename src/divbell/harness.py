@@ -114,10 +114,10 @@ class EvolvedScenario:
 # Node values per block of snapshots (or of solve outputs) that the
 # embedding hook, ``chain_rule_rhs`` and ``pointwise_check`` process
 # together, so their temporaries are O(block) whatever the snapshot count.
-# Over 200 steps of the hook (best of 5, one BLAS thread): 0.15-0.20 s at
-# 24^3 in blocks of one step, one sparse product per row and axis, against
-# 0.32 s in blocks of 16; 2.4-3.0 ms at 16^2 in blocks of 32 steps and
-# 2.2-2.6 ms in blocks of 64.
+# Over 200 steps of the hook on random rows (best of 5, one BLAS thread,
+# 2 vCPUs): 0.13 s at 24^3 in blocks of one step against 0.23 s in blocks
+# of 16; 2.3 ms at 16^2 in blocks of 32 steps and 2.0-2.2 ms in blocks of
+# 64.
 SNAPSHOT_BLOCK_VALUES = 2 ** 14
 
 
@@ -147,8 +147,7 @@ def _embedding_hook(spec: ScenarioSpec):
     The hook gathers the real solve-output rows of about
     ``SNAPSHOT_BLOCK_VALUES`` / 2 node values per datum, adds up each
     datum's squared star norm over its rows, and writes one product per
-    step.  A block of one step takes one sparse product per row and axis,
-    since a two-column CSR product costs about three single ones."""
+    step."""
     grid = spec.grid
     V = spec.potential.values.reshape(-1)
     products = np.empty(spec.timegrid.n_steps)
@@ -163,10 +162,7 @@ def _embedding_hook(spec: ScenarioSpec):
         if len(pending) < steps and done < len(products):
             return
         rows = np.stack(pending).reshape(-1, grid.n_nodes)
-        if len(pending) == 1:
-            grad_sq = np.stack([grad_sq_at_nodes(grid, row[:, None])[:, 0] for row in rows])
-        else:
-            grad_sq = grad_sq_at_nodes(grid, rows.T).T
+        grad_sq = grad_sq_at_nodes(grid, rows.T).T
         sq = (grad_sq + V * rows ** 2).reshape(len(pending), len(datum), -1)
         star_sq = np.zeros((len(pending), 2, grid.n_nodes))
         for i, j in enumerate(datum):

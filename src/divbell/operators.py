@@ -154,8 +154,7 @@ def _axis_maps(grid: Grid, axis: int):
     face f joins vertices f and (f + 1) mod the vertex count, which closes a
     periodic axis, and the nodes sit at the axis's node vertices.  Returns
     the difference D / h on the nodes (faces x nodes), the vertex-to-face
-    average |D| / 2, the vertex-to-node selection, and the face-to-node
-    average |D|^T / 2 on the nodes (nodes x faces)."""
+    average |D| / 2 and the vertex-to-node selection."""
     n, m = grid.cells[axis], grid.vertex_count(axis)
     nodes = grid.node_vertices(axis)
     faces = np.arange(n)
@@ -164,8 +163,7 @@ def _axis_maps(grid: Grid, axis: int):
                       shape=(n, m))
     select = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), nodes)),
                            shape=(len(nodes), m))
-    return (D[:, nodes] / grid.spacing[axis], abs(D) / 2, select,
-            abs(D).T.tocsr()[nodes] / 2)
+    return D[:, nodes] / grid.spacing[axis], abs(D) / 2, select
 
 
 def _kron(mats) -> sp.csr_matrix:
@@ -174,18 +172,17 @@ def _kron(mats) -> sp.csr_matrix:
 
 @lru_cache(maxsize=32)
 def _grid_maps(grid: Grid):
-    """Per-grid sparse maps: gradient G_a, vertex-to-face T_a, face-to-node
-    averaging N_a per axis a, and the vertex-to-node restriction R."""
+    """Per-grid sparse maps: gradient G_a and vertex-to-face T_a per axis a,
+    and the vertex-to-node restriction R."""
     d = grid.dim
-    diffs, avgs, selects, to_nodes = zip(*(_axis_maps(grid, a) for a in range(d)))
+    diffs, avgs, selects = zip(*(_axis_maps(grid, a) for a in range(d)))
     eye_nodes = [sp.identity(m, format="csr") for m in grid.node_shape]
 
     def per_axis(along, across):
         """Axis a's map: ``along[a]`` on axis a, ``across[b]`` on every other b."""
         return [_kron([along[b] if b == a else across[b] for b in range(d)]) for a in range(d)]
 
-    return (per_axis(diffs, eye_nodes), per_axis(avgs, selects), per_axis(to_nodes, eye_nodes),
-            _kron(selects))
+    return per_axis(diffs, eye_nodes), per_axis(avgs, selects), _kron(selects)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     if gamma <= 0.0:
         raise DomainError(f"coefficient field is not accretive: gamma = {gamma}")
     d = grid.dim
-    grads, t_maps, _, _ = _grid_maps(grid)
+    grads, t_maps, _ = _grid_maps(grid)
     G = sp.vstack(grads, format="csr")
     blocks = [[None] * d for _ in range(d)]
     for a in range(d):
@@ -257,13 +254,17 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
     ``u`` is a GridFunction, with the result in the node shape, or an
     (n_nodes, k) array of k fields, with an (n_nodes, k) result.
 
-    The real maps act on real arrays only (a complex operand would make
-    SciPy copy them to complex): on the contiguous (n_nodes, 2k) view of
-    the real and imaginary parts, or on the one part that is not all zero.
+    The differences are strided ones along each axis of the node-major
+    (node_shape, k) array, written into a face array with one face more
+    than nodes along that axis: the interior faces between neighbouring
+    nodes, and the two boundary faces from the edge values, against the
+    zero extension on a Dirichlet axis or both across the wrap face on a
+    periodic one.  Node i then adds the squares of faces i and i + 1.
+    Only real arrays are differenced: the contiguous (n_nodes, 2k) view of
+    the real and imaginary parts, or the one part that is not all zero.
     """
     if isinstance(u, GridFunction):
         return grad_sq_at_nodes(grid, u.flat[:, None])[:, 0].reshape(grid.node_shape)
-    grads, _, n_maps, _ = _grid_maps(grid)
     u = np.asarray(u)
     has_imag = np.iscomplexobj(u) and u.imag.any()
     interleaved = has_imag and u.real.any()
@@ -271,11 +272,33 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
         x = np.ascontiguousarray(u, dtype=np.complex128).view(np.float64)
     else:
         x = np.ascontiguousarray(u.imag if has_imag else u.real, dtype=np.float64)
-    out = np.zeros(u.shape)
-    for a in range(grid.dim):
-        w = grads[a] @ x
-        w *= w
-        out += n_maps[a] @ (w[:, 0::2] + w[:, 1::2] if interleaved else w)
+    x = x.reshape(grid.node_shape + (-1,))
+    h0 = grid.spacing[0]
+    for a, h in enumerate(grid.spacing):
+        def at(s):
+            """Index ``s`` along axis a."""
+            return (slice(None),) * a + (s,)
+
+        faces = np.empty(x.shape[:a] + (x.shape[a] + 1,) + x.shape[a + 1:])
+        np.subtract(x[at(slice(1, None))], x[at(slice(None, -1))], out=faces[at(slice(1, -1))])
+        if grid.periodic:
+            np.subtract(x[at(0)], x[at(-1)], out=faces[at(0)])
+            faces[at(-1)] = faces[at(0)]
+        else:
+            faces[at(0)] = x[at(0)]
+            faces[at(-1)] = x[at(-1)]
+        faces *= faces
+        if h != h0:     # every axis is scaled by 1/(2 h0^2) at the end
+            faces *= (h0 / h) ** 2
+        if a == 0:
+            out = np.add(faces[at(slice(None, -1))], faces[at(slice(1, None))])
+        else:
+            out += faces[at(slice(None, -1))]
+            out += faces[at(slice(1, None))]
+    out = out.reshape(grid.n_nodes, -1)
+    if interleaved:
+        out = np.add(out[:, 0::2], out[:, 1::2])
+    out *= 0.5 / (h0 * h0)
     return out
 
 
@@ -283,4 +306,4 @@ def node_coefficients(A: CoefficientField) -> np.ndarray:
     """Coefficient samples restricted to the node lattice, (n_nodes, d, d)."""
     grid = A.grid
     d = grid.dim
-    return (_grid_maps(grid)[3] @ A.values.reshape(-1, d * d)).reshape(grid.n_nodes, d, d)
+    return (_grid_maps(grid)[2] @ A.values.reshape(-1, d * d)).reshape(grid.n_nodes, d, d)

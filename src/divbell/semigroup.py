@@ -14,14 +14,14 @@ SuperLU and each step solves all rows in one call.  Above it each row is
 solved by Jacobi-preconditioned BiCGStab, whose breakdown test is
 relative to the residual norms and so blind to the scale of the data,
 with a restarted GMRES fallback on breakdown or non-convergence.  Each
-Krylov solve starts from the linear extrapolation 2 x_n - x_(n-1) of
-that row's last two solve outputs, and takes its initial residual from
-the products of those outputs that the residual gate computed, so a
-solve costs its iterations' matvecs plus the gate's one.  Both paths
-refuse a non-finite right-hand side before solving and gate every
-datum's per-step residual on a freshly computed product.  A dense
-scaling-and-squaring exponential is provided as a test oracle for small
-systems.
+Krylov solve starts from the polynomial extrapolation of that row's last
+solve outputs (``EXTRAPOLATION``, degree 4 once five exist), and takes
+its initial residual from the same combination of the products of those
+outputs that the residual gate computed, so a solve costs its
+iterations' matvecs plus the gate's one.  Both paths refuse a non-finite
+right-hand side before solving and gate every datum's per-step residual
+on a freshly computed product.  A dense scaling-and-squaring exponential
+is provided as a test oracle for small systems.
 """
 
 from __future__ import annotations
@@ -134,13 +134,34 @@ class Trajectory:
 # Largest system factored directly, in one and two dimensions and in
 # three.  200 Crank-Nicolson steps of two data on random-accretive
 # operators (best of 9 in each of two runs, one BLAS thread, 2 vCPUs),
-# direct against Krylov: 1D 1,023 unknowns 0.020 s / 0.29 s; 2D 961
-# 0.040 / 0.050 s; 2D 2,209 0.12 / 0.11 s; 3D 512 0.051 / 0.065 s; 3D 729
-# 0.081 / 0.043 s; 3D 1,000 0.083 / 0.060 s; 3D 1,331 0.17 / 0.076 s.
-# Fill-in makes SuperLU lose from about 2,000 unknowns in 2D, and in 3D
-# already at 729.
+# direct against Krylov from the ``EXTRAPOLATION`` warm start: 1D 1,023
+# unknowns 0.017 s / 0.15 s; 2D 529 0.019-0.021 / 0.022 s; 2D 729
+# 0.026-0.027 / 0.024-0.025 s; 2D 961 0.034 / 0.027-0.033 s; 2D 2,209
+# 0.083-0.089 / 0.044 s; 3D 216 0.014 / 0.016-0.017 s; 3D 343 0.019 /
+# 0.019-0.020 s; 3D 512 0.028-0.029 / 0.021-0.022 s; 3D 729 0.043-0.046 /
+# 0.024-0.032 s; 3D 1,000 0.067-0.069 / 0.028 s; 3D 1,331 0.11 / 0.032-
+# 0.034 s.  Krylov wins from about 700 unknowns in 2D and 350 in 3D; the
+# limits sit at the crossover of the linear warm start, where SuperLU
+# lost from about 2,000 unknowns in 2D and at 729 in 3D.
 DIRECT_LIMIT = 1024
 DIRECT_LIMIT_3D = 512
+
+# Krylov warm-start weights.  Row k - 1 holds, oldest output first, the
+# weights (-1)^(k-1-j) C(k, j) that give the value at step n + 1 of the
+# polynomial of degree k - 1 through a row's last k solve outputs
+# x_(n-k+1), ..., x_n; k = 2 is the linear 2 x_n - x_(n-1).  Its length is
+# the history depth.  BiCGStab matvecs over 200 Crank-Nicolson steps of
+# two data on random-accretive 24^3, top degree 1 to 6: 1,341, 1,008, 706,
+# 520, 435, 437.  Over the five presets at 64^2 and 24^3, both schemes,
+# degree 4 takes 41-62% fewer than degree 1; degree 5 takes 8-17% fewer
+# again in 3D but 1-5% more at 64^2.
+EXTRAPOLATION = (
+    (1.0,),
+    (-1.0, 2.0),
+    (1.0, -3.0, 3.0),
+    (-1.0, 4.0, -6.0, 4.0),
+    (1.0, -5.0, 10.0, -10.0, 5.0),
+)
 
 # BiCGStab breaks down when |rho| falls below this times ||r~|| ||r||.
 # SciPy compares |rho| with eps^2 itself, which data of scale 1e-12 reach
@@ -199,9 +220,9 @@ class _LinearStep:
     preconditioner built once.
 
     It solves real rows, each one real or imaginary part of one datum.  On
-    the Krylov path it keeps the last two solve outputs of each row and
-    their products with the left-hand matrix, from which the next solve of
-    that row starts."""
+    the Krylov path it keeps the last ``len(EXTRAPOLATION)`` solve outputs
+    of each row and their products with the left-hand matrix, from which
+    the next solve of that row starts."""
 
     def __init__(self, op: DiscreteOperator, dt: float, scheme: Scheme,
                  solver: SolverConfig):
@@ -211,8 +232,10 @@ class _LinearStep:
         theta = 0.5 if self.midpoint else 1.0
         self.lhs = (sp.identity(n, format="csr") + theta * dt * op.matrix).tocsr()
         self.lu = None
-        # (x, lhs @ x) of the last solve outputs of every row, newest last
-        self.history: list[tuple[np.ndarray, np.ndarray]] = []
+        # (x, lhs @ x) of the last solve outputs of every (rows, n) block,
+        # output i in slot i mod len(EXTRAPOLATION); ``stored`` counts them
+        self.history: np.ndarray | None = None
+        self.stored = 0
         if n <= (DIRECT_LIMIT_3D if op.grid.dim == 3 else DIRECT_LIMIT):
             self.lu = spla.splu(self.lhs.tocsc())
             return
@@ -240,19 +263,28 @@ class _LinearStep:
         """Solve each row of ``b``; return the outputs, their products with
         the left-hand matrix, the summed iterations and the method.
 
-        A row starts from x0 = 2 x_n - x_(n-1), the linear extrapolation of
-        its last two outputs, with the initial residual built from their
-        stored products, so the solve adds no matvec of its own; until two
-        outputs exist it starts from x0 = b."""
-        hist = self.history if self.history and self.history[0][0].shape == b.shape else []
+        With k = min(stored, len(EXTRAPOLATION)) outputs at hand, a row
+        starts from their extrapolation of degree k - 1 and takes its
+        initial residual from the same combination of their stored
+        products, so the solve adds no matvec of its own; x0 and r0 of all
+        rows come from one weighted sum over the history.  The first solve
+        starts from x0 = b."""
+        m = len(EXTRAPOLATION)
+        if self.history is None or self.history.shape[2:] != b.shape:
+            self.history = np.zeros((m, 2) + b.shape)
+            self.stored = 0
+        k = min(self.stored, m)
+        if k:
+            w = np.zeros(m)
+            w[(self.stored - k + np.arange(k)) % m] = EXTRAPOLATION[k - 1]
+            x_start, y_start = (w @ self.history.reshape(m, -1)).reshape(self.history.shape[1:])
+            r_start = b - y_start
         x = np.empty_like(b)
         y = np.empty_like(b)
         iters, method = 0, "bicgstab"
         for i, bi in enumerate(b):
-            if len(hist) == 2:
-                (x_prev, y_prev), (x_last, y_last) = hist
-                x0 = 2.0 * x_last[i] - x_prev[i]
-                r0 = bi - (2.0 * y_last[i] - y_prev[i])
+            if k:
+                x0, r0 = x_start[i], r_start[i]
             else:
                 x0 = bi.copy()
                 r0 = bi - self.lhs @ x0
@@ -264,7 +296,10 @@ class _LinearStep:
             x[i] = xi
             y[i] = self.lhs @ xi
             iters += it
-        self.history = hist[-1:] + [(x, y)]
+        slot = self.history[self.stored % m]
+        slot[0] = x
+        slot[1] = y
+        self.stored += 1
         return x, y, iters, method
 
     def advance_rows(self, b: np.ndarray, datum: np.ndarray) -> tuple[np.ndarray, StepStats]:

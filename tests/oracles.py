@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 import divbell.bellman as bl
+import divbell.operators as ops
 import divbell.semigroup as sg
 from divbell.bellman import BellmanParams, _form_coeffs, _phases
 from divbell.errors import AccuracyError, DomainError, SingularityError
@@ -229,6 +230,19 @@ def smooth_random_full(coords, grid, rng: np.random.Generator, modes: int = 2) -
             term = term * np.cos(2.0 * np.pi * ks[a] * (x - grid.lo[a]) / L + phases[a])
         out = out + term
     return out / np.sqrt(modes * grid.dim + 1)
+
+
+def grad_sq_at_nodes_maps(grid, u) -> np.ndarray:
+    """Reference for ``operators.grad_sq_at_nodes`` on an (n_nodes, k)
+    array: per axis a, the face differences G_a u by the assembly's sparse
+    gradient, squared and averaged onto the nodes by the face-to-node map
+    |G_a|^T h_a / 2, both applied as complex matrices."""
+    u = np.asarray(u, dtype=np.complex128)
+    out = np.zeros(u.shape)
+    for G, h in zip(ops._grid_maps(grid)[0], grid.spacing):
+        w = G.astype(np.complex128) @ u
+        out += (abs(G).T * (h / 2)) @ (w.real ** 2 + w.imag ** 2)
+    return out
 
 
 def advance_complex(stepper, u: np.ndarray):

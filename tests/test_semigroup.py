@@ -240,8 +240,11 @@ class TestBlockEvolution:
 
     @pytest.mark.parametrize("scheme", list(sg.Scheme))
     def test_warm_start_saves_iterations(self, scheme, monkeypatch):
-        # each solve starts from the extrapolation of its last two outputs;
-        # a fresh stepper per step starts every solve from its right-hand side
+        # each solve starts from the extrapolation of its last outputs; a
+        # fresh stepper per step starts every solve from its right-hand
+        # side, and the linear extrapolation 2 x_n - x_(n-1) took 124
+        # (backward Euler) and 108 (Crank-Nicolson) iterations here
+        linear_start = {sg.Scheme.BACKWARD_EULER: 124, sg.Scheme.CRANK_NICOLSON: 108}
         spec, L = random_accretive(3, 12)
         tg = sg.TimeGrid(dt=0.01, T=0.2, scheme=scheme)
         warm = sg.evolve(L, (spec.f, spec.g), tg)
@@ -251,7 +254,9 @@ class TestBlockEvolution:
             x, st = advance_complex(sg._LinearStep(L, tg.dt, scheme, sg.SolverConfig()), u)
             u = 2.0 * x - u if scheme is sg.Scheme.CRANK_NICOLSON else x
             cold_iters += st.iterations
-        assert sum(st.iterations for st in warm.stats) < cold_iters
+        warm_iters = sum(st.iterations for st in warm.stats)
+        assert warm_iters < cold_iters
+        assert warm_iters < linear_start[scheme]
         monkeypatch.setattr(sg, "DIRECT_LIMIT_3D", L.n)
         direct = sg.evolve(L, (spec.f, spec.g), tg)
         assert {st.method for st in direct.stats} == {"splu"}
@@ -266,10 +271,12 @@ class TestBlockEvolution:
         spec, L = random_accretive(3, 12)
         stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         u = np.stack([spec.f.flat, spec.g.flat], axis=1)
-        for _ in range(4):
+        for _ in range(len(sg.EXTRAPOLATION) + 1):
             x, _ = advance_complex(stepper, u)
             u = 2.0 * x - u
-        assert len(stepper.history) == 2
+        # five outputs, x and lhs @ x, of two rows; the sixth has wrapped
+        assert stepper.history.shape == (5, 2, 2, L.n)
+        assert stepper.stored == 6
         b = np.random.default_rng(0).standard_normal((L.n, 2)) + 0j
         x, st = advance_complex(stepper, b)
         recomputed = (np.linalg.norm(stepper.lhs @ x - b, axis=0)
@@ -277,6 +284,65 @@ class TestBlockEvolution:
         assert st.iterations > 0
         assert abs(st.residual - recomputed) <= 1e-13
         assert st.residual <= 10.0 * stepper.solver.tol
+
+    def test_extrapolation_rows_are_exact_on_polynomials(self):
+        # row k - 1 maps the values at 0, ..., k - 1 of every polynomial of
+        # degree below k to its value at k; the weights are integers, so
+        # the sums are exact
+        assert len(sg.EXTRAPOLATION) == 5
+        for k, row in enumerate(sg.EXTRAPOLATION, start=1):
+            assert len(row) == k
+            for j in range(k):
+                assert sum(c * n ** j for n, c in enumerate(row)) == k ** j, (k, j)
+        assert sg.EXTRAPOLATION[1] == (-1.0, 2.0)
+
+    def test_warm_start_extrapolates_the_stored_outputs(self, monkeypatch):
+        # x0 of step s is the extrapolation of the last min(s, 5) outputs,
+        # also once the history has wrapped, and r0 = b - lhs @ x0 up to the
+        # rounding of the stored products; the first solve starts from b
+        spec, L = random_accretive(3, 12)
+        starts = []
+        solve = sg._bicgstab
+
+        def recording(A, b, x, r, *args):
+            starts.append((b.copy(), x.copy(), r.copy()))
+            return solve(A, b, x, r, *args)
+
+        monkeypatch.setattr(sg, "_bicgstab", recording)
+        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        u = spec.f.flat.real[None, :].copy()
+        outputs = []
+        for step in range(8):
+            x, _ = stepper.advance_rows(u, np.zeros(1, dtype=np.int64))
+            b, x0, r0 = starts[step]
+            k = min(step, len(sg.EXTRAPOLATION))
+            want = (np.tensordot(sg.EXTRAPOLATION[k - 1], outputs[-k:], axes=1)
+                    if k else b)
+            assert np.allclose(x0, want, rtol=0.0, atol=1e-13 * np.abs(b).max()), step
+            assert np.allclose(r0, b - stepper.lhs @ x0, rtol=0.0,
+                               atol=1e-13 * np.abs(b).max()), step
+            outputs.append(x[0].copy())
+            u = 2.0 * x - u
+
+    def test_rough_datum_passes_the_gate_and_matches_superlu(self, monkeypatch):
+        # the checkerboard node pattern is the stiffest Crank-Nicolson mode:
+        # at dt = 0.5 on h = 2/3 its factor is about -0.73, so the outputs
+        # alternate in sign and the extrapolated start is far off
+        spec, L = random_accretive(3, 12)
+        assert L.n > sg.DIRECT_LIMIT_3D
+        rough = GridFunction(spec.grid, (-1.0) ** np.indices(spec.grid.node_shape).sum(axis=0))
+        tg = sg.TimeGrid(dt=0.5, T=10.0, scheme=sg.Scheme.CRANK_NICOLSON)
+        krylov = sg.evolve(L, (rough, spec.g), tg)
+        assert {st.method for st in krylov.stats} == {"bicgstab"}
+        assert all(st.residual <= 10.0 * sg.SolverConfig().tol for st in krylov.stats)
+        monkeypatch.setattr(sg, "DIRECT_LIMIT_3D", L.n)
+        direct = sg.evolve(L, (rough, spec.g), tg)
+        assert {st.method for st in direct.stats} == {"splu"}
+        flips = np.einsum("ij,ij->i", direct.values[0, 1:].real, direct.values[0, :-1].real)
+        assert np.all(flips < 0.0)
+        rel = (np.linalg.norm(krylov.values - direct.values, axis=2)
+               / np.linalg.norm(direct.values, axis=2))
+        assert rel.max() <= 1e-8
 
     @pytest.mark.parametrize("path", ["direct", "krylov"])
     def test_nan_datum_fails_the_residual_gate(self, path, monkeypatch):
