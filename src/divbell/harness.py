@@ -1,12 +1,12 @@
 """Executable checks for every link of the embedding inequality's proof
 chain: the composed field b, the parabolic operator L' = d/dt + L, the
-chain-rule identity, the pointwise lower bound, the cutoff integration by
-parts, off-diagonal decay fits, the square function, polarization, and the
-final bilinear embedding.
+chain-rule identity, the pointwise lower bound, the bilinear embedding,
+the cutoff integration by parts, and off-diagonal decay fits.
 
-Space-time fields are stored as (n_snapshots, n_nodes) complex arrays
-attached to a trajectory's times.  Checks over nodes, times, radii and
-scenarios only read immutable inputs and can run concurrently.
+Space-time fields are stored as (n_snapshots, n_nodes) arrays attached to
+a trajectory's times, and the checks walk them in blocks of snapshots.
+Checks over nodes, times, radii and scenarios only read immutable inputs
+and can run concurrently.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ FLOAT_FLOOR = 1e-12  # off-diagonal ratios at or below this are excluded
 OFFDIAG_STEPS = 64   # backward Euler steps to each off-diagonal time t
 SUPPORT_MARGIN_FRAC = 0.25  # data supports keep this fraction of each box width
 IDENTITY_T_MIN_FRAC = 0.25  # the chain-rule identity is read on t >= this * T
-TIGHT_SOLVER = SolverConfig(tol=1e-12)  # off-diagonal and square-function solves
+TIGHT_SOLVER = SolverConfig(tol=1e-12)  # off-diagonal solves
 
 
 def slack_tolerance(h: float, dt: float) -> float:
@@ -112,8 +112,9 @@ class EvolvedScenario:
 
 
 # Node values per block of snapshots (or of solve outputs) that the
-# embedding hook, ``chain_rule_rhs`` and ``pointwise_check`` process
-# together, so their temporaries are O(block) whatever the snapshot count.
+# embedding hook, ``chain_rule_rhs``, ``pointwise_check`` and
+# ``ibp_upper_check`` process together, so their temporaries are O(block)
+# whatever the snapshot count.
 # Over 200 steps of the hook on random rows (best of 5, one BLAS thread,
 # 2 vCPUs): 0.13 s at 24^3 in blocks of one step against 0.23 s in blocks
 # of 16; 2.3 ms at 16^2 in blocks of 32 steps and 2.0-2.2 ms in blocks of
@@ -131,7 +132,7 @@ def _snapshot_blocks(nt: int, n_values: int):
 def run_scenario(spec: ScenarioSpec, embedding: bool = True) -> EvolvedScenario:
     """Assemble L_h and evolve f and g as one block.  With ``embedding`` both
     trajectories carry the per-step sums dt w sum_x |x_f|_* |x_g|_* of its
-    solve outputs x, which ``bilinear_functional`` reads; without it no star
+    solve outputs x, which ``embedding_check`` reads; without it no star
     norm is taken and ``step_products`` is None."""
     op = assemble(spec.grid, spec.coefficients, spec.potential)
     products, add_step = _embedding_hook(spec) if embedding else (None, None)
@@ -162,8 +163,7 @@ def _embedding_hook(spec: ScenarioSpec):
         if len(pending) < steps and done < len(products):
             return
         rows = np.stack(pending).reshape(-1, grid.n_nodes)
-        grad_sq = grad_sq_at_nodes(grid, rows.T).T
-        sq = (grad_sq + V * rows ** 2).reshape(len(pending), len(datum), -1)
+        sq = _star_sq(grid, V, rows).reshape(len(pending), len(datum), -1)
         star_sq = np.zeros((len(pending), 2, grid.n_nodes))
         for i, j in enumerate(datum):
             star_sq[:, j] += sq[:, i]
@@ -179,28 +179,39 @@ def _embedding_hook(spec: ScenarioSpec):
 # composed field and parabolic operator
 # ---------------------------------------------------------------------------
 
-def compose_b(params: BellmanParams, traj_f: Trajectory, traj_g: Trajectory) -> np.ndarray:
-    """b(x, t) = Q(P_t f(x), P_t g(x)) as an (n_times, n_nodes) real array."""
+def compose_b(params: BellmanParams, traj_f: Trajectory, traj_g: Trajectory,
+              snapshots=slice(None)) -> np.ndarray:
+    """b(x, t) = Q(P_t f(x), P_t g(x)) as an (n_times, n_nodes) real array,
+    on the snapshots that the index ``snapshots`` selects (all by default)."""
     if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
         raise DomainError("trajectories must share grid and snapshot times")
-    return q_values(params, traj_f.values, traj_g.values)
+    return q_values(params, traj_f.values[snapshots], traj_g.values[snapshots])
 
 
-def lprime(op: DiscreteOperator, fld: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(d/dt + L_h) applied to a space-time field: centered differences in t
-    (second-order one-sided at the endpoints) plus the sparse operator."""
-    fld = np.asarray(fld)
-    if fld.ndim != 2 or fld.shape[0] < 3:
+def time_derivative(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """d/dt of an (n_times, ...) series along its first axis: centered
+    differences, second-order one-sided at the endpoints.  The snapshots
+    must be at least 3 and uniformly spaced."""
+    if len(series) < 3:
         raise DomainError("need at least 3 snapshots for the time derivative")
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise DomainError("snapshots must be uniformly spaced in time")
     dt = float(dts[0])
-    ddt = np.empty_like(fld)
-    ddt[1:-1] = (fld[2:] - fld[:-2]) / (2.0 * dt)
-    ddt[0] = (-3.0 * fld[0] + 4.0 * fld[1] - fld[2]) / (2.0 * dt)
-    ddt[-1] = (3.0 * fld[-1] - 4.0 * fld[-2] + fld[-3]) / (2.0 * dt)
-    return ddt + (op.matrix @ fld.T).T
+    ddt = np.empty_like(series)
+    ddt[1:-1] = (series[2:] - series[:-2]) / (2.0 * dt)
+    ddt[0] = (-3.0 * series[0] + 4.0 * series[1] - series[2]) / (2.0 * dt)
+    ddt[-1] = (3.0 * series[-1] - 4.0 * series[-2] + series[-3]) / (2.0 * dt)
+    return ddt
+
+
+def lprime(op: DiscreteOperator, fld: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(d/dt + L_h) applied to an (n_times, n_nodes) space-time field:
+    ``time_derivative`` plus the sparse operator."""
+    fld = np.asarray(fld)
+    if fld.ndim != 2:
+        raise DomainError("a space-time field is an (n_times, n_nodes) array")
+    return time_derivative(fld, times) + (op.matrix @ fld.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +241,11 @@ def grad4(grid: Grid, fld: np.ndarray) -> np.ndarray:
     return out.reshape((grid.dim,) + lead + (grid.n_nodes,))
 
 
-def star_norm_field(grid: Grid, fld: np.ndarray, V: PotentialField) -> np.ndarray:
-    """Nodal star norm sqrt(|grad_h u|^2 + V |u|^2) of each snapshot of an
-    (nt, n_nodes) field, evaluated node-major on its (n_nodes, nt) transpose."""
-    u = np.ascontiguousarray(fld.T)
-    mod2 = u.real ** 2 + u.imag ** 2
-    return np.sqrt(grad_sq_at_nodes(grid, u) + V.values.reshape(-1, 1) * mod2).T
+def _star_sq(grid: Grid, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared nodal star norms |grad_h u|^2 + V u^2 of the real (k, n_nodes)
+    rows u, against the flat potential V; a complex field's squared star
+    norm is the sum of those of its real and imaginary parts."""
+    return grad_sq_at_nodes(grid, rows.T).T + V * rows ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +451,13 @@ def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
     params = spec.params
     cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
     f, g = ev.traj_f.values, ev.traj_g.values
+    parts = _nonzero_parts(f, g)
     c = 2.0 * params.delta * min(1.0, ev.op.gamma)
     rhs = np.empty(f.shape)
     for blk in _snapshot_blocks(*f.shape):
-        rhs[blk] = (c * star_norm_field(spec.grid, f[blk], spec.potential)
-                    * star_norm_field(spec.grid, g[blk], spec.potential))
+        star_f, star_g = (np.sqrt(sum(_star_sq(spec.grid, ev.op.potential, part(x[blk]))
+                                      for part in parts)) for x in (f, g))
+        rhs[blk] = c * star_f * star_g
     slack = cr.rhs - rhs
     eps_h = slack_tolerance(min(spec.grid.spacing), spec.timegrid.dt)
     return PointwiseReport(worst_slack=float(slack.min()), eps_h=eps_h,
@@ -455,54 +467,8 @@ def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
 
 
 # ---------------------------------------------------------------------------
-# bilinear functional, polarization, embedding
+# bilinear embedding
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BilinearReport:
-    E_T: float
-    tail: float
-
-
-def bilinear_functional(ev: EvolvedScenario) -> BilinearReport:
-    """E_T = sum_n dt sum_x w |x_f^n|_* |x_g^n|_* over every step's solve
-    output x^n (``semigroup.evolve``), plus the energy tail
-    ||P_T f||_2 ||P_T g||_2 / (2 min(1, gamma)), a bound on the integral
-    over (T, inf).  Trajectories that do not carry the per-step products of
-    one ``run_scenario`` pair raise DomainError rather than read 0.
-    """
-    tf, tg = ev.traj_f, ev.traj_g
-    if tf.step_products is None or tf.step_products is not tg.step_products or tf is tg:
-        raise DomainError("the trajectories carry no per-step products of this "
-                          "pair; evolve f and g together with run_scenario")
-    w = ev.spec.grid.cell_volume
-    tail = (w * np.linalg.norm(tf.values[-1]) * np.linalg.norm(tg.values[-1])
-            / (2.0 * min(1.0, ev.op.gamma)))
-    return BilinearReport(E_T=float(np.sum(tf.step_products)), tail=float(tail))
-
-
-@dataclass
-class PolarizeResult:
-    lambda_star: float | None
-    value: float
-    degenerate: bool = False
-
-
-def polarize(a: float, b: float, p: float) -> PolarizeResult:
-    """Minimize lambda^p a + lambda^(-q) b over lambda > 0.
-
-    For a = ||f||_p^p and b = ||g||_q^q the optimum equals
-    ||f||_p ||g||_q ((q/p)^(1/q) + (p/q)^(1/p)).
-    """
-    if p < 2.0:
-        raise DomainError("exponent p must be >= 2")
-    q = p / (p - 1.0)
-    if a <= 0.0 or b <= 0.0:
-        return PolarizeResult(lambda_star=None, value=0.0, degenerate=True)
-    lam = (q * b / (p * a)) ** (1.0 / (p + q))
-    return PolarizeResult(lambda_star=float(lam),
-                          value=float(lam ** p * a + lam ** (-q) * b))
-
 
 @dataclass
 class EmbeddingReport(_Verdict):
@@ -540,21 +506,34 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     (f, g) -> (lam f, g/lam).
     Energy form, for every p: E_T + tail <= ||f||_2 ||g||_2 / (2 min(1, gamma)),
     from the energy identity of the step and the exact discrete accretivity.
+
+    E_T = sum_n dt sum_x w |x_f^n|_* |x_g^n|_* over every step's solve output
+    x^n (``semigroup.evolve``), and the energy tail
+    ||P_T f||_2 ||P_T g||_2 / (2 min(1, gamma)) bounds the integral over
+    (T, inf).  Trajectories that do not carry the per-step products of one
+    ``run_scenario`` pair raise DomainError rather than read 0.
     """
     spec = ev.spec
     params = spec.params
     p, q, delta = params.p, params.q, params.delta
-    rep = bilinear_functional(ev)
+    tf, tg = ev.traj_f, ev.traj_g
+    if tf.step_products is None or tf.step_products is not tg.step_products or tf is tg:
+        raise DomainError("the trajectories carry no per-step products of this "
+                          "pair; evolve f and g together with run_scenario")
+    E_T = float(np.sum(tf.step_products))
+    tail = float(spec.grid.cell_volume * np.linalg.norm(tf.values[-1])
+                 * np.linalg.norm(tg.values[-1]) / (2.0 * min(1.0, ev.op.gamma)))
     nf = spec.f.norm(p)
     ng = spec.g.norm(q)
     cgam = max(1.0, 1.0 / ev.op.gamma) / (2.0 * delta)
     a = nf ** p
     b = ng ** q
     sum_bound = cgam * (a + b)
-    pol = polarize(a, b, p)
+    # the minimizer of lam^p a + lam^(-q) b over lam > 0
+    lambda_star = float((q * b / (p * a)) ** (1.0 / (p + q))) if a > 0.0 and b > 0.0 else None
     product_bound = cgam * ((q / p) ** (1.0 / q) + (p / q) ** (1.0 / p)) * nf * ng
     energy_bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
-    total = rep.E_T + rep.tail
+    total = E_T + tail
     # floating-point tolerance: a step whose solve leaves relative residual
     # rho moves E_T + tail against energy_bound by at most 4 rho of it; rho
     # is below the 10 tol gate plus one rounding unit
@@ -562,9 +541,9 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     quad_err = 4.0 * len(ev.traj_f.step_products) * rho * energy_bound
     ratio = total / (p * nf * ng) if nf * ng > 0 else 0.0
     return EmbeddingReport(
-        E_T=rep.E_T, tail=rep.tail, norm_f_p=nf, norm_g_q=ng, gamma=ev.op.gamma,
+        E_T=E_T, tail=tail, norm_f_p=nf, norm_g_q=ng, gamma=ev.op.gamma,
         sum_bound=sum_bound, sum_margin=sum_bound - total,
-        lambda_star=pol.lambda_star, product_bound=product_bound,
+        lambda_star=lambda_star, product_bound=product_bound,
         product_margin=product_bound - total, ratio_empirical=ratio,
         energy_bound=energy_bound, energy_margin=energy_bound - total,
         quad_error_est=quad_err)
@@ -639,9 +618,14 @@ class IbpReport(_Verdict):
 def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
     """I_{R,T} = int_0^T int psi_R L'b against ||f||_p^p + ||g||_q^q.
 
-    The parabolic term is also reduced exactly to int psi_R (b(T) - b(0)),
-    and the discarded pieces of the integration by parts (the flux through
-    the cutoff annulus and the nonpositive V b term) are reported per R.
+    Summation by parts splits sum_x psi_R L_h b into the flux
+    <G psi_R, A_h G b> through the cutoff annulus and the nonpositive term
+    sum_x V psi_R b, so every term is a sum of b against a node vector: psi_R,
+    G^T A_h^T G psi_R or V psi_R.  One walk over the snapshot blocks takes
+    those sums, and I_RT is the time term (``time_derivative`` of the psi_R
+    sums, by the trapezoid) plus the flux and potential trapezoids.  The time
+    term is also reduced exactly to sum_x psi_R (b(T) - b(0)), and the
+    discarded flux and potential terms are reported per R.
     """
     spec = ev.spec
     grid = spec.grid
@@ -653,39 +637,31 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
     for R in radii:
         if 2.0 * R > half_width + 1e-12:
             raise GeometryError(f"cutoff 2R = {2 * R} exceeds the box half-width {half_width}")
-    w = grid.cell_volume
-    b_field = compose_b(params, ev.traj_f, ev.traj_g)
+    op = ev.op
+    psi = np.stack([CutoffSpec(R).values_at(grid).ravel() for R in radii], axis=1)
+    kernels = np.hstack([psi, op.gradient.T @ (op.face_action.T @ (op.gradient @ psi)),
+                         op.potential[:, None] * psi])           # (n, 3 len(radii))
     times = ev.traj_f.times
-    lp = lprime(ev.op, b_field, times)
-    # split L'b into d/dt b and L b for the reported reduction
-    Lb = (ev.op.matrix @ b_field.T).T.real
-    ddt = lp - Lb
-    G = ev.op.gradient
-    Ah = ev.op.face_action
-    rows = []
-    nf = spec.f.norm(params.p)
-    ng = spec.g.norm(params.q)
-    bound = nf ** params.p + ng ** params.q
-    for R in radii:
-        psi = CutoffSpec(R).values_at(grid).ravel()
-        I_RT = float(np.trapezoid(w * (lp * psi[None, :]).sum(axis=1), times))
-        t_quad = float(np.trapezoid(w * (ddt * psi[None, :]).sum(axis=1), times))
-        t_exact = float(w * np.dot(psi, b_field[-1] - b_field[0]))
-        # <G psi, A_h G b(t)> for every snapshot at once
-        flux = float(np.trapezoid(w * (b_field @ (G.T @ (Ah.T @ (G @ psi)))), times))
-        pot = float(np.trapezoid(
-            w * ((ev.op.potential[None, :] * b_field) * psi[None, :]).sum(axis=1), times))
-        eps_R = abs(flux) + abs(t_quad - t_exact)
-        rows.append(IbpRow(R=R, I_RT=I_RT, bound=bound, eps_R=eps_R,
-                           time_term_quad=t_quad, time_term_exact=t_exact,
-                           flux_term=flux, potential_term=pot))
+    sums = np.empty((len(times), kernels.shape[1]))
+    for blk in _snapshot_blocks(*ev.traj_f.values.shape):
+        sums[blk] = grid.cell_volume * (compose_b(params, ev.traj_f, ev.traj_g, blk) @ kernels)
+    mass, flux, pot = np.split(sums, 3, axis=1)
+    t_quad = np.trapezoid(time_derivative(mass, times), times, axis=0)
+    t_exact = mass[-1] - mass[0]
+    flux, pot = np.trapezoid(flux, times, axis=0), np.trapezoid(pot, times, axis=0)
+    bound = spec.f.norm(params.p) ** params.p + spec.g.norm(params.q) ** params.q
+    rows = [IbpRow(R=R, I_RT=float(t_quad[k] + flux[k] + pot[k]), bound=bound,
+                   eps_R=float(abs(flux[k]) + abs(t_quad[k] - t_exact[k])),
+                   time_term_quad=float(t_quad[k]), time_term_exact=float(t_exact[k]),
+                   flux_term=float(flux[k]), potential_term=float(pot[k]))
+            for k, R in enumerate(radii)]
     # nodewise: -b(x,0) = phi(|f|,|g|)/2 <= |f|^p + |g|^q by the range bound,
     # read as the slack relative to the right-hand side
-    lhs0 = -b_field[0]
+    b_0, b_T = compose_b(params, ev.traj_f, ev.traj_g, [0, -1])
     rhs0 = np.abs(spec.f.flat) ** params.p + np.abs(spec.g.flat) ** params.q
-    initial = (rhs0 * (1 + 1e-12) + 1e-300 - lhs0) / np.maximum(rhs0, 1e-300)
+    initial = (rhs0 * (1 + 1e-12) + 1e-300 + b_0) / np.maximum(rhs0, 1e-300)
     return IbpReport(rows=rows, nodewise_initial_margin=float(np.min(initial)),
-                     final_nonpositive_margin=float(1e-300 - np.max(b_field[-1])))
+                     final_nonpositive_margin=float(1e-300 - np.max(b_T)))
 
 
 # ---------------------------------------------------------------------------
@@ -796,39 +772,3 @@ def _offdiag_fit(operator: str, samples: list[OffdiagSample]) -> OffdiagReport:
     return OffdiagReport(operator=operator, samples=samples, slope=float(slope),
                          intercept=float(intercept), r_squared=r2,
                          n_excluded=sum(s.excluded for s in samples))
-
-
-# ---------------------------------------------------------------------------
-# square function
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SquareFunctionResult:
-    values: GridFunction
-    tail_fraction: float
-    mu: float
-
-
-def square_function(op: DiscreteOperator, u: GridFunction, T: float,
-                    dt: float) -> SquareFunctionResult:
-    """G u(x) = (int_0^inf |grad P_t u(x)|^2 dt)^(1/2), by trapezoid over
-    [0, T] plus a per-node exponential tail estimate fitted from the decay
-    of the integrated gradient energy, on Crank-Nicolson steps."""
-    traj = evolve(op, u, TimeGrid(dt=dt, T=T, scheme=Scheme.CRANK_NICOLSON), TIGHT_SOLVER)
-    nt = len(traj.times)
-    g2 = grad_sq_at_nodes(op.grid, traj.values.T).T
-    integral = np.trapezoid(g2, traj.times, axis=0)
-    energy = g2.sum(axis=1)
-    kfit = max(nt // 4, 3)
-    mu = float("nan")
-    tail = np.zeros(op.n)
-    pos = energy[-kfit:] > 0
-    if pos.all():
-        slope, _ = np.polyfit(traj.times[-kfit:], np.log(energy[-kfit:]), 1)
-        mu = float(-slope)
-        if mu > 0:
-            tail = g2[-1] / mu
-    total = integral + tail
-    frac = float(tail.sum() / max(total.sum(), 1e-300))
-    return SquareFunctionResult(values=GridFunction(op.grid, np.sqrt(total)),
-                                tail_fraction=frac, mu=mu)

@@ -17,6 +17,7 @@ import divbell.operators as ops
 import divbell.semigroup as sg
 from divbell.bellman import BellmanParams, _form_coeffs, _phases
 from divbell.errors import AccuracyError, DomainError, SingularityError
+from divbell.grids import GridFunction
 
 # Relative threshold on |u^p - v^q| below which a point is classified as
 # lying on the interface.
@@ -299,3 +300,65 @@ def arrangements_complex(form, grads, S, A):
     double = sum(form(parts(g1[i]), parts(g2[i]), parts(ag1[i]), parts(ag2[i]))
                  for i in range(len(g1)))
     return factored, double
+
+
+def star_norm_field(grid, fld, V) -> np.ndarray:
+    """Reference for the star norms of ``harness._star_sq``: the nodal star
+    norm sqrt(|grad_h u|^2 + V |u|^2) of each snapshot of an (nt, n_nodes)
+    complex field, with the gradient of the complex transpose taken at
+    once and the potential against the squared modulus."""
+    u = np.ascontiguousarray(fld.T)
+    mod2 = u.real ** 2 + u.imag ** 2
+    return np.sqrt(ops.grad_sq_at_nodes(grid, u) + V.values.reshape(-1, 1) * mod2).T
+
+
+class PolarizeResult(NamedTuple):
+    lambda_star: float | None
+    value: float
+    degenerate: bool = False
+
+
+def polarize(a: float, b: float, p: float) -> PolarizeResult:
+    """Minimize lambda^p a + lambda^(-q) b over lambda > 0: the closed-form
+    minimizer, against which ``harness.embedding_check``'s ``lambda_star``
+    is read.  For a = ||f||_p^p and b = ||g||_q^q the optimum equals
+    ||f||_p ||g||_q ((q/p)^(1/q) + (p/q)^(1/p))."""
+    if p < 2.0:
+        raise DomainError("exponent p must be >= 2")
+    q = p / (p - 1.0)
+    if a <= 0.0 or b <= 0.0:
+        return PolarizeResult(lambda_star=None, value=0.0, degenerate=True)
+    lam = (q * b / (p * a)) ** (1.0 / (p + q))
+    return PolarizeResult(lambda_star=float(lam),
+                          value=float(lam ** p * a + lam ** (-q) * b))
+
+
+class SquareFunctionResult(NamedTuple):
+    values: GridFunction
+    tail_fraction: float
+    mu: float
+
+
+def square_function(op, u, T: float, dt: float) -> SquareFunctionResult:
+    """G u(x) = (int_0^inf |grad P_t u(x)|^2 dt)^(1/2), by trapezoid over
+    [0, T] plus a per-node exponential tail estimate fitted from the decay
+    of the integrated gradient energy, on Crank-Nicolson steps."""
+    traj = sg.evolve(op, u, sg.TimeGrid(dt=dt, T=T, scheme=sg.Scheme.CRANK_NICOLSON),
+                     sg.SolverConfig(tol=1e-12))
+    nt = len(traj.times)
+    g2 = ops.grad_sq_at_nodes(op.grid, traj.values.T).T
+    integral = np.trapezoid(g2, traj.times, axis=0)
+    energy = g2.sum(axis=1)
+    kfit = max(nt // 4, 3)
+    mu = float("nan")
+    tail = np.zeros(op.n)
+    pos = energy[-kfit:] > 0
+    if pos.all():
+        slope, _ = np.polyfit(traj.times[-kfit:], np.log(energy[-kfit:]), 1)
+        mu = float(-slope)
+        if mu > 0:
+            tail = g2[-1] / mu
+    total = integral + tail
+    frac = float(tail.sum() / max(total.sum(), 1e-300))
+    return SquareFunctionResult(values=GridFunction(op.grid, np.sqrt(total)),
+                                tail_fraction=frac, mu=mu)

@@ -356,7 +356,7 @@ def test_criterion_10_square_function():
         lam = 2 * (1 - np.cos(2 * np.pi * k * h)) / h ** 2
         u = GridFunction(g, np.exp(2j * np.pi * k * x))
         T = 12.0 / (2 * lam)
-        res = hz.square_function(op, u, T=T, dt=T / 1200)
+        res = orc.square_function(op, u, T=T, dt=T / 1200)
         gsq = ops.grad_sq_at_nodes(g, u)
         expected = np.sqrt(gsq / (2 * lam))
         rel = np.abs(res.values.values - expected).max() / expected.max()

@@ -1,7 +1,8 @@
 """Tests for the proof-chain harness: composed field, chain rule, pointwise
-bound, bilinear functional, polarization, embedding, cutoff integration by
-parts, off-diagonal decay, and the square function."""
+bound, bilinear functional and embedding, cutoff integration by parts and
+off-diagonal decay; and for the polarization and square-function oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from divbell.bellman import BellmanParams
 from divbell.errors import DivbellError, DomainError, GeometryError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario
-from divbell.semigroup import Scheme, SolverConfig, TimeGrid, evolve
+from divbell.semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 import oracles as orc
 from oracles import stack_mollified_neg_hess
 
@@ -445,14 +446,15 @@ class TestBilinear:
         z = GridFunction.zeros(spec.grid)
         spec = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients, spec.potential,
                                z, spec.g, spec.params, spec.timegrid, spec.solver)
-        rep = hz.bilinear_functional(hz.run_scenario(spec))
+        rep = hz.embedding_check(hz.run_scenario(spec))
         assert rep.E_T == 0.0 and rep.tail == 0.0
+        assert rep.lambda_star is None
 
     def test_symmetry(self, evolved_identity_1d):
         ev = evolved_identity_1d
         swapped = hz.EvolvedScenario(ev.spec, ev.op, ev.traj_g, ev.traj_f)
-        a = hz.bilinear_functional(ev)
-        b = hz.bilinear_functional(swapped)
+        a = hz.embedding_check(ev)
+        b = hz.embedding_check(swapped)
         assert a.E_T == b.E_T
 
     def test_monotone_in_horizon(self, evolved_identity_1d):
@@ -462,8 +464,8 @@ class TestBilinear:
         assert products is ev.traj_g.step_products
         assert len(products) == ev.spec.timegrid.n_steps
         assert np.all(np.diff(np.cumsum(products)) >= 0.0)
-        assert hz.bilinear_functional(ev).E_T == pytest.approx(np.cumsum(products)[-1],
-                                                               rel=1e-14)
+        assert hz.embedding_check(ev).E_T == pytest.approx(np.cumsum(products)[-1],
+                                                           rel=1e-14)
 
     @pytest.mark.parametrize("block_values", [1, hz.SNAPSHOT_BLOCK_VALUES])
     def test_step_products_match_complex_star_norms(self, block_values, monkeypatch):
@@ -490,7 +492,7 @@ class TestBilinear:
         evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=both)
         w = spec.timegrid.dt * spec.grid.cell_volume
         for n, z in enumerate(outputs):
-            s = hz.star_norm_field(spec.grid, z, spec.potential)
+            s = orc.star_norm_field(spec.grid, z, spec.potential)
             assert products[n] == pytest.approx(w * np.sum(s[0] * s[1]), rel=1e-13)
 
     def test_trajectories_without_the_pair_products_raise(self, evolved_identity_1d):
@@ -504,14 +506,14 @@ class TestBilinear:
 
     def test_run_without_the_embedding_hook(self, evolved_identity_1d):
         # pointwise and ibp evolve without star norms: the same trajectories,
-        # and no products for bilinear_functional to read as 0
+        # and no products for embedding_check to read as 0
         ev = evolved_identity_1d
         plain = hz.run_scenario(ev.spec, embedding=False)
         assert plain.traj_f.step_products is None and plain.traj_g.step_products is None
         for a, b in ((plain.traj_f, ev.traj_f), (plain.traj_g, ev.traj_g)):
             assert np.array_equal(a.values, b.values) and np.array_equal(a.times, b.times)
         with pytest.raises(DomainError):
-            hz.bilinear_functional(plain)
+            hz.embedding_check(plain)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_four_field_rebuild_reads_the_run_value(self, evolved_identity_1d, p):
@@ -541,7 +543,7 @@ class TestBilinear:
         w = spec.grid.cell_volume
         exact = 0.5 * w * (np.linalg.norm(spec.f.flat) ** 2
                            - np.linalg.norm(ev.traj_f.values[-1]) ** 2)
-        rep = hz.bilinear_functional(ev)
+        rep = hz.embedding_check(ev)
         assert rep.E_T == pytest.approx(exact, rel=1e-11)
 
     @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
@@ -579,17 +581,17 @@ class TestBilinear:
 
 class TestPolarize:
     def test_symmetric_case(self):
-        res = hz.polarize(1.0, 1.0, 2.0)
+        res = orc.polarize(1.0, 1.0, 2.0)
         assert res.lambda_star == pytest.approx(1.0)
         assert res.value == pytest.approx(2.0)
 
     def test_value_depends_on_product_at_p2(self):
-        a = hz.polarize(4.0, 0.25, 2.0).value
-        b = hz.polarize(1.0, 1.0, 2.0).value
+        a = orc.polarize(4.0, 0.25, 2.0).value
+        b = orc.polarize(1.0, 1.0, 2.0).value
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_degenerate(self):
-        res = hz.polarize(0.0, 1.0, 2.0)
+        res = orc.polarize(0.0, 1.0, 2.0)
         assert res.degenerate and res.value == 0.0 and res.lambda_star is None
 
     @pytest.mark.parametrize("p,a,b", [(2.0, 1.7, 0.4), (3.0, 0.9, 2.2), (8.0, 3.0, 0.1)])
@@ -611,7 +613,7 @@ class TestPolarize:
             else:
                 llo = x1
         lam_num = np.exp(0.5 * (llo + lhi))
-        res = hz.polarize(a, b, p)
+        res = orc.polarize(a, b, p)
         assert res.lambda_star == pytest.approx(lam_num, rel=1e-8)
         assert res.value == pytest.approx(obj(lam_num), rel=1e-10)
         # closed form of the optimal value
@@ -647,6 +649,21 @@ class TestEmbedding:
         rep = hz.embedding_check(ev)
         assert ev.op.gamma == pytest.approx(0.25, rel=1e-12)
         assert rep.ok
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 8.0])
+    def test_lambda_star_minimizes_the_polarization(self, evolved_identity_1d, p):
+        # lambda* and the product bound against the polarization oracle of
+        # a = ||f||_p^p and b = ||g||_q^q
+        ev = evolved_identity_1d
+        s = ev.spec
+        spec_p = hz.ScenarioSpec(s.name, s.grid, s.coefficients, s.potential, s.f, s.g,
+                                 BellmanParams(p), s.timegrid, s.solver)
+        rep = hz.embedding_check(hz.EvolvedScenario(spec_p, ev.op, ev.traj_f, ev.traj_g))
+        a, b = rep.norm_f_p ** p, rep.norm_g_q ** spec_p.params.q
+        pol = orc.polarize(a, b, p)
+        assert rep.lambda_star == pytest.approx(pol.lambda_star, rel=1e-14)
+        assert rep.product_bound == pytest.approx(rep.sum_bound / (a + b) * pol.value,
+                                                  rel=1e-12)
 
 
 class TestCutoffAndIbp:
@@ -684,6 +701,62 @@ class TestCutoffAndIbp:
             loop = np.trapezoid(w * np.array([np.dot(gpsi, op.face_action @ (op.gradient @ bk))
                                               for bk in b]), ev.traj_f.times)
             assert r.flux_term == pytest.approx(loop, rel=1e-13)
+
+    def test_I_RT_matches_the_full_field_route(self):
+        # oracle: L'b, d/dt b and V b as (nt, n) fields, weighted by psi_R
+        # and summed over the nodes, then the trapezoid; V != 0 here
+        ev = hz.run_scenario(make_scenario("random-accretive", dim=2, N=24, p=4.0, steps=60),
+                             embedding=False)
+        rep = hz.ibp_upper_check(ev)
+        times = ev.traj_f.times
+        b = hz.compose_b(ev.spec.params, ev.traj_f, ev.traj_g)
+        lp = hz.lprime(ev.op, b, times)
+        ddt = hz.time_derivative(b, times)
+        w = ev.spec.grid.cell_volume
+        for r in rep.rows:
+            psi = hz.CutoffSpec(r.R).values_at(ev.spec.grid).ravel()
+            for value, fld in ((r.I_RT, lp), (r.time_term_quad, ddt),
+                               (r.potential_term, ev.op.potential * b)):
+                oracle = np.trapezoid(w * (psi[None, :] * fld).sum(axis=1), times)
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            assert r.potential_term < -1e-3 * abs(r.I_RT)
+
+    def test_temporaries_scale_with_the_block(self):
+        # the peak over 201 snapshots of 47^2 nodes exceeds the peak over
+        # their first 51 by a small part of the extra trajectory: no
+        # temporary spans it, such as an (nt, n) field of b or L'b
+        spec = make_scenario("random-accretive", dim=2, N=48, p=4.0, T=0.1)
+        spec = dataclasses.replace(spec, timegrid=TimeGrid(dt=spec.timegrid.dt, T=0.1))
+        ev = hz.run_scenario(spec, embedding=False)
+        short = hz.EvolvedScenario(spec, ev.op, *(Trajectory(t.grid, t.times[:51], t.values[:51])
+                                                  for t in (ev.traj_f, ev.traj_g)))
+        peaks = []
+        for run in (short, ev):
+            hz.ibp_upper_check(run)
+            tracemalloc.start()
+            try:
+                hz.ibp_upper_check(run)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_field = (len(ev.traj_f) - len(short.traj_f)) * spec.grid.n_nodes * 8
+        assert extra_field > 2 ** 21
+        assert peaks[1] - peaks[0] <= 0.05 * extra_field
+
+    @pytest.mark.parametrize("case", ["shifted-times", "two-snapshots", "nonuniform-times"])
+    def test_trajectories_it_cannot_reduce_raise(self, evolved_identity_1d, case):
+        ev = evolved_identity_1d
+        tf, tg = ev.traj_f, ev.traj_g
+        times, keep = tf.times, slice(None)
+        if case == "two-snapshots":
+            keep = slice(0, 2)
+        elif case == "nonuniform-times":
+            times = times.copy()
+            times[-1] *= 1.5
+        f = Trajectory(tf.grid, times[keep], tf.values[keep])
+        g = Trajectory(tg.grid, times[keep] + (case == "shifted-times") * 1e-3, tg.values[keep])
+        with pytest.raises(DomainError):
+            hz.ibp_upper_check(hz.EvolvedScenario(ev.spec, ev.op, f, g))
 
     def test_report(self, evolved_identity_1d):
         rep = hz.ibp_upper_check(evolved_identity_1d)
@@ -736,7 +809,7 @@ class TestSquareFunction:
     def test_zero_datum(self):
         g = Grid(cells=(32,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
         L = ops.assemble(g, ops.CoefficientField.identity(g), ops.PotentialField.zero(g))
-        res = hz.square_function(L, GridFunction.zeros(g), T=0.02, dt=0.001)
+        res = orc.square_function(L, GridFunction.zeros(g), T=0.02, dt=0.001)
         assert np.all(res.values.values == 0.0)
 
     def test_eigenmode_identity(self):
@@ -749,7 +822,7 @@ class TestSquareFunction:
         lam = 2 * (1 - np.cos(2 * np.pi * k * h)) / h ** 2
         u = GridFunction(g, np.exp(2j * np.pi * k * x))
         T = 12.0 / (2 * lam)
-        res = hz.square_function(L, u, T=T, dt=T / 1200)
+        res = orc.square_function(L, u, T=T, dt=T / 1200)
         # |grad_h u| is constant sqrt(lambda) for a mode, so G = 1/sqrt(2)
         expected = 1.0 / np.sqrt(2.0)
         rel = np.abs(res.values.values.real - expected).max() / expected
@@ -759,7 +832,7 @@ class TestSquareFunction:
         g = Grid(cells=(64,), lo=(-4.0,), hi=(4.0,), boundary=Boundary.DIRICHLET)
         L = ops.assemble(g, ops.CoefficientField.identity(g), ops.PotentialField.zero(g))
         u = ps.make_bump(g, 0.0, 1.2, 1.0)
-        res = hz.square_function(L, u, T=1.0, dt=0.005)
+        res = orc.square_function(L, u, T=1.0, dt=0.005)
         ratios = {p: res.values.norm(p) / u.norm(p) for p in (2.0, 3.0, 4.0, 8.0)}
         assert all(np.isfinite(v) and v > 0 for v in ratios.values())
 
