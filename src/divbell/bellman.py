@@ -131,6 +131,11 @@ def second_order(p, q, delta, u, v, r1=None, vpow=None):
     return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
 
 
+def _phi(p, q, delta, up, vq, u2, v2q, r1):
+    """phi from the powers u^p, v^q, u^2 and v^(2-q) and the region-1 mask."""
+    return up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
+
+
 def bellman_tables(p, q, delta, u, v):
     """Region mask plus phi and its radial derivatives, vectorized.
 
@@ -153,7 +158,7 @@ def bellman_tables(p, q, delta, u, v):
     c2p = p + 2.0 * delta
     c2q = q + delta * (2.0 - q)
 
-    phi = up + vq + delta * np.where(r1, u2 * v2q, (2.0 / p) * up + (2.0 / q - 1.0) * vq)
+    phi = _phi(p, q, delta, up, vq, u2, v2q, r1)
     phi_u = np.where(r1, p * up1 + 2.0 * delta * u * v2q, c2p * up1)
     phi_v = np.where(r1, q * vq1 + delta * (2.0 - q) * u2 * v1q, c2q * vq1)
     return (r1, phi, phi_u, phi_v) + second_order(p, q, delta, u, v, r1, vpow)
@@ -219,7 +224,10 @@ def phi_values(params: BellmanParams, u, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise DomainError("moduli must be nonnegative")
-    return bellman_tables(params.p, params.q, params.delta, u, v)[1]
+    p, q = params.p, params.q
+    up = u ** p
+    vq = v ** q
+    return _phi(p, q, params.delta, up, vq, u * u, v ** (2.0 - q), up <= vq)
 
 
 def q_values(params: BellmanParams, zeta, eta) -> np.ndarray:
@@ -280,9 +288,16 @@ class Mollifier:
 
 
 @functools.cache
-def _mollifier() -> Mollifier:
-    """The ``MOLLIFIER_ORDER`` rule, built on first use."""
-    return Mollifier()
+def _folded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the ``MOLLIFIER_ORDER`` rule folded by the
+    reflections y1 -> -y1 and y3 -> -y3, built on first use: the nodes
+    (y0, |y1|, y2, |y3|) with the summed weights of the nodes that fold onto
+    them, 44 of 176 at order 6.  Both rules average an even function alike."""
+    mol = Mollifier()
+    nodes = mol.nodes.copy()
+    nodes[:, 1::2] = np.abs(nodes[:, 1::2])
+    folded, inverse = np.unique(nodes, axis=0, return_inverse=True)
+    return folded, np.bincount(inverse.ravel(), weights=mol.weights)
 
 
 def cap_mollify_scale(u, v, eps):
@@ -293,92 +308,72 @@ def cap_mollify_scale(u, v, eps):
     return np.minimum(eps, 0.45 * np.minimum(u, v))
 
 
-# Nodes per block of ``mollified_neg_hess``: one block's quadrature
-# temporaries are a few (block * quadrature points) arrays, whatever the
-# node count.  On the 15 calls (11,211 nodes) of `sweep --p 4 --seed 1`,
-# one BLAS thread, 2 vCPUs: repeated in one process, blocks of 32, 64 and
-# 128 took 0.14 s, 16 took 0.16 s, 256 took 0.21 s and 512 took 0.27 s.
-# Inside the `sweep` command, where freed temporaries go back to the
-# system and fault in again, 32-64 took 0.16-0.18 s with 700-6,200 page
-# faults, and 96-128 took 0.20-0.21 s with 13,000-15,000.
-_MOLLIFY_BLOCK = 64
-
-# Positions of the 10 independent entries of a symmetric 4x4 -d2Q: the
-# three of each diagonal 2x2 block, then the off-diagonal block.
-_SYM_ROWS = np.array([0, 0, 1, 2, 2, 3, 0, 0, 1, 1])
-_SYM_COLS = np.array([0, 1, 1, 2, 3, 3, 2, 3, 2, 3])
+# Nodes per block of ``mollified_form_coeffs``, whose temporaries are a few
+# (block * 44) arrays.  In the 15 calls (11,211 nodes) of `sweep --p 4
+# --seed 1`, one BLAS thread, 2 vCPUs, median of 5 runs: blocks of 96-128
+# took 0.060 s, 64 0.066 s, 32 0.080 s, 256 0.076 s, 512 0.095 s.
+_MOLLIFY_BLOCK = 128
 
 
-def mollified_neg_hess(params: BellmanParams, zeta, eta, eps) -> np.ndarray:
-    """Mollified -d2Q at k points as a (k, 4, 4) stack, in the coordinates
-    (Re zeta, Im zeta, Re eta, Im eta).
+def mollified_form_coeffs(params: BellmanParams, u, v, eps):
+    """Radial coefficients (crr, ctt, drr, dtt, m) of the mollified -d2Q at
+    k points with moduli u and v, as five (k,) arrays.
 
-    Point i is smoothed at scale eps[i] (eps may also be one scalar),
-    capped by ``cap_mollify_scale``, with the ``MOLLIFIER_ORDER`` rule.
-    Both moduli must be positive (SingularityError naming the zero ray
-    otherwise): the cap would shrink the scale to zero there.
-    Nodes are walked in blocks of ``_MOLLIFY_BLOCK``.  Per block the
-    quadrature points are four real coordinate arrays, each in units of its
-    node's modulus, so their squared moduli lie between 0.55^2 and 1.45^2
-    at any scale.  Only the five radial coefficients are evaluated at the
-    quadrature points; the phase products are coordinate products over the
-    squared moduli.  The 10 independent matrix entries go into one
-    (10, block, nq) buffer, whose weighted average is one product with the
-    weights, so no per-quadrature-point 4x4 matrix is ever formed.
+    Q depends on the moduli alone and the mollifier is radial, so in each
+    point's phase-aligned frame, where it is (u, 0, v, 0), the mollified
+    -d2Q has the exact one's radial form: crr and ctt average the diagonal
+    entries (crr - ctt) x0^2 / |x_zeta|^2 + ctt and the same with x1^2 over
+    the quadrature points x, drr and dtt their eta analogues, and m averages
+    m x0 x2 / (|x_zeta| |x_eta|).  These are even in y1 and y3, and the
+    other entries odd, so they are averaged on ``_folded_rule``.
+
+    Point i is smoothed at scale eps[i] (or one scalar eps), capped by
+    ``cap_mollify_scale``; both moduli must be positive (SingularityError
+    naming the zero ray otherwise), or the cap would vanish.  Per block of
+    ``_MOLLIFY_BLOCK`` nodes the quadrature points are in units of their
+    node's moduli, so their squared moduli lie in [0.55^2, 1.45^2].
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128)).ravel()
-    eta = np.atleast_1d(np.asarray(eta, dtype=np.complex128)).ravel()
-    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), zeta.shape)
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64)).ravel()
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel()
+    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), u.shape)
     if not np.all(eps > 0.0):
         raise DomainError("mollification scales must be positive")
-    u0 = np.abs(zeta)
-    v0 = np.abs(eta)
-    bad = np.flatnonzero(np.minimum(u0, v0) <= ZERO_MODULUS)
+    bad = np.flatnonzero(np.minimum(u, v) <= ZERO_MODULUS)
     if bad.size:
         i = bad[0]
-        raise SingularityError("zeta-zero-ray" if u0[i] <= v0[i] else "eta-zero-ray",
+        raise SingularityError("zeta-zero-ray" if u[i] <= v[i] else "eta-zero-ray",
                                f"mollified -d2Q needs both moduli positive, "
-                               f"got ({u0[i]}, {v0[i]}) at point {i}")
-    eps = cap_mollify_scale(u0, v0, eps)
-    mol = _mollifier()
-    nq = mol.weights.size
-    # coordinate c of (zr, zi, er, ei) at quadrature node j of point i is
-    # base[c, i] - scale[c, i] * y[j, c], in units of the point's modulus:
-    # one (block, 2) @ (2, nq) product per coordinate
-    base_scale = np.stack([
-        np.stack([zeta.real / u0, zeta.imag / u0, eta.real / v0, eta.imag / v0]),
-        np.stack([eps / u0, eps / u0, eps / v0, eps / v0])], axis=-1)     # (4, n, 2)
-    one_y = np.stack([np.ones((4, nq)), -mol.nodes.T], axis=1)           # (4, 2, nq)
-    mod0 = np.stack([u0, v0])
-    out = np.empty((zeta.size, 4, 4))
-    ent_buf = np.empty(10 * min(zeta.size, _MOLLIFY_BLOCK) * nq)
-    x_buf = np.empty(4 * min(zeta.size, _MOLLIFY_BLOCK) * nq)
-    for lo in range(0, zeta.size, _MOLLIFY_BLOCK):
+                               f"got ({u[i]}, {v[i]}) at point {i}")
+    eps = cap_mollify_scale(u, v, eps)
+    y, w = _folded_rule()
+    y_re, y_im = (y[:, c::2].T[:, None] for c in (0, 1))        # (2, 1, nq)
+    # rows crr, drr, ctt, dtt, m: the entries (0, 0), (2, 2), (1, 1), (3, 3)
+    # and (0, 2) at each quadrature point, averaged by one product with w
+    out = np.empty((5, u.size))
+    ent_buf = np.empty((5, min(u.size, _MOLLIFY_BLOCK), w.size))
+    for lo in range(0, u.size, _MOLLIFY_BLOCK):
         blk = slice(lo, lo + _MOLLIFY_BLOCK)
-        k = min(_MOLLIFY_BLOCK, zeta.size - lo)
-        ent = ent_buf[:10 * k * nq].reshape(10, k, nq)
-        x = x_buf[:4 * k * nq].reshape(4, k, nq)        # (zr, zi, er, ei)
-        np.matmul(base_scale[:, blk], one_y, out=x)
-        # entries before their coefficients: zr^2, zr zi, zi^2, er^2, er ei,
-        # ei^2, then the four cross products
-        np.square(x[0:2], out=ent[0:3:2])
-        np.square(x[2:4], out=ent[3:6:2])
-        np.multiply(x[0::2], x[1::2], out=ent[1:5:3])
-        np.multiply(x[0:2, None], x[None, 2:4], out=ent[6:10].reshape(2, 2, k, nq))
-        mod2 = ent[0:4:3] + ent[2:6:3]                   # squared moduli / (u0, v0)^2
+        ent = ent_buf[:, :min(_MOLLIFY_BLOCK, u.size - lo)]
+        mods = np.stack([u[blk], v[blk]])[:, :, None]            # (2, block, 1)
+        scale = eps[blk, None] / mods
+        # quadrature point (zeta, eta) = (u, v) - eps (y0 + i y1, y2 + i y3)
+        # over the moduli: (x_re, x_im)[0] for zeta, [1] for eta
+        x_re = 1.0 - scale * y_re                                 # (2, block, nq)
+        x_im = scale * y_im
+        sq_re, sq_im = x_re * x_re, x_im * x_im
+        mod2 = sq_re + sq_im
         root = np.sqrt(mod2)
-        mods = root * mod0[:, blk, None]
-        np.maximum(mods, ZERO_MODULUS, out=mods)
-        crr, ctt, drr, dtt, m = _form_coeffs(params, mods[0], mods[1])
-        ent[0:3] *= (crr - ctt) / mod2[0]
-        ent[3:6] *= (drr - dtt) / mod2[1]
-        ent[6:10] *= m / (root[0] * root[1])
-        ent[0:3:2] += ctt
-        ent[3:6:2] += dtt
-        avg = (ent @ mol.weights).T                      # (block, 10)
-        out[blk, _SYM_ROWS, _SYM_COLS] = avg
-        out[blk, _SYM_COLS, _SYM_ROWS] = avg
-    return out
+        crr, ctt, drr, dtt, m = _form_coeffs(
+            params, *np.maximum(root * mods, ZERO_MODULUS))
+        g = np.stack([crr - ctt, drr - dtt])
+        g /= mod2
+        np.multiply(sq_re, g, out=ent[0:2])
+        np.multiply(sq_im, g, out=ent[2:4])
+        ent[0:4:2] += ctt
+        ent[1:4:2] += dtt
+        np.divide(m * x_re[0] * x_re[1], root[0] * root[1], out=ent[4])
+        np.matmul(ent, w, out=out[:, blk])
+    return out[0], out[2], out[1], out[3], out[4]
 
 
 # ---------------------------------------------------------------------------

@@ -199,22 +199,45 @@ def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
                      complex(sigma[1]).real, complex(sigma[1]).imag])
 
 
-def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER):
-    """Oracle for ``bellman.mollified_neg_hess`` at the scales given: the
-    full (k, nq, 4, 4) stack of per-quadrature-point -d2Q matrices,
-    averaged with the weights of a freshly built order-``order`` rule."""
+def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER, *,
+                             phase_frame=True):
+    """The mollified -d2Q at the scales given as the full (k, nq, 4, 4)
+    stack of per-quadrature-point -d2Q matrices, averaged with the weights
+    of a freshly built order-``order`` rule, with no use of symmetry.  The
+    quadrature nodes sit in each point's phase frame,
+    (zeta, eta) - eps (ph1 (y0 + i y1), ph2 (y2 + i y3)), or with
+    ``phase_frame=False`` in the data's frame, without the phases."""
     mol = bl.Mollifier(order)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), zeta.shape)
+    _, _, ph1, ph2 = bl._phases(zeta, eta) if phase_frame else (None, None, 1.0, 1.0)
     y = mol.nodes
-    zs = zeta[:, None] - eps[:, None] * (y[None, :, 0] + 1j * y[None, :, 1])
-    es = eta[:, None] - eps[:, None] * (y[None, :, 2] + 1j * y[None, :, 3])
+    zs = zeta[:, None] - (eps * ph1)[:, None] * (y[None, :, 0] + 1j * y[None, :, 1])
+    es = eta[:, None] - (eps * ph2)[:, None] * (y[None, :, 2] + 1j * y[None, :, 3])
     u, v, ph1, ph2 = bl._phases(zs.ravel(), es.ravel())
     coeffs = bl._form_coeffs(params, np.maximum(u, bl.ZERO_MODULUS),
                              np.maximum(v, bl.ZERO_MODULUS))
     mats = _assemble_neg_hess(*coeffs, ph1, ph2).reshape(zeta.size, mol.weights.size, 4, 4)
     return np.einsum("q,kqij->kij", mol.weights, mats)
+
+
+def stack_mollified_form_coeffs(params, u, v, eps):
+    """Oracle for ``bellman.mollified_form_coeffs``: the entries (0, 0),
+    (1, 1), (2, 2), (3, 3) and (0, 2) of ``stack_mollified_neg_hess`` at the
+    points (u, v) on the positive real axes, at the capped scales, in the
+    order (crr, ctt, drr, dtt, m)."""
+    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
+    mats = stack_mollified_neg_hess(params, u, v, bl.cap_mollify_scale(u, v, eps))
+    return mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2], mats[:, 3, 3], mats[:, 0, 2]
+
+
+def mollified_matrix(params, zeta, eta, eps) -> np.ndarray:
+    """The (k, 4, 4) stack of mollified -d2Q matrices that
+    ``bellman.mollified_form_coeffs`` gives at the moduli of the points,
+    assembled with the points' phases."""
+    u, v, ph1, ph2 = bl._phases(np.atleast_1d(zeta), np.atleast_1d(eta))
+    return _assemble_neg_hess(*bl.mollified_form_coeffs(params, u, v, eps), ph1, ph2)
 
 
 def smooth_random_full(coords, grid, rng: np.random.Generator, modes: int = 2) -> np.ndarray:

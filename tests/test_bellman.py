@@ -13,7 +13,7 @@ import divbell.bellman as bl
 import oracles as orc
 from divbell.bellman import BellmanParams
 from divbell.errors import AccuracyError, DomainError, SingularityError
-from oracles import ComplexPair, RegionLabel, stack_mollified_neg_hess
+from oracles import ComplexPair, RegionLabel, mollified_matrix, stack_mollified_neg_hess
 
 
 def fd_grad_phi(params, u, v, h=1e-5):
@@ -202,6 +202,22 @@ class TestPhi:
         with pytest.raises(AccuracyError):
             orc.eval_phi(P, u, v)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0])
+    def test_phi_values_bitwise_equal_to_tables(self, p):
+        # phi_values evaluates phi alone, by the expression of bellman_tables,
+        # on both sides of and on the interface and at 0 and 1e-300
+        P = BellmanParams(p)
+        rng = np.random.default_rng(int(p))
+        v = np.exp(rng.uniform(-8.0, 3.0, 300))
+        u = np.concatenate([np.exp(rng.uniform(-8.0, 3.0, 300)), v ** (P.q / P.p)])
+        v = np.concatenate([v, v])
+        edges = np.array([0.0, 1e-300, bl.MOD_FLOOR, 1.0])
+        u = np.concatenate([u, np.repeat(edges, edges.size)])
+        v = np.concatenate([v, np.tile(edges, edges.size)])
+        got = bl.phi_values(P, u, v)
+        assert np.array_equal(got, bl.bellman_tables(P.p, P.q, P.delta, u, v)[1])
+        assert np.array_equal(bl.q_values(P, -u, v), -0.5 * got)
+
 
 class TestQ:
     def test_hand_value(self):
@@ -305,7 +321,7 @@ class TestGradQ:
         # the batched tables clamp a zero modulus; the mollified -d2Q, whose
         # scale cap would vanish there, refuses it
         with pytest.raises(SingularityError) as err:
-            bl.mollified_neg_hess(BellmanParams(2.0), [1.0, 0.0], [1.0, 1.0], 0.1)
+            bl.mollified_form_coeffs(BellmanParams(2.0), [1.0, 0.0], [1.0, 1.0], 0.1)
         assert err.value.which == "zeta-zero-ray"
 
 
@@ -428,7 +444,7 @@ class TestMollified:
         xi = ComplexPair(0.5 + 0.2j, 1.9 - 0.3j)
         exact = orc.neg_hess_matrix(P, xi)
         epss = [0.1, 0.05, 0.025]
-        errs = [np.abs(bl.mollified_neg_hess(P, xi[0], xi[1], e)[0] - exact).max()
+        errs = [np.abs(mollified_matrix(P, xi[0], xi[1], e)[0] - exact).max()
                 for e in epss]
         slope = np.polyfit(np.log(epss), np.log(errs), 1)[0]
         assert slope >= 1.8
@@ -443,7 +459,7 @@ class TestMollified:
         h2 = orc.neg_hess_matrix(P, ComplexPair(u * (1 + 1e-6), v))
         prev = None
         for eps in (0.2, 0.1, 0.05, 0.025):
-            dist, lam = segment_distance(bl.mollified_neg_hess(P, u, v, eps)[0], h1, h2)
+            dist, lam = segment_distance(mollified_matrix(P, u, v, eps)[0], h1, h2)
             if prev is not None:
                 assert dist <= prev * 0.75
             prev = dist
@@ -458,12 +474,12 @@ class TestMollified:
         u = v ** (P.q / P.p)
         cert = certify_one(P, 0.98 * u, v)
         assert cert["valid"]
-        mat = bl.mollified_neg_hess(P, u, v, 0.05)[0]
+        mat = mollified_matrix(P, u, v, 0.05)[0]
         assert np.linalg.eigvalsh(mat - P.delta * weight(cert["tau"]))[0] >= -1e-8
 
     def test_requires_positive_eps(self):
         with pytest.raises(DomainError):
-            bl.mollified_neg_hess(BellmanParams(2.0), [1.0], [1.0], 0.0)
+            bl.mollified_form_coeffs(BellmanParams(2.0), [1.0], [1.0], 0.0)
 
     def test_mollified_gradient_converges(self):
         # for p = 2, Q is quadratic and -d2Q = diag(1+delta, 1+delta, 1, 1)
@@ -471,7 +487,7 @@ class TestMollified:
         P = BellmanParams(2.0)
         exact = np.diag([1.0 + P.delta, 1.0 + P.delta, 1.0, 1.0])
         for eps in (0.4, 0.1, 0.025):
-            mat = bl.mollified_neg_hess(P, 0.7 + 0.2j, 1.1 - 0.5j, eps)[0]
+            mat = mollified_matrix(P, 0.7 + 0.2j, 1.1 - 0.5j, eps)[0]
             assert np.abs(mat - exact).max() <= 1e-14
 
 
@@ -486,46 +502,74 @@ def near_interface_points(params, rng, k):
     return zeta, eta, eps
 
 
-def assert_matches_stack(params, got, zeta, eta, eps, order):
-    ref = stack_mollified_neg_hess(params, zeta, eta, eps, order)
+def assert_matches_stack(params, got, zeta, eta, eps, order, phase_frame=True):
+    ref = stack_mollified_neg_hess(params, zeta, eta, eps, order, phase_frame=phase_frame)
     assert got.shape == ref.shape
     if ref.size:
         radius = np.abs(np.linalg.eigvalsh(ref)).max(axis=1)
         assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * radius).all()
-        assert np.array_equal(got, np.swapaxes(got, 1, 2))
 
 
-class TestMollifiedNegHess:
+class TestMollifiedFormCoeffs:
     @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
     @pytest.mark.parametrize("order", [bl.MOLLIFIER_ORDER])
     def test_matches_stack_oracle(self, p, order):
-        # the oracle builds its own rule of the order the id names
+        # the oracle builds its own rule of the order the id names and
+        # averages all 16 entries over all of its nodes
         P = BellmanParams(p)
         zeta, eta, eps = near_interface_points(P, np.random.default_rng(int(p) + order), 300)
-        got = bl.mollified_neg_hess(P, zeta, eta, eps)
+        got = mollified_matrix(P, zeta, eta, eps)
         assert_matches_stack(P, got, zeta, eta, eps, order)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+    def test_real_points_match_unrotated_stack(self, p):
+        # on real points with phases +-1 the phase frame is the data's frame
+        # up to the reflections y -> -y, under which the rule is symmetric
+        P = BellmanParams(p)
+        rng = np.random.default_rng(int(p))
+        zeta, eta, eps = near_interface_points(P, rng, 300)
+        zeta, eta = (np.abs(x) * rng.choice([-1.0, 1.0], x.size) for x in (zeta, eta))
+        got = mollified_matrix(P, zeta, eta, eps)
+        assert_matches_stack(P, got, zeta, eta, eps, bl.MOLLIFIER_ORDER, phase_frame=False)
+
+    def test_folded_rule(self):
+        # 44 nodes with y1, y3 >= 0 carry the 176 weights, so both rules
+        # average a function even in y1 and y3 alike
+        full = bl.Mollifier()
+        y, w = bl._folded_rule()
+        assert y.shape == (44, 4) and full.weights.size == 176
+        assert (y[:, 1::2] > 0.0).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+        def even(x):
+            return np.exp(x[:, 0] - 2.0 * x[:, 2]) * np.cos(3.0 * x[:, 1] * x[:, 3]) + x[:, 1] ** 4
+
+        assert even(y) @ w == pytest.approx(even(full.nodes) @ full.weights, rel=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, bl._MOLLIFY_BLOCK, bl._MOLLIFY_BLOCK + 1])
     def test_node_counts(self, k):
         P = BellmanParams(4.0)
         zeta, eta, eps = near_interface_points(P, np.random.default_rng(k), k)
-        got = bl.mollified_neg_hess(P, zeta, eta, eps)
-        assert got.shape == (k, 4, 4)
-        assert_matches_stack(P, got, zeta, eta, eps, bl.MOLLIFIER_ORDER)
+        coeffs = bl.mollified_form_coeffs(P, np.abs(zeta), np.abs(eta), eps)
+        assert len(coeffs) == 5 and all(c.shape == (k,) for c in coeffs)
+        assert_matches_stack(P, mollified_matrix(P, zeta, eta, eps), zeta, eta, eps,
+                             bl.MOLLIFIER_ORDER)
 
     def test_scalar_eps_broadcasts(self):
         P = BellmanParams(3.0)
         zeta, eta, _ = near_interface_points(P, np.random.default_rng(5), 7)
-        eps = 0.4 * np.minimum(np.abs(zeta), np.abs(eta)).min()
-        assert np.array_equal(bl.mollified_neg_hess(P, zeta, eta, eps),
-                              bl.mollified_neg_hess(P, zeta, eta, np.full(7, eps)))
+        u, v = np.abs(zeta), np.abs(eta)
+        eps = 0.4 * np.minimum(u, v).min()
+        for a, b in zip(bl.mollified_form_coeffs(P, u, v, eps),
+                        bl.mollified_form_coeffs(P, u, v, np.full(7, eps))):
+            assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_eps(self):
         P = BellmanParams(4.0)
         with pytest.raises(DomainError):
-            bl.mollified_neg_hess(P, [1.0, 1.0], [1.0, 1.0], [0.1, 0.0])
+            bl.mollified_form_coeffs(P, [1.0, 1.0], [1.0, 1.0], [0.1, 0.0])
         with pytest.raises(DomainError):
-            bl.mollified_neg_hess(P, [1.0], [1.0], np.nan)
+            bl.mollified_form_coeffs(P, [1.0], [1.0], np.nan)
 
     @pytest.mark.parametrize("xi, eps", [
         ((1.3 ** (1.0 / 3.0), 1.3), 0.05),            # on the p=4 interface
@@ -535,19 +579,19 @@ class TestMollifiedNegHess:
     def test_matrix_is_one_point_call(self, xi, eps):
         # one point: the stack average at the capped scale
         P = BellmanParams(4.0)
-        mat = bl.mollified_neg_hess(P, xi[0], xi[1], eps)
+        mat = mollified_matrix(P, xi[0], xi[1], eps)
         capped = min(eps, 0.45 * min(abs(xi[0]), abs(xi[1])))
         assert mat.shape == (1, 4, 4)
         assert_matches_stack(P, mat, xi[0], xi[1], capped, bl.MOLLIFIER_ORDER)
         # the function applies the same cap itself
-        assert np.array_equal(mat, bl.mollified_neg_hess(P, xi[0], xi[1], capped))
+        assert np.array_equal(mat, mollified_matrix(P, xi[0], xi[1], capped))
 
     def test_matrix_guards(self):
         P = BellmanParams(4.0)
         with pytest.raises(DomainError):
-            bl.mollified_neg_hess(P, [1.0], [1.0], 0.0)
+            bl.mollified_form_coeffs(P, [1.0], [1.0], 0.0)
         with pytest.raises(SingularityError) as err:
-            bl.mollified_neg_hess(P, [1.0, 1.0], [1.0, 0.0], 0.1)
+            bl.mollified_form_coeffs(P, [1.0, 1.0], [1.0, 0.0], 0.1)
         assert err.value.which == "eta-zero-ray"
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0])

@@ -18,7 +18,7 @@ from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario
 from divbell.semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 import oracles as orc
-from oracles import stack_mollified_neg_hess
+from oracles import mollified_matrix, stack_mollified_form_coeffs
 
 TIGHT = SolverConfig(tol=1e-12)
 
@@ -125,6 +125,19 @@ class TestLprime:
         lhs = hz.lprime(ev.op, 2.0 * a1 - 0.5 * a2, t)
         rhs = 2.0 * hz.lprime(ev.op, a1, t) - 0.5 * hz.lprime(ev.op, a2, t)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
+
+    @pytest.mark.parametrize("nt", [3, 4, 5, 51])
+    def test_stencil_defect_is_trapezoid_minus_exact(self, nt):
+        # on random series, and exactly 0 on 3 snapshots
+        rng = np.random.default_rng(nt)
+        m = rng.uniform(0.5, 1.5, (nt, 4))
+        t = np.linspace(0.0, 0.3, nt)
+        ref = np.trapezoid(hz.time_derivative(m, t), t, axis=0) - (m[-1] - m[0])
+        got = hz.time_stencil_defect(m)
+        assert got.shape == (4,)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(m).max()
+        if nt == 3:
+            assert (got == 0.0).all()
 
     def test_needs_uniform_times(self, evolved_identity_1d):
         ev = evolved_identity_1d
@@ -233,9 +246,9 @@ class TestChainRule:
         scale = hz._modulus_scale(f, g)
         ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps, scale))
         assert ti.size == cr.n_mollified
-        mats = bl.mollified_neg_hess(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
-        grads = hz._pairs_to_real(orc.parts(hz.grad4(spec.grid, f)[:, ti, ni]),
-                                  orc.parts(hz.grad4(spec.grid, g)[:, ti, ni]))  # (d, k, 4)
+        mats = mollified_matrix(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
+        grads = np.stack([*orc.parts(hz.grad4(spec.grid, f)[:, ti, ni]),
+                          *orc.parts(hz.grad4(spec.grid, g)[:, ti, ni])], axis=-1)  # (d, k, 4)
         A = ops.node_coefficients(spec.coefficients)[ni]
         _, drift = bl.form_coeffs_and_drift(spec.params, u[ti, ni], v[ti, ni])
         expected = (np.einsum("kij,ika,kab,jkb->k", A, grads, mats, grads)
@@ -329,10 +342,24 @@ class TestMollifiedPath:
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
         assert cr.n_mollified > 0
         assert (np.abs(cr.rhs_aij - cr.rhs) <= 1e-10 * np.maximum(1.0, np.abs(cr.rhs))).all()
-        monkeypatch.setattr(hz, "mollified_neg_hess", stack_mollified_neg_hess)
+        monkeypatch.setattr(hz, "mollified_form_coeffs", stack_mollified_form_coeffs)
         ref = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
         for fld, ref_fld in ((cr.rhs, ref.rhs), (cr.rhs_aij, ref.rhs_aij)):
             assert (np.abs(fld - ref_fld) <= 1e-13 * np.maximum(1.0, np.abs(ref_fld))).all()
+
+    def test_chain_rule_is_phase_invariant(self):
+        # Q depends on the moduli alone and the mollified form is taken in
+        # each point's phase frame, so constant phases on f and g leave L'b
+        # unchanged at exact and at mollified nodes
+        spec = make_scenario("random-accretive", dim=2, N=16, p=3.0, T=0.1, steps=10)
+        ev = hz.run_scenario(spec, embedding=False)
+        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        rotated = [dataclasses.replace(traj, values=np.exp(1j * a) * traj.values)
+                   for traj, a in ((ev.traj_f, 0.7), (ev.traj_g, -1.1))]
+        rot = hz.chain_rule_rhs(spec.params, ev.op, *rotated)
+        assert rot.n_mollified == cr.n_mollified > 0
+        for fld, ref in ((rot.rhs, cr.rhs), (rot.rhs_aij, cr.rhs_aij)):
+            assert (np.abs(fld - ref) <= 1e-13 * np.abs(ref)).all()
 
     def test_mask_and_quadrature_share_one_scale(self):
         P = BellmanParams(4.0)
@@ -349,17 +376,15 @@ class TestMollifiedPath:
         k = blocks * bl._MOLLIFY_BLOCK
         v = np.exp(rng.uniform(-1.0, 1.0, k))
         u = v ** (P.q / P.p)
-        zeta = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
-        eta = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
         eps = hz._mollify_scale(u, v, 0.01)
-        bl._mollifier()
+        bl._folded_rule()
         tracemalloc.start()
         try:
-            out = bl.mollified_neg_hess(P, zeta, eta, eps)
+            out = bl.mollified_form_coeffs(P, u, v, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak - out.nbytes
+        return peak - sum(c.nbytes for c in out)
 
     def test_temporary_memory_independent_of_node_count(self):
         small = self._temporary_peak(2)
@@ -413,7 +438,7 @@ class TestSnapshotBlocks:
         assert cr.n_mollified == cr1.n_mollified == pw.n_mollified == mol.sum() > 0
         assert cr.arrangement_gap == cr1.arrangement_gap == pw.arrangement_gap
         assert np.array_equal(pw.rhs, pw1.rhs)
-        # mollified_neg_hess groups the mollified nodes of each call in its
+        # mollified_form_coeffs groups the mollified nodes of each call in its
         # own blocks, which may round their last bit differently
         for fld, ref in ((cr.rhs, cr1.rhs), (cr.rhs_aij, cr1.rhs_aij),
                          (pw.lhs, pw1.lhs), (pw.slack, pw1.slack)):
