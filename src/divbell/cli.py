@@ -189,7 +189,9 @@ def cmd_pointwise(args) -> tuple[Summary, dict]:
 
 def cmd_embed(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
-    ev = hz.run_scenario(spec)
+    # the check reads only the per-step products and the last snapshots
+    tg = dataclasses.replace(spec.timegrid, snapshot_stride=spec.timegrid.n_steps)
+    ev = hz.run_scenario(dataclasses.replace(spec, timegrid=tg))
     rep = hz.embedding_check(ev)
     header = [f.name for f in dataclasses.fields(rep)]
     rows = [tuple(float("nan") if v is None else v for v in dataclasses.astuple(rep))]
@@ -201,6 +203,10 @@ def cmd_embed(args) -> tuple[Summary, dict]:
 
 def cmd_ibp(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
+    n_snaps = len(spec.timegrid.snapshot_steps())
+    if n_snaps < 3:
+        raise ConfigError(f"ibp: the time grid gives {n_snaps} snapshots; the time "
+                          "derivative needs at least 3 (a smaller dt or stride)")
     ev = hz.run_scenario(spec, embedding=False)
     rep = hz.ibp_upper_check(ev)
     header = ["R", "term", "value"]
@@ -257,7 +263,7 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
                                       T=0.3, seed=args.seed, name=f"{preset}-{dim}d-p{p:g}")
                 if ev is None:
                     ev = hz.run_scenario(spec)
-                evp = hz.EvolvedScenario(spec, ev.op, ev.traj_f, ev.traj_g)
+                evp = dataclasses.replace(ev, spec=spec)
                 pw = hz.pointwise_check(evp)
                 em = hz.embedding_check(evp)
                 rows.append((preset, dim, p, ev.op.gamma, pw.worst_slack, pw.eps_h,

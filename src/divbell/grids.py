@@ -86,10 +86,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def face_shape(self, axis: int) -> tuple[int, ...]:
-        """Axis-a faces: all n edges along a, on every node line across it."""
-        return tuple(self.cells[a] if a == axis else m for a, m in enumerate(self.node_shape))
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         return self.lo[axis] + self.spacing[axis] * self.node_vertices(axis)
 
@@ -106,7 +102,7 @@ class Grid:
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def face_midpoints(self, axis: int) -> list[np.ndarray]:
-        """Coordinates of axis-a face midpoints, broadcast to face_shape."""
+        """Axis-a face midpoint coordinates: n along a, the node lines across."""
         per_axis = [self.axis_nodes(a) for a in range(self.dim)]
         per_axis[axis] = (self.lo[axis]
                           + self.spacing[axis] * (np.arange(self.cells[axis]) + 0.5))
@@ -129,28 +125,11 @@ class GridFunction:
                 f"values shape {vals.shape} does not match node shape {self.grid.node_shape}")
         self.values = vals
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.node_shape, dtype=np.complex128))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(*grid.node_coords()), dtype=np.complex128))
-
     @property
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def norm(self, p: float = 2.0) -> float:
         """L^p norm with cell-volume weights h^dim."""
         w = self.grid.cell_volume
-        a = np.abs(self.flat)
-        if np.isinf(p):
-            return float(a.max(initial=0.0))
-        return float((w * np.sum(a ** p)) ** (1.0 / p))
-
-    def norm_inf(self) -> float:
-        return self.norm(np.inf)
+        return float((w * np.sum(np.abs(self.flat) ** p)) ** (1.0 / p))

@@ -109,6 +109,8 @@ class EvolvedScenario:
     op: DiscreteOperator
     traj_f: Trajectory
     traj_g: Trajectory
+    # per-step sums dt w sum_x |x_f|_* |x_g|_* of the pair's solve outputs
+    step_products: np.ndarray | None = field(default=None, repr=False)
 
 
 # Node values per block of snapshots (or of solve outputs) that the
@@ -130,16 +132,16 @@ def _snapshot_blocks(nt: int, n_values: int):
 
 
 def run_scenario(spec: ScenarioSpec, embedding: bool = True) -> EvolvedScenario:
-    """Assemble L_h and evolve f and g as one block.  With ``embedding`` both
-    trajectories carry the per-step sums dt w sum_x |x_f|_* |x_g|_* of its
-    solve outputs x, which ``embedding_check`` reads; without it no star
-    norm is taken and ``step_products`` is None."""
+    """Assemble L_h and evolve f and g as one block.  With ``embedding`` the
+    result carries the per-step sums dt w sum_x |x_f|_* |x_g|_* of the solve
+    outputs x, which ``embedding_check`` reads; without it no star norm is
+    taken and ``step_products`` is None."""
     op = assemble(spec.grid, spec.coefficients, spec.potential)
     products, add_step = _embedding_hook(spec) if embedding else (None, None)
     traj = evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=add_step)
-    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats, products)
+    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats)
                       for values in traj.values)
-    return EvolvedScenario(spec, op, traj_f, traj_g)
+    return EvolvedScenario(spec, op, traj_f, traj_g, products)
 
 
 def _embedding_hook(spec: ScenarioSpec):
@@ -273,6 +275,9 @@ def _interface_margin_mask(params: BellmanParams, u, v, eps, scale: float) -> np
     below ``MOLLIFY_SCALE_FLOOR`` times it, the negligible far field, stay
     on the exact branch.
 
+    A node whose scale is 0 stays exact too: there eps * slope = 0 would
+    admit every node where u^p and v^q both underflow to 0.
+
     For p = 2 the two branches of phi coincide identically, so there is no
     interface kink and nothing to mollify.
     """
@@ -280,7 +285,7 @@ def _interface_margin_mask(params: BellmanParams, u, v, eps, scale: float) -> np
     if p == 2.0:
         return np.zeros(np.shape(u), dtype=bool)
     slope = np.sqrt((p * u ** (p - 1.0)) ** 2 + (q * v ** (q - 1.0)) ** 2)
-    near = np.abs(u ** p - v ** q) <= eps * slope
+    near = (np.abs(u ** p - v ** q) <= eps * slope) & (eps > 0.0)
     return near & (np.maximum(u, v) >= MOLLIFY_SCALE_FLOOR * scale)
 
 
@@ -508,17 +513,17 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     E_T = sum_n dt sum_x w |x_f^n|_* |x_g^n|_* over every step's solve output
     x^n (``semigroup.evolve``), and the energy tail
     ||P_T f||_2 ||P_T g||_2 / (2 min(1, gamma)) bounds the integral over
-    (T, inf).  Trajectories that do not carry the per-step products of one
-    ``run_scenario`` pair raise DomainError rather than read 0.
+    (T, inf).  Only the last snapshots are read.  A scenario evolved without
+    the per-step products raises DomainError rather than read 0.
     """
     spec = ev.spec
     params = spec.params
     p, q, delta = params.p, params.q, params.delta
     tf, tg = ev.traj_f, ev.traj_g
-    if tf.step_products is None or tf.step_products is not tg.step_products or tf is tg:
-        raise DomainError("the trajectories carry no per-step products of this "
-                          "pair; evolve f and g together with run_scenario")
-    E_T = float(np.sum(tf.step_products))
+    if ev.step_products is None:
+        raise DomainError("the scenario carries no per-step products; evolve f "
+                          "and g together with run_scenario(embedding=True)")
+    E_T = float(np.sum(ev.step_products))
     tail = float(spec.grid.cell_volume * np.linalg.norm(tf.values[-1])
                  * np.linalg.norm(tg.values[-1]) / (2.0 * min(1.0, ev.op.gamma)))
     nf = spec.f.norm(p)
@@ -536,7 +541,7 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     # rho moves E_T + tail against energy_bound by at most 4 rho of it; rho
     # is below the 10 tol gate plus one rounding unit
     rho = 10.0 * spec.solver.tol + np.finfo(float).eps
-    quad_err = 4.0 * len(ev.traj_f.step_products) * rho * energy_bound
+    quad_err = 4.0 * len(ev.step_products) * rho * energy_bound
     ratio = total / (p * nf * ng) if nf * ng > 0 else 0.0
     return EmbeddingReport(
         E_T=E_T, tail=tail, norm_f_p=nf, norm_g_q=ng, gamma=ev.op.gamma,
@@ -551,26 +556,18 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
 # cutoff integration by parts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial cutoff psi_R: 1 on |x| <= R, 0 on |x| >= 2R, quintic smoothstep
-    in between, so ||grad psi_R||_inf = (15/8)/R."""
-
-    R: float
-
-    def values_at(self, grid: Grid) -> np.ndarray:
-        center = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
-        r = np.zeros(grid.node_shape)
-        for x, c in zip(grid.node_coords(), center):
-            r = r + (x - c) ** 2
-        r = np.sqrt(r)
-        t = np.clip((r - self.R) / self.R, 0.0, 1.0)
-        s = 6.0 * t ** 5 - 15.0 * t ** 4 + 10.0 * t ** 3
-        return 1.0 - s
-
-    @property
-    def grad_bound(self) -> float:
-        return 1.875 / self.R
+def cutoff_values(grid: Grid, R: float) -> np.ndarray:
+    """Radial cutoff psi_R about the box centre at the nodes: 1 on |x| <= R,
+    0 on |x| >= 2R, quintic smoothstep in between, so ||grad psi_R||_inf =
+    (15/8)/R."""
+    center = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
+    r = np.zeros(grid.node_shape)
+    for x, c in zip(grid.node_coords(), center):
+        r = r + (x - c) ** 2
+    r = np.sqrt(r)
+    t = np.clip((r - R) / R, 0.0, 1.0)
+    s = 6.0 * t ** 5 - 15.0 * t ** 4 + 10.0 * t ** 3
+    return 1.0 - s
 
 
 @dataclass
@@ -638,7 +635,7 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
         if 2.0 * R > half_width + 1e-12:
             raise GeometryError(f"cutoff 2R = {2 * R} exceeds the box half-width {half_width}")
     op = ev.op
-    psi = np.stack([CutoffSpec(R).values_at(grid).ravel() for R in radii], axis=1)
+    psi = np.stack([cutoff_values(grid, R).ravel() for R in radii], axis=1)
     kernels = np.hstack([psi, op.gradient.T @ (op.face_action.T @ (op.gradient @ psi)),
                          op.potential[:, None] * psi])           # (n, 3 len(radii))
     times = ev.traj_f.times

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .grids import Grid, GridFunction
+from .grids import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +65,9 @@ class CoefficientField:
     def identity(cls, grid: Grid) -> "CoefficientField":
         return cls.constant(grid, np.eye(grid.dim))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "CoefficientField":
-        """fn maps per-axis coordinate arrays to (..., dim, dim) samples."""
-        coords = grid.vertex_coords()
-        return cls(grid, np.asarray(fn(*coords), dtype=np.float64))
-
-    @property
-    def gamma(self) -> float:
-        return check_accretive(self)
-
     @property
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.values[..., i, j]
 
 
 @dataclass
@@ -106,10 +93,6 @@ class PotentialField:
     @classmethod
     def zero(cls, grid: Grid) -> "PotentialField":
         return cls(grid, np.zeros(grid.node_shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "PotentialField":
-        return cls(grid, np.asarray(fn(*grid.node_coords()), dtype=np.float64))
 
 
 def check_accretive(A: CoefficientField) -> float:
@@ -233,7 +216,7 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     blocks = [[None] * d for _ in range(d)]
     for a in range(d):
         for b in range(d):
-            coeff = A.entry(a, b).ravel()
+            coeff = A.values[..., a, b].ravel()
             if a == b:
                 blocks[a][b] = sp.diags(t_maps[a] @ coeff)
             else:
@@ -247,12 +230,12 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
                             potential=Vflat, gamma=gamma, coefficients=A)
 
 
-def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
+def grad_sq_at_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:
     """|grad_h u|^2 averaged to nodes: per axis the arithmetic mean of the
-    squared differences on the two adjacent faces.
-
-    ``u`` is a GridFunction, with the result in the node shape, or an
-    (n_nodes, k) array of k fields, with an (n_nodes, k) result.
+    squared differences on the two adjacent faces, for the real (n_nodes, k)
+    array ``u`` of k fields, with an (n_nodes, k) result.  A complex field's
+    value is the sum of those of its real and imaginary parts, which the
+    caller splits; a complex ``u`` raises DomainError.
 
     The differences are strided ones along each axis of the node-major
     (node_shape, k) array, written into a face array with one face more
@@ -260,19 +243,11 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
     nodes, and the two boundary faces from the edge values, against the
     zero extension on a Dirichlet axis or both across the wrap face on a
     periodic one.  Node i then adds the squares of faces i and i + 1.
-    Only real arrays are differenced: the contiguous (n_nodes, 2k) view of
-    the real and imaginary parts, or the one part that is not all zero.
     """
-    if isinstance(u, GridFunction):
-        return grad_sq_at_nodes(grid, u.flat[:, None])[:, 0].reshape(grid.node_shape)
-    u = np.asarray(u)
-    has_imag = np.iscomplexobj(u) and u.imag.any()
-    interleaved = has_imag and u.real.any()
-    if interleaved:     # columns re, im, re, im, ...
-        x = np.ascontiguousarray(u, dtype=np.complex128).view(np.float64)
-    else:
-        x = np.ascontiguousarray(u.imag if has_imag else u.real, dtype=np.float64)
-    x = x.reshape(grid.node_shape + (-1,))
+    if np.iscomplexobj(u):
+        raise DomainError("grad_sq_at_nodes takes real fields; split complex ones "
+                          "into their real and imaginary parts")
+    x = np.ascontiguousarray(u, dtype=np.float64).reshape(grid.node_shape + (-1,))
     h0 = grid.spacing[0]
     for a, h in enumerate(grid.spacing):
         def at(s):
@@ -296,8 +271,6 @@ def grad_sq_at_nodes(grid: Grid, u) -> np.ndarray:
             out += faces[at(slice(None, -1))]
             out += faces[at(slice(1, None))]
     out = out.reshape(grid.n_nodes, -1)
-    if interleaved:
-        out = np.add(out[:, 0::2], out[:, 1::2])
     out *= 0.5 / (h0 * h0)
     return out
 

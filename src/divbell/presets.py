@@ -34,24 +34,20 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
                                                         spawn_key=(key,)))
 
 
-def bump_values(coords, center, radius: float, amp: float = 1.0,
-                phase: float = 0.0) -> np.ndarray:
+def bump_values(coords, center, radius: float, amp: float = 1.0) -> np.ndarray:
     """Smooth compactly supported bump amp * exp(1 - 1/(1 - r^2)) with
-    r the scaled distance from ``center``; optional constant complex phase."""
+    r the scaled distance from ``center``."""
     r2 = np.zeros_like(coords[0])
     for x, c in zip(coords, np.atleast_1d(center)):
         r2 = r2 + ((x - c) / radius) ** 2
     out = np.zeros(coords[0].shape, dtype=np.complex128)
     inside = r2 < 1.0
     out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-    if phase:
-        out = out * np.exp(1j * phase)
     return out
 
 
-def make_bump(grid: Grid, center, radius: float, amp: float = 1.0,
-              phase: float = 0.0) -> GridFunction:
-    return GridFunction(grid, bump_values(grid.node_coords(), center, radius, amp, phase))
+def make_bump(grid: Grid, center, radius: float, amp: float = 1.0) -> GridFunction:
+    return GridFunction(grid, bump_values(grid.node_coords(), center, radius, amp))
 
 
 def _box_center(grid: Grid) -> np.ndarray:
@@ -150,8 +146,8 @@ def potential_preset(name: str, grid: Grid, seed: int = 0) -> PotentialField:
     return PotentialField.zero(grid)
 
 
-def default_data(grid: Grid, seed: int = 0, amp_f: float = 0.9, amp_g: float = 0.7,
-                 equal: bool = False) -> tuple[GridFunction, GridFunction]:
+def default_data(grid: Grid, seed: int = 0, amp_f: float = 0.9,
+                 amp_g: float = 0.7) -> tuple[GridFunction, GridFunction]:
     """Two compactly supported bumps with support well inside the box
     (margin at least 25 percent of the box width on every axis)."""
     center = _box_center(grid)
@@ -162,8 +158,4 @@ def default_data(grid: Grid, seed: int = 0, amp_f: float = 0.9, amp_g: float = 0
     off = 0.05 * wmin
     c_f = center - off / np.sqrt(grid.dim)
     c_g = center + off / np.sqrt(grid.dim)
-    f = make_bump(grid, c_f, r_f, amp_f)
-    if equal:
-        return f, f.copy()
-    g = make_bump(grid, c_g, r_g, amp_g)
-    return f, g
+    return make_bump(grid, c_f, r_f, amp_f), make_bump(grid, c_g, r_g, amp_g)

@@ -56,11 +56,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time step dt up to horizon T with snapshots every
-    ``snapshot_stride`` steps (t = 0 and t = T always included).
-
-    T = 0 is allowed and yields the zero-step trajectory (0, f).
-    """
+    """Uniform time step dt up to the horizon T, 0 < dt <= T, with
+    snapshots every ``snapshot_stride`` steps (t = 0 and t = T always
+    included)."""
 
     dt: float
     T: float
@@ -68,11 +66,6 @@ class TimeGrid:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.T == 0.0:
-            if not self.dt > 0.0:
-                raise DomainError("dt must be positive")
-            object.__setattr__(self, "_n_steps", 0)
-            return
         if not (self.dt > 0.0 and self.T > 0.0 and self.dt <= self.T):
             raise DomainError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         if self.snapshot_stride < 1:
@@ -87,15 +80,10 @@ class TimeGrid:
         return self._n_steps
 
     def snapshot_steps(self) -> np.ndarray:
-        if self.n_steps == 0:
-            return np.zeros(1, dtype=np.int64)
         ks = list(range(0, self.n_steps + 1, self.snapshot_stride))
         if ks[-1] != self.n_steps:
             ks.append(self.n_steps)
         return np.asarray(ks, dtype=np.int64)
-
-    def snapshot_times(self) -> np.ndarray:
-        return self.snapshot_steps() * self.dt
 
 
 def default_dt(grid, T: float) -> float:
@@ -115,20 +103,15 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Snapshots (t_k, u(t_k)) of one evolution; t_0 = 0 holds the initial
-    datum exactly."""
+    """Snapshots (t_k, u(t_k)) of one evolution, at the time grid's snapshot
+    steps, and the stats of every step; t_0 = 0 holds the initial datum
+    exactly."""
 
     grid: object
     times: np.ndarray
     # (n_snapshots, n_nodes) complex, or (k, n_snapshots, n_nodes) for k data
     values: np.ndarray = field(repr=False)
     stats: list[StepStats] = field(default_factory=list, repr=False)
-    # per-step sums of a pair evolved as one block, one array shared by both
-    # members' trajectories (``harness.run_scenario``)
-    step_products: np.ndarray | None = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 # Largest system factored directly, in one and two dimensions and in

@@ -329,10 +329,10 @@ def star_norm_field(grid, fld, V) -> np.ndarray:
     """Reference for the star norms of ``harness._star_sq``: the nodal star
     norm sqrt(|grad_h u|^2 + V |u|^2) of each snapshot of an (nt, n_nodes)
     complex field, with the gradient of the complex transpose taken at
-    once and the potential against the squared modulus."""
-    u = np.ascontiguousarray(fld.T)
+    once by the sparse maps and the potential against the squared modulus."""
+    u = np.asarray(fld, dtype=np.complex128).T
     mod2 = u.real ** 2 + u.imag ** 2
-    return np.sqrt(ops.grad_sq_at_nodes(grid, u) + V.values.reshape(-1, 1) * mod2).T
+    return np.sqrt(grad_sq_at_nodes_maps(grid, u) + V.values.reshape(-1, 1) * mod2).T
 
 
 class PolarizeResult(NamedTuple):
@@ -369,7 +369,7 @@ def square_function(op, u, T: float, dt: float) -> SquareFunctionResult:
     traj = sg.evolve(op, u, sg.TimeGrid(dt=dt, T=T, scheme=sg.Scheme.CRANK_NICOLSON),
                      sg.SolverConfig(tol=1e-12))
     nt = len(traj.times)
-    g2 = ops.grad_sq_at_nodes(op.grid, traj.values.T).T
+    g2 = grad_sq_at_nodes_maps(op.grid, traj.values.T).T
     integral = np.trapezoid(g2, traj.times, axis=0)
     energy = g2.sum(axis=1)
     kfit = max(nt // 4, 3)

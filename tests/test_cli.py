@@ -314,11 +314,48 @@ class TestCli:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_embed_stores_only_the_end_snapshots(self, tmp_path, monkeypatch):
+        # embedding_check reads the per-step products and the last snapshots
+        trajs = []
+
+        def recording_evolve(*args, **kwargs):
+            trajs.append(evolve(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(hz, "evolve", recording_evolve)
+        assert main(["embed", "--grid", "64", "--out", str(tmp_path), "--quiet"]) == 0
+        (traj,) = trajs
+        assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(0.3)
+        assert traj.values.shape[1] == 2 and len(traj.stats) > 1
+
     def test_embed_and_ibp_and_offdiag(self, tmp_path):
         for cmd in ("embed", "ibp", "offdiag"):
             rc = main([cmd, "--preset", "identity", "--grid", "64",
                        "--T", "0.4", "--out", str(tmp_path / cmd), "--quiet"])
             assert rc == 0, cmd
+
+    @pytest.mark.parametrize("p", ["200", "1000"])
+    def test_pointwise_at_large_p(self, p, tmp_path):
+        # u^p underflows to 0 on the v = 0 ray, where the capped mollification
+        # scale is 0 too; such nodes keep the exact form
+        rc = main(["pointwise", "--p", p, "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert "FAIL" not in (tmp_path / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["--dt", "0.3"], None),
+        ([], "[time]\nT = 0.3\ndt = 0.01\nsnapshot-stride = 30\n"),
+    ], ids=["one-step", "stride-equals-steps"])
+    def test_ibp_with_two_snapshots_exits_two(self, argv, config, tmp_path, capsys):
+        # a valid time grid, but the time derivative needs 3 snapshots
+        if config is not None:
+            cfg = tmp_path / "two.scenario"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        rc = main(["ibp", *argv, "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert "2 snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solver_nonconvergence_exits_three(self, tmp_path):
         # a stiff 2D step with one Krylov cycle cannot reach rtol 1e-15
