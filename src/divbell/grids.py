@@ -1,4 +1,4 @@
-"""Rectangular grids and complex grid functions.
+"""Rectangular grids and real or complex grid functions.
 
 Unknowns live on lattice vertices.  With n cells per axis on [lo, hi],
 vertex i sits at lo + i*h, h = (hi - lo)/n.  One boundary rule fixes the
@@ -111,13 +111,14 @@ class Grid:
 
 @dataclass
 class GridFunction:
-    """Complex scalar field on the grid nodes."""
+    """Scalar field on the grid nodes: float64 if given real, else complex128."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        vals = np.asarray(self.values, dtype=dtype)
         if vals.shape == (self.grid.n_nodes,):
             vals = vals.reshape(self.grid.node_shape)
         if vals.shape != self.grid.node_shape:
@@ -130,6 +131,7 @@ class GridFunction:
         return self.values.ravel()
 
     def norm(self, p: float = 2.0) -> float:
-        """L^p norm with cell-volume weights h^dim."""
-        w = self.grid.cell_volume
-        return float((w * np.sum(np.abs(self.flat) ** p)) ** (1.0 / p))
+        """L^p norm, cell-volume weights h^dim, from (|f| / max|f|)^p (no underflow)."""
+        a = np.abs(self.flat)
+        top = a.max(initial=0.0) or 1.0  # a zero field keeps norm 0
+        return float(top * (self.grid.cell_volume * np.sum((a / top) ** p)) ** (1.0 / p))

@@ -165,7 +165,7 @@ def _embedding_hook(spec: ScenarioSpec):
         if len(pending) < steps and done < len(products):
             return
         rows = np.stack(pending).reshape(-1, grid.n_nodes)
-        sq = _star_sq(grid, V, rows).reshape(len(pending), len(datum), -1)
+        sq = _star_sq(grid, V, rows).reshape(len(pending), len(datum), grid.n_nodes)
         star_sq = np.zeros((len(pending), 2, grid.n_nodes))
         for i, j in enumerate(datum):
             star_sq[:, j] += sq[:, i]
@@ -298,10 +298,11 @@ def _modulus_scale(f: np.ndarray, g: np.ndarray) -> float:
                              for x in (f, g) for blk in blocks])), 1e-300)
 
 
-def _nonzero_parts(f: np.ndarray, g: np.ndarray) -> tuple:
+def _stored_parts(f: np.ndarray, g: np.ndarray) -> tuple:
     """The parts of the pair (f, g) that the chain rule works on: the real
-    part, and the imaginary part only if f or g has a nonzero one anywhere."""
-    return (np.real, np.imag) if np.any(f.imag) or np.any(g.imag) else (np.real,)
+    part, and the imaginary part only if f or g is stored complex, which
+    ``semigroup.evolve`` does only for a nonzero imaginary part."""
+    return (np.real, np.imag) if np.iscomplexobj(f) or np.iscomplexobj(g) else (np.real,)
 
 
 def _node_matvec(M: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -351,8 +352,8 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     take the same form and the same arrangements.  Spatial gradients use
     the fourth-order centered stencil so the Bellman-side discretization
     error stays below the operator-side signal.  All of it is real
-    arithmetic on the parts that ``_nonzero_parts`` keeps, which for real
-    data (real A keeps them real) is the real part alone.
+    arithmetic on the parts that the trajectories hold: a real trajectory
+    is one part, a complex one its real and imaginary parts.
 
     Every quantity is local in time, so the snapshots are walked in blocks
     of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the two
@@ -362,7 +363,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
         raise DomainError("trajectories must share grid and snapshot times")
     grid = op.grid
     f, g = traj_f.values, traj_g.values                  # (nt, n)
-    parts = _nonzero_parts(f, g)
+    parts = _stored_parts(f, g)
     A = node_coefficients(op.coefficients)              # (n, d, d)
     S = matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
     A, S = (np.ascontiguousarray(np.moveaxis(M, 0, -1)) for M in (A, S))  # (d, d, n)
@@ -454,7 +455,7 @@ def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
     params = spec.params
     cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
     f, g = ev.traj_f.values, ev.traj_g.values
-    parts = _nonzero_parts(f, g)
+    parts = _stored_parts(f, g)
     c = 2.0 * params.delta * min(1.0, ev.op.gamma)
     rhs = np.empty(f.shape)
     for blk in _snapshot_blocks(*f.shape):

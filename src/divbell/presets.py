@@ -40,7 +40,7 @@ def bump_values(coords, center, radius: float, amp: float = 1.0) -> np.ndarray:
     r2 = np.zeros_like(coords[0])
     for x, c in zip(coords, np.atleast_1d(center)):
         r2 = r2 + ((x - c) / radius) ** 2
-    out = np.zeros(coords[0].shape, dtype=np.complex128)
+    out = np.zeros(coords[0].shape)
     inside = r2 < 1.0
     out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     return out
@@ -146,9 +146,8 @@ def potential_preset(name: str, grid: Grid, seed: int = 0) -> PotentialField:
     return PotentialField.zero(grid)
 
 
-def default_data(grid: Grid, seed: int = 0, amp_f: float = 0.9,
-                 amp_g: float = 0.7) -> tuple[GridFunction, GridFunction]:
-    """Two compactly supported bumps with support well inside the box
+def default_data(grid: Grid) -> tuple[GridFunction, GridFunction]:
+    """Two bumps of amplitudes 0.9 and 0.7, supported well inside the box
     (margin at least 25 percent of the box width on every axis)."""
     center = _box_center(grid)
     widths = np.asarray(grid.hi) - np.asarray(grid.lo)
@@ -158,4 +157,4 @@ def default_data(grid: Grid, seed: int = 0, amp_f: float = 0.9,
     off = 0.05 * wmin
     c_f = center - off / np.sqrt(grid.dim)
     c_g = center + off / np.sqrt(grid.dim)
-    return make_bump(grid, c_f, r_f, amp_f), make_bump(grid, c_g, r_g, amp_g)
+    return make_bump(grid, c_f, r_f, 0.9), make_bump(grid, c_g, r_g, 0.7)

@@ -58,7 +58,7 @@ from .grids import Boundary, Grid
 from .harness import ScenarioSpec
 from .presets import (PRESET_NAMES, coefficient_preset, default_data, make_bump,
                       potential_preset)
-from .semigroup import Scheme, SolverConfig, TimeGrid, default_dt
+from .semigroup import Scheme, SolverConfig, TimeGrid
 
 
 def parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
@@ -147,8 +147,9 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
 
     Keyword overrides win over file values; every domain invariant (known
     sections and keys, grid shape, accretivity, nonnegative potential,
-    exponent range, support margins, time-grid divisibility, solver
-    settings) is checked here, before any computation starts.
+    exponent range, data nonzero at some node, support margins, time-grid
+    divisibility, solver settings) is checked here, before any computation
+    starts.
     """
     s = sections or {}
     for section, keys in s.items():
@@ -239,9 +240,13 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
                               f"radius, got {raw!r}")
         return make_bump(grid, nums[:dim], nums[dim], nums[dim + 1])
 
-    f_default, g_default = default_data(grid, seed=seed)
+    f_default, g_default = default_data(grid)
     f = parse_datum("f", f_default)
     g = parse_datum("g", g_default)
+    for key, datum in (("f", f), ("g", g)):
+        if not np.any(datum.values):
+            raise ConfigError(f"[data] {key}: the datum vanishes at every node of a grid of "
+                              f"spacing {min(grid.spacing):g}; widen it or refine the grid")
 
     if T is None:
         T = _parse_float(s, "time", "t", 0.3)
@@ -250,7 +255,8 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     if dt is None:
         dt = _parse_float(s, "time", "dt", None)
     if dt is None:
-        dt = default_dt(grid, T)
+        h = min(grid.spacing)
+        dt = min(h * h, T / 200.0)
     elif not dt > 0.0:
         raise ConfigError(f"[time] dt: expected a positive step, got {dt}")
     elif dt > T:

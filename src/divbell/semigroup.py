@@ -86,14 +86,6 @@ class TimeGrid:
         return np.asarray(ks, dtype=np.int64)
 
 
-def default_dt(grid, T: float) -> float:
-    """Default step: min(h^2, T/200), rounded so it divides T."""
-    h = min(grid.spacing)
-    dt = min(h * h, T / 200.0)
-    n = max(1, int(np.ceil(T / dt)))
-    return T / n
-
-
 @dataclass
 class StepStats:
     method: str
@@ -109,7 +101,8 @@ class Trajectory:
 
     grid: object
     times: np.ndarray
-    # (n_snapshots, n_nodes) complex, or (k, n_snapshots, n_nodes) for k data
+    # (n_snapshots, n_nodes), or (k, n_snapshots, n_nodes) for k data;
+    # complex only if some datum has a nonzero imaginary part, else float64
     values: np.ndarray = field(repr=False)
     stats: list[StepStats] = field(default_factory=list, repr=False)
 
@@ -313,20 +306,12 @@ class _LinearStep:
 
 
 def _real_rows(u: np.ndarray):
-    """The nonzero real and imaginary parts of the complex (n, k) block
-    ``u`` as C-contiguous real rows, and the index 2j + c of each: part c
-    (0 real, 1 imaginary) of datum j."""
+    """The nonzero real and imaginary parts of the (n, k) block ``u`` as
+    C-contiguous real rows, and the index 2j + c of each: part c (0 real,
+    1 imaginary) of datum j.  No other code decides which parts are zero."""
     parts = np.stack([u.real.T, u.imag.T], axis=1).reshape(-1, u.shape[0])
     part = np.flatnonzero(parts.any(axis=1))
     return parts[part], part
-
-
-def step(op: DiscreteOperator, u: GridFunction, dt: float,
-         scheme: Scheme = Scheme.CRANK_NICOLSON,
-         solver: SolverConfig = SolverConfig()) -> GridFunction:
-    """Advance u by one implicit step of size dt."""
-    traj = evolve(op, u, TimeGrid(dt=dt, T=dt, scheme=scheme), solver)
-    return GridFunction(u.grid, traj.values[-1])
 
 
 def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
@@ -340,7 +325,9 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
 
     The state is held as real rows, one for each nonzero real or imaginary
     part of each datum, in datum order and real part first; a real L_h
-    never makes a zero part nonzero, so the rows are chosen once.
+    never makes a zero part nonzero, so the rows are chosen once.  Every
+    snapshot, t = 0 included, is written from the rows, as float64 unless
+    some row is an imaginary part, so real data give a real trajectory.
     ``on_step``, if given, is called after every step with that step's
     (rows, n_nodes) solve output x and the datum index of each row: x is
     u^(n+1) for backward Euler, the midpoint u^(n+1/2) for Crank-Nicolson.
@@ -351,19 +338,20 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
         raise DomainError("initial datum does not live on the operator's grid")
     stepper = _LinearStep(op, timegrid.dt, timegrid.scheme, solver)
     snap_steps = timegrid.snapshot_steps()
-    out = np.zeros((len(fs), len(snap_steps), op.n), dtype=np.complex128)
-    out[:, 0] = [f.flat for f in fs]
-    u, part = _real_rows(out[:, 0].T)
+    u, part = _real_rows(np.stack([f.flat for f in fs], axis=1))
     datum = part // 2
-    targets = [(out.real, out.imag)[c % 2][c // 2] for c in part]
+    dtype = np.complex128 if np.any(part % 2) else np.float64
+    out = np.zeros((len(fs), len(snap_steps), op.n), dtype=dtype)
+    targets = [(out.imag if c % 2 else out.real)[c // 2] for c in part]
     stats: list[StepStats] = []
-    pos = 1
-    for k in range(1, timegrid.n_steps + 1):
-        x, st = stepper.advance_rows(u, datum)
-        u = 2.0 * x - u if stepper.midpoint else x
-        stats.append(st)
-        if on_step is not None:
-            on_step(x, datum)
+    pos = 0
+    for k in range(timegrid.n_steps + 1):
+        if k:
+            x, st = stepper.advance_rows(u, datum)
+            u = 2.0 * x - u if stepper.midpoint else x
+            stats.append(st)
+            if on_step is not None:
+                on_step(x, datum)
         if pos < len(snap_steps) and k == snap_steps[pos]:
             for target, row in zip(targets, u):
                 target[pos] = row

@@ -34,11 +34,12 @@ def _grid(dim, N, L=8.0, boundary=Boundary.DIRICHLET):
                 boundary=boundary)
 
 
-def _scenario(preset, dim, N, p, T, steps, seed=0, **data_kw):
+def _scenario(preset, dim, N, p, T, steps, seed=0, f_scale=1.0):
     g = _grid(dim, N)
     A = ps.coefficient_preset(preset, g, seed=seed)
     V = ps.potential_preset(preset, g, seed=seed)
-    f, gg = ps.default_data(g, seed=seed, **data_kw)
+    f, gg = ps.default_data(g)
+    f = GridFunction(g, f_scale * f.values)
     tg = sg.TimeGrid(dt=T / steps, T=T, scheme=sg.Scheme.CRANK_NICOLSON,
                      snapshot_stride=max(1, steps // 50))
     return hz.ScenarioSpec(preset, g, A, V, f, gg, BellmanParams(p), tg, TIGHT)
@@ -251,7 +252,7 @@ def test_criterion_05_chain_rule_ladder():
     errs = []
     gap = 0.0
     for N, steps in ((16, 8), (32, 16), (64, 32)):
-        spec = _scenario("rotation", 2, N, 4.0, T=0.2, steps=steps, amp_f=0.55)
+        spec = _scenario("rotation", 2, N, 4.0, T=0.2, steps=steps, f_scale=0.55 / 0.9)
         spec = dataclasses.replace(spec, g=spec.f)
         ev = hz.run_scenario(spec)
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)

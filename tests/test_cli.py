@@ -402,13 +402,15 @@ class TestCli:
         ("[data]\ng = bump 0 1 inf\n", "[data] g"),
         ("[data]\nf = bump 0 0 1\n", "[data] f"),
         ("[grid]\nlo = -inf\n", "[grid] extent"),
+        ("[data]\ng = bump 0.03 0.01 1\n", "[data] g: the datum vanishes at every node"),
     ], ids=["unknown-section", "unknown-key", "removed-method", "removed-preconditioner",
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
             "negative-stride", "non-integer-cells", "empty-datum",
             "empty-radii", "negative-radius", "zero-radius", "nan-radius",
             "radius-beyond-half-width",
             "nan-beta", "inf-gamma-min", "nan-coefficient", "nan-potential",
-            "nan-bump-radius", "inf-bump-amp", "zero-bump-radius", "infinite-extent"])
+            "nan-bump-radius", "inf-bump-amp", "zero-bump-radius", "infinite-extent",
+            "vanishing-datum"])
     def test_invalid_scenario_file_exits_two(self, text, where, tmp_path, capsys):
         cfg = tmp_path / "bad.scenario"
         cfg.write_text("[grid]\ndim = 1\ncells = 32\n" + text)
@@ -417,6 +419,19 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and where in err
+
+    def test_data_vanishing_on_the_grid_exit_two(self, tmp_path, capsys):
+        # the default bumps cover no node of a 3 x 3 grid
+        rc = main(["embed", "--grid", "3,3", "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert "[data] f: the datum vanishes at every node" in capsys.readouterr().err
+
+    def test_embed_passes_at_large_p(self, tmp_path, capsys):
+        # 0.9^p underflows from p of about 7,000; the norms must not
+        rc = main(["embed", "--p", "7500", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "FAIL" not in out and out.count("PASS") == 3
 
     def test_accuracy_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         # every off-diagonal ratio sits at or below an infinite floor, so
@@ -452,10 +467,12 @@ class TestCli:
         assert "FAIL  discrete-ellipticity" in capsys.readouterr().out
 
     def test_nan_step_fails_semigroup_verify(self, tmp_path, capsys, monkeypatch):
-        def nan_step(op, u, *args, **kwargs):
-            return GridFunction(u.grid, np.full(u.grid.node_shape, np.nan))
+        def nan_evolve(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            traj.values[...] = np.nan
+            return traj
 
-        monkeypatch.setattr(cli.sg, "step", nan_step)
+        monkeypatch.setattr(cli.sg, "evolve", nan_evolve)
         rc = main(["semigroup-verify", "--out", str(tmp_path)])
         assert rc == 1
         assert "FAIL  eigenmode-step-oracle" in capsys.readouterr().out

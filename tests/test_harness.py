@@ -24,13 +24,14 @@ TIGHT = SolverConfig(tol=1e-12)
 
 
 def make_scenario(preset="identity", dim=1, N=96, p=2.0, T=0.3, steps=None,
-                  seed=0, amp_f=0.9, amp_g=0.7, equal=False, L=8.0,
+                  seed=0, f_scale=1.0, equal=False, L=8.0,
                   boundary=Boundary.DIRICHLET, scheme=Scheme.CRANK_NICOLSON,
                   radii=None):
     g = Grid(cells=(N,) * dim, lo=(-L / 2,) * dim, hi=(L / 2,) * dim, boundary=boundary)
     A = ps.coefficient_preset(preset, g, seed=seed)
     V = ps.potential_preset(preset, g, seed=seed)
-    f, gg = ps.default_data(g, seed=seed, amp_f=amp_f, amp_g=amp_g)
+    f, gg = ps.default_data(g)
+    f = GridFunction(g, f_scale * f.values)
     if equal:
         gg = f
     if steps is None:
@@ -223,7 +224,7 @@ class TestChainRule:
         errs = []
         for N, steps in ((16, 8), (32, 16)):
             spec = make_scenario("rotation", dim=2, N=N, p=4.0, T=0.2,
-                                 steps=steps, amp_f=0.55, equal=True)
+                                 steps=steps, f_scale=0.55 / 0.9, equal=True)
             ev = hz.run_scenario(spec)
             cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
             errs.append(hz.chain_rule_identity_error(ev, cr))
@@ -308,8 +309,9 @@ class TestChainRule:
         cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
         monkeypatch.setattr(hz, "_arrangements", orc.arrangements_complex)
         monkeypatch.setattr(hz, "bilinear_forms", orc.bilinear_forms_complex)
-        monkeypatch.setattr(hz, "_nonzero_parts", lambda f, g: (np.real, np.imag))
-        ref = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        ref = hz.chain_rule_rhs(spec.params, ev.op, *(
+            dataclasses.replace(t, values=t.values.astype(np.complex128))
+            for t in (ev.traj_f, ev.traj_g)))
         assert cr.n_mollified == ref.n_mollified > 0
         for fld, ref_fld in ((cr.rhs, ref.rhs), (cr.rhs_aij, ref.rhs_aij)):
             assert (np.abs(fld - ref_fld) <= 1e-12 * np.maximum(1.0, np.abs(ref_fld))).all()
@@ -319,7 +321,7 @@ class TestChainRule:
         # receive, at exact and at mollified nodes, is one float64 part
         spec = make_scenario("random-accretive", dim=2, N=12, p=3.0, T=0.1, steps=10)
         ev = hz.run_scenario(spec, embedding=False)
-        assert np.iscomplexobj(ev.traj_f.values)
+        assert ev.traj_f.values.dtype == ev.traj_g.values.dtype == np.float64
         seen = []
         arrangements = hz._arrangements
 
@@ -476,6 +478,14 @@ class TestBilinear:
         rep = hz.embedding_check(hz.run_scenario(spec))
         assert rep.E_T == 0.0 and rep.tail == 0.0
         assert rep.lambda_star is None
+
+    def test_zero_pair(self):
+        # neither datum keeps a row, so every step's product is 0
+        spec = make_scenario(N=32, steps=20)
+        z = GridFunction(spec.grid, np.zeros(spec.grid.node_shape))
+        ev = hz.run_scenario(dataclasses.replace(spec, f=z, g=z))
+        assert not ev.traj_f.values.any() and not ev.traj_g.values.any()
+        assert hz.embedding_check(ev).E_T == 0.0
 
     def test_symmetry(self, evolved_identity_1d):
         ev = evolved_identity_1d
@@ -860,6 +870,19 @@ class TestSquareFunction:
         res = orc.square_function(L, u, T=1.0, dt=0.005)
         ratios = {p: res.values.norm(p) / u.norm(p) for p in (2.0, 3.0, 4.0, 8.0)}
         assert all(np.isfinite(v) and v > 0 for v in ratios.values())
+
+
+class TestRealData:
+    @pytest.mark.parametrize("preset", ps.PRESET_NAMES)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_trajectories_are_float64(self, preset, dim):
+        # every preset's data are real bumps and its A is real, so no
+        # trajectory stores an imaginary part
+        spec = build_scenario(None, preset=preset, dim=dim,
+                              cells=((16,), (8, 8), (8, 8, 8))[dim - 1], T=0.01, dt=0.005)
+        assert spec.f.values.dtype == spec.g.values.dtype == np.float64
+        ev = hz.run_scenario(spec)
+        assert ev.traj_f.values.dtype == ev.traj_g.values.dtype == np.float64
 
 
 class TestComplexData:

@@ -148,7 +148,7 @@ hi = 3.0
 values = 1.0 2.0 2.0 1.0
 [data]
 f = bump 1.5 0.6 0.5
-g = bump 1.5 0.5 0.4
+g = bump 1.5 0.55 0.4
 """
     spec = build_scenario(parse_scenario_text(text))
     assert spec.coefficients.values.ravel().tolist() == [1.0, 2.0, 2.0, 1.0]

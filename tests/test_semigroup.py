@@ -27,14 +27,19 @@ def identity_op(grid):
 TIGHT = sg.SolverConfig(tol=1e-13)
 
 
+def one_step(L, u, dt, scheme=sg.Scheme.BACKWARD_EULER):
+    """u advanced by one implicit step of size dt, as a flat node array."""
+    return sg.evolve(L, u, sg.TimeGrid(dt=dt, T=dt, scheme=scheme), TIGHT).values[-1]
+
+
 class TestStep:
     def test_kernel_fixed_point(self):
         g = Grid(cells=(16,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
         L = identity_op(g)
         u = GridFunction(g, np.full(g.node_shape, 2.0 + 0j))
         for scheme in sg.Scheme:
-            u1 = sg.step(L, u, 0.05, scheme, TIGHT)
-            assert np.abs(u1.values - u.values).max() <= 1e-12
+            u1 = one_step(L, u, 0.05, scheme)
+            assert np.abs(u1 - u.flat).max() <= 1e-12
 
     def test_backward_euler_fourier_factor(self):
         g = Grid(cells=(32,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
@@ -45,8 +50,8 @@ class TestStep:
         for k in (1, 2, 5):
             lam = 2.0 * (1.0 - np.cos(2 * np.pi * k * h)) / h ** 2
             u = GridFunction(g, np.exp(2j * np.pi * k * x))
-            u1 = sg.step(L, u, dt, sg.Scheme.BACKWARD_EULER, TIGHT)
-            assert np.abs(u1.values - u.values / (1 + dt * lam)).max() <= 1e-11
+            u1 = one_step(L, u, dt)
+            assert np.abs(u1 - u.flat / (1 + dt * lam)).max() <= 1e-11
 
     def test_potential_damps_l2(self):
         g = Grid(cells=(24,), lo=(-2.0,), hi=(2.0,), boundary=Boundary.DIRICHLET)
@@ -56,7 +61,7 @@ class TestStep:
         rng = np.random.default_rng(0)
         for _ in range(10):
             u = GridFunction(g, rng.standard_normal(g.node_shape))
-            u1 = sg.step(L, u, 0.01, sg.Scheme.BACKWARD_EULER, TIGHT)
+            u1 = GridFunction(g, one_step(L, u, 0.01))
             assert u1.norm(2) <= u.norm(2) * (1 + 1e-12)
 
     def test_energy_dissipation_one_step(self):
@@ -69,7 +74,7 @@ class TestStep:
         for _ in range(10):
             u = GridFunction(g, rng.standard_normal(g.node_shape))
             dt = 0.01
-            u1 = sg.step(L, u, dt, sg.Scheme.BACKWARD_EULER, TIGHT)
+            u1 = GridFunction(g, one_step(L, u, dt))
             drop = u.norm(2) ** 2 - u1.norm(2) ** 2
             G = L.gradient
             diss = 2 * dt * (L.gamma * w * np.vdot(G @ u1.flat, G @ u1.flat).real
@@ -87,6 +92,26 @@ class TestEvolve:
         traj = sg.evolve(L, f, tg, TIGHT)
         assert traj.times[0] == 0.0
         assert np.array_equal(traj.values[0], f.flat)
+
+    def test_zero_imaginary_part_evolves_real(self):
+        g = Grid(cells=(16,), lo=(-2.0,), hi=(2.0,), boundary=Boundary.DIRICHLET)
+        f = bump(g.node_coords()[0], radius=0.8)
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        real = sg.evolve(identity_op(g), GridFunction(g, f), tg, TIGHT)
+        zero_imag = sg.evolve(identity_op(g), GridFunction(g, f + 0j), tg, TIGHT)
+        assert real.values.dtype == zero_imag.values.dtype == np.float64
+        assert np.array_equal(zero_imag.values, real.values)
+
+    def test_imaginary_datum_stays_complex(self):
+        # its one row is an imaginary part; the real part stays exactly 0
+        g = Grid(cells=(16,), lo=(-2.0,), hi=(2.0,), boundary=Boundary.DIRICHLET)
+        f = bump(g.node_coords()[0], radius=0.8)
+        tg = sg.TimeGrid(dt=0.01, T=0.05)
+        real = sg.evolve(identity_op(g), GridFunction(g, f), tg, TIGHT)
+        imag = sg.evolve(identity_op(g), GridFunction(g, 1j * f), tg, TIGHT)
+        assert (real.values.dtype, imag.values.dtype) == (np.float64, np.complex128)
+        assert not imag.values.real.any()
+        assert np.array_equal(imag.values.imag, real.values)
 
     def test_rejects_zero_horizon(self):
         with pytest.raises(DomainError, match="0 < dt <= T"):
