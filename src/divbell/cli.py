@@ -15,8 +15,9 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error
 (cutoff radii with 2R beyond the box half-width included), 3 numerical
 failure (a solver did not converge, or a result failed its own error
 estimate).  Identical configuration and seed produce byte-identical output
-files.  ``sweep`` evolves each (preset, dimension) pair once and checks
-every p on the shared trajectories, since P_t f and P_t g do not depend on p.
+files.  ``sweep`` builds and evolves each (preset, dimension) pair once and
+checks every p on the shared trajectories, since P_t f and P_t g do not
+depend on p.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def cmd_operator_verify(args) -> tuple[Summary, dict]:
     grid, A, V = spec.grid, spec.coefficients, spec.potential
     summary = Summary()
     rows = []
-    gamma = ops.check_accretive(A)
+    gamma = A.gamma
     summary.add("accretivity-gamma", gamma)
     rows.append(("gamma", gamma))
     op = ops.assemble(grid, A, V)
@@ -114,12 +115,12 @@ def cmd_operator_verify(args) -> tuple[Summary, dict]:
     rows.append(("adjoint_gap", worst_adj))
     summary.add("discrete-ellipticity", worst_ell + 1e-9)
     rows.append(("ellipticity_slack", worst_ell))
-    gap = abs(ops.check_accretive(ops.symmetrize(A)) - gamma)
+    sym = A.sym
+    gap = abs(ops.CoefficientField(grid, sym).gamma - gamma)
     summary.add("symmetrization-gamma", 1e-12 - gap)
     rows.append(("symmetrize_gamma_gap", gap))
-    S = ops.matrix_sqrt_spd(0.5 * (A.values + np.swapaxes(A.values, -1, -2)))
-    rec = np.abs(np.einsum("...ij,...jk->...ik", S, S)
-                 - 0.5 * (A.values + np.swapaxes(A.values, -1, -2))).max()
+    S = ops.matrix_sqrt_spd(sym)
+    rec = np.abs(np.einsum("...ij,...jk->...ik", S, S) - sym).max()
     rec_tol = 1e-12 * max(A.sup_norm, 1.0)
     summary.add("sqrt-reconstruction", rec_tol - rec)
     rows.append(("sqrt_reconstruction", rec))
@@ -221,18 +222,20 @@ def cmd_ibp(args) -> tuple[Summary, dict]:
 
 def cmd_offdiag(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
-    op = ops.assemble(spec.grid, spec.coefficients, spec.potential)
     wmin = min(b - a for a, b in zip(spec.grid.lo, spec.grid.hi))
     e_radius = 0.0625 * wmin
-    datum = ps.make_bump(spec.grid,
-                         0.5 * (np.asarray(spec.grid.lo) + np.asarray(spec.grid.hi)),
-                         e_radius, 1.0)
+    center = tuple(0.5 * (a + b) for a, b in zip(spec.grid.lo, spec.grid.hi))
+    datum = ps.make_bump(spec.grid, center, e_radius, 1.0)
+    if not np.any(datum.values):
+        raise ConfigError(f"offdiag: the near-set datum of radius {e_radius:g} vanishes at "
+                          f"every node of a grid of spacing {min(spec.grid.spacing):g}; "
+                          "refine the grid")
+    op = ops.assemble(spec.grid, spec.coefficients, spec.potential)
     distances = tuple(wmin * s for s in (0.09, 0.15, 0.21, 0.27))
     ts = (0.1, 0.2, 0.4)
     header = ["operator", "t", "distance", "ratio", "d2_over_t", "excluded"]
     rows = []
     summary = Summary()
-    center = tuple(0.5 * (a + b) for a, b in zip(spec.grid.lo, spec.grid.hi))
     for rep in hz.offdiag_check(op, datum, center, e_radius, distances,
                                 band_width=0.06 * wmin, ts=ts):
         for smp in rep.samples:
@@ -253,14 +256,13 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
     for preset in ps.PRESET_NAMES:
         for dim in (1, 2):
             cells = (96,) if dim == 1 else (16,) * dim
-            ev = None
+            spec = build_scenario(None, preset=preset, dim=dim, cells=cells, p=pvals[0],
+                                  T=0.3, seed=args.seed, name=f"{preset}-{dim}d")
+            ev = hz.run_scenario(spec)
             for p in pvals:
-                # the p-specific spec validates p; the trajectories are shared
-                spec = build_scenario(None, preset=preset, dim=dim, cells=cells, p=p,
-                                      T=0.3, seed=args.seed, name=f"{preset}-{dim}d-p{p:g}")
-                if ev is None:
-                    ev = hz.run_scenario(spec)
-                evp = dataclasses.replace(ev, spec=spec)
+                # the trajectories do not depend on p; only the Bellman parameters do
+                evp = dataclasses.replace(
+                    ev, spec=dataclasses.replace(spec, params=bl.BellmanParams(p)))
                 pw = hz.pointwise_check(evp)
                 em = hz.embedding_check(evp)
                 rows.append((preset, dim, p, ev.op.gamma, pw.worst_slack, pw.eps_h,

@@ -533,8 +533,9 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     a = nf ** p
     b = ng ** q
     sum_bound = cgam * (a + b)
-    # the minimizer of lam^p a + lam^(-q) b over lam > 0
-    lambda_star = float((q * b / (p * a)) ** (1.0 / (p + q))) if a > 0.0 and b > 0.0 else None
+    # the minimizer of lam^p a + lam^(-q) b over lam > 0, in logarithms: a underflows
+    lambda_star = (math.exp((math.log(q) + q * math.log(ng) - math.log(p) - p * math.log(nf))
+                            / (p + q)) if nf > 0.0 and ng > 0.0 else None)
     product_bound = cgam * ((q / p) ** (1.0 / q) + (p / q) ** (1.0 / p)) * nf * ng
     energy_bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
     total = E_T + tail

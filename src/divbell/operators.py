@@ -12,8 +12,9 @@ That arrangement keeps the discrete accretivity exact: grouping the real
 part of <A_h w, w> by lattice vertex and applying Jensen's inequality to
 the per-vertex face averages gives Re <A_h w, w> >= gamma ||w||^2 for every
 complex face field w, with gamma the minimum eigenvalue of the symmetrized
-coefficient samples.  The antisymmetric part of A cancels in the real part
-because the (f, g) and (g, f) couplings are placed transpose-symmetrically.
+coefficient samples (``CoefficientField.gamma``).  The antisymmetric part
+of A cancels in the real part because the (f, g) and (g, f) couplings are
+placed transpose-symmetrically.
 """
 
 from __future__ import annotations
@@ -37,11 +38,16 @@ class CoefficientField:
     """Real dim x dim coefficient matrices sampled on the lattice vertices.
 
     On Dirichlet grids the samples include the boundary ring, so every face
-    average is well defined.
+    average is well defined.  Construction decides accretivity once:
+    ``least_eig`` is each sample's least eigenvalue of (A + A^T)/2, and
+    ``gamma`` their minimum.  A field with gamma <= 0 is built, not
+    rejected; ``assemble`` rejects it.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    least_eig: np.ndarray = field(init=False, repr=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
         d = self.grid.dim
@@ -52,6 +58,10 @@ class CoefficientField:
         if not np.all(np.isfinite(vals)):
             raise DomainError("coefficient samples must be finite")
         self.values = vals
+        eig = np.linalg.eigvalsh(self.sym.reshape(-1, d, d))
+        # a copy, so the other d - 1 eigenvalues per sample are freed
+        self.least_eig = eig[:, 0].reshape(self.grid.vertex_shape).copy()
+        self.gamma = float(self.least_eig.min())
 
     @classmethod
     def constant(cls, grid: Grid, matrix) -> "CoefficientField":
@@ -64,6 +74,11 @@ class CoefficientField:
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
         return cls.constant(grid, np.eye(grid.dim))
+
+    @property
+    def sym(self) -> np.ndarray:
+        """Per-sample symmetric part (a_ij + a_ji)/2, formed on each read."""
+        return 0.5 * (self.values + np.swapaxes(self.values, -1, -2))
 
     @property
     def sup_norm(self) -> float:
@@ -93,22 +108,6 @@ class PotentialField:
     @classmethod
     def zero(cls, grid: Grid) -> "PotentialField":
         return cls(grid, np.zeros(grid.node_shape))
-
-
-def check_accretive(A: CoefficientField) -> float:
-    """gamma = min over samples of the smallest eigenvalue of (A + A^T)/2.
-
-    The field is admissible iff the result is positive; a nonpositive value
-    is returned, not raised.
-    """
-    sym = 0.5 * (A.values + np.swapaxes(A.values, -1, -2))
-    eig = np.linalg.eigvalsh(sym.reshape(-1, A.grid.dim, A.grid.dim))
-    return float(eig[:, 0].min())
-
-
-def symmetrize(A: CoefficientField) -> CoefficientField:
-    """Per-sample symmetric part (a_ij + a_ji)/2."""
-    return CoefficientField(A.grid, 0.5 * (A.values + np.swapaxes(A.values, -1, -2)))
 
 
 def matrix_sqrt_spd(M: np.ndarray) -> np.ndarray:
@@ -207,9 +206,8 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     """
     if A.grid != grid or V.grid != grid:
         raise DomainError("coefficient/potential fields must live on the given grid")
-    gamma = check_accretive(A)
-    if gamma <= 0.0:
-        raise DomainError(f"coefficient field is not accretive: gamma = {gamma}")
+    if A.gamma <= 0.0:
+        raise DomainError(f"coefficient field is not accretive: gamma = {A.gamma}")
     d = grid.dim
     grads, t_maps, _ = _grid_maps(grid)
     G = sp.vstack(grads, format="csr")
@@ -227,7 +225,7 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     Vflat = V.values.ravel()
     L = (G.T @ Ah @ G + sp.diags(Vflat)).tocsr()
     return DiscreteOperator(grid=grid, matrix=L, gradient=G, face_action=Ah,
-                            potential=Vflat, gamma=gamma, coefficients=A)
+                            potential=Vflat, gamma=A.gamma, coefficients=A)
 
 
 def grad_sq_at_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid, GridFunction
-from .operators import CoefficientField, PotentialField, check_accretive
+from .operators import CoefficientField, PotentialField
 
 PRESET_NAMES = ("identity", "oscillator", "rotation", "checker", "random-accretive")
 
@@ -118,15 +118,13 @@ def coefficient_preset(name: str, grid: Grid, seed: int = 0, beta: float = 0.5,
                 vals[..., i, j] += 0.45 * _smooth_random(axes, grid, rng)
         # clamp: raising the diagonal lifts lambda_min(sym part) by the same
         # amount, so the clamped field has gamma >= gamma_min exactly
-        sym = 0.5 * (vals + np.swapaxes(vals, -1, -2))
-        lam = np.linalg.eigvalsh(sym.reshape(-1, d, d))[:, 0].reshape(coords[0].shape)
-        deficit = np.maximum(gamma_min - lam, 0.0)
+        deficit = np.maximum(gamma_min - CoefficientField(grid, vals).least_eig, 0.0)
         for a in range(d):
             vals[..., a, a] += deficit
     else:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     field = CoefficientField(grid, vals)
-    if check_accretive(field) <= 0.0:
+    if field.gamma <= 0.0:
         raise ConfigError(f"preset {name!r} produced a non-accretive field")
     return field
 

@@ -56,6 +56,7 @@ from .bellman import BellmanParams
 from .errors import ConfigError, DivbellError
 from .grids import Boundary, Grid
 from .harness import ScenarioSpec
+from .operators import CoefficientField, PotentialField
 from .presets import (PRESET_NAMES, coefficient_preset, default_data, make_bump,
                       potential_preset)
 from .semigroup import Scheme, SolverConfig, TimeGrid
@@ -199,21 +200,19 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
             raise ConfigError(f"[coefficients] {key}: expected a finite number, got {val}")
     araw = _get(s, "coefficients", "values")
     if araw is not None:
-        from .operators import CoefficientField, check_accretive
         vals = _parse_numbers(araw, "coefficients", "values")
         want = grid.vertex_shape + (dim, dim)
         try:
             A = CoefficientField(grid, np.asarray(vals).reshape(want))
         except (ValueError, DivbellError) as exc:
             raise ConfigError(f"[coefficients] values: {exc}") from exc
-        if check_accretive(A) <= 0.0:
+        if A.gamma <= 0.0:
             raise ConfigError("[coefficients] values: field is not accretive "
-                              f"(gamma = {check_accretive(A)})")
+                              f"(gamma = {A.gamma})")
     else:
         A = coefficient_preset(preset, grid, seed=seed, beta=beta, gamma_min=gamma_min)
     vraw = _get(s, "potential", "values")
     if vraw is not None:
-        from .operators import PotentialField
         vals = _parse_numbers(vraw, "potential", "values")
         try:
             V = PotentialField(grid, np.asarray(vals).reshape(grid.node_shape))

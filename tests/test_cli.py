@@ -20,7 +20,6 @@ import divbell.presets as ps
 from divbell.cli import COMMANDS, main, make_parser
 from divbell.errors import ConfigError
 from divbell.grids import Boundary, Grid, GridFunction
-from divbell.operators import check_accretive
 from divbell.reports import fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
@@ -124,7 +123,7 @@ class TestPresets:
                  boundary=Boundary.DIRICHLET)
         A = ps.coefficient_preset(name, g, seed=5)
         V = ps.potential_preset(name, g, seed=5)
-        assert check_accretive(A) > 0.0
+        assert A.gamma > 0.0
         assert np.all(V.values >= 0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -140,11 +139,27 @@ class TestPresets:
             assert fast.shape == coords[0].shape
             assert np.array_equal(fast, full)
 
+    @pytest.mark.parametrize("preset, calls", [("random-accretive", 2), ("identity", 1)])
+    def test_one_eigvalsh_per_field(self, preset, calls, monkeypatch):
+        # build plus assemble: accretivity is decided once per field, and
+        # the random-accretive clamp reads one more field's least_eig
+        count = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        spec = build_scenario(None, preset=preset, dim=2, cells=(12, 12))
+        ops.assemble(spec.grid, spec.coefficients, spec.potential)
+        assert count[0] == calls
+
     def test_random_accretive_clamped(self):
         g = Grid(cells=(16, 16), lo=(-4.0, -4.0), hi=(4.0, 4.0),
                  boundary=Boundary.DIRICHLET)
         A = ps.coefficient_preset("random-accretive", g, seed=11, gamma_min=0.5)
-        assert check_accretive(A) >= 0.5 - 1e-12
+        assert A.gamma >= 0.5 - 1e-12
 
     def test_rotation_modulation_vanishes_on_boundary(self):
         g = Grid(cells=(8, 8), lo=(0.0, 0.0), hi=(1.0, 1.0),
@@ -283,18 +298,22 @@ class TestCli:
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2
 
     def test_sweep_evolves_once_per_scenario(self, tmp_path, monkeypatch):
-        # P_t f and P_t g do not depend on p: f and g are evolved together,
-        # once per (preset, dim) pair, and shared by the 4 default exponents
-        calls = [0]
+        # P_t f and P_t g do not depend on p: each (preset, dim) pair is
+        # built once and f and g are evolved together once, and shared by
+        # the 4 default exponents
+        calls = {"evolve": 0, "build": 0}
 
-        def counting_evolve(*args, **kwargs):
-            calls[0] += 1
-            return evolve(*args, **kwargs)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(hz, "evolve", counting_evolve)
+        monkeypatch.setattr(hz, "evolve", counting("evolve", evolve))
+        monkeypatch.setattr(cli, "build_scenario", counting("build", build_scenario))
         rc = main(["sweep", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        assert calls[0] == len(ps.PRESET_NAMES) * 2
+        assert calls == {"evolve": len(ps.PRESET_NAMES) * 2, "build": len(ps.PRESET_NAMES) * 2}
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2 * 4
 
@@ -425,6 +444,13 @@ class TestCli:
         rc = main(["embed", "--grid", "3,3", "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         assert "[data] f: the datum vanishes at every node" in capsys.readouterr().err
+
+    def test_offdiag_datum_vanishing_on_the_grid_exits_two(self, tmp_path, capsys):
+        # h = 8/7 exceeds the near-set radius 0.5, so the bump covers no node
+        rc = main(["offdiag", "--grid", "7", "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "offdiag: the near-set datum" in err and "spacing 1.14286" in err
 
     def test_embed_passes_at_large_p(self, tmp_path, capsys):
         # 0.9^p underflows from p of about 7,000; the norms must not

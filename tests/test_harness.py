@@ -701,6 +701,31 @@ class TestEmbedding:
         assert rep.product_bound == pytest.approx(rep.sum_bound / (a + b) * pol.value,
                                                   rel=1e-12)
 
+    def test_lambda_star_direct_formula_at_p4(self, evolved_identity_1d):
+        ev = evolved_identity_1d
+        params = BellmanParams(4.0)
+        rep = hz.embedding_check(dataclasses.replace(
+            ev, spec=dataclasses.replace(ev.spec, params=params)))
+        p, q = params.p, params.q
+        a, b = rep.norm_f_p ** p, rep.norm_g_q ** q
+        assert rep.lambda_star == pytest.approx((q * b / (p * a)) ** (1.0 / (p + q)),
+                                                rel=1e-15)
+
+    def test_lambda_star_finite_at_large_p(self, evolved_identity_1d):
+        # ||f||_p^p underflows to 0 at p = 7500; the stationarity condition
+        # of lam^p a + lam^(-q) b, in logarithms, still holds at lambda*
+        ev = evolved_identity_1d
+        params = BellmanParams(7500.0)
+        rep = hz.embedding_check(dataclasses.replace(
+            ev, spec=dataclasses.replace(ev.spec, params=params)))
+        p, q = params.p, params.q
+        assert rep.norm_f_p ** p == 0.0
+        lam = rep.lambda_star
+        assert lam is not None and np.isfinite(lam)
+        lhs = np.log(p) + p * np.log(rep.norm_f_p) + p * np.log(lam)
+        rhs = np.log(q) + q * np.log(rep.norm_g_q) - q * np.log(lam)
+        assert abs(lhs - rhs) <= 1e-12
+
 
 class TestCutoffAndIbp:
     def test_cutoff_profile(self):

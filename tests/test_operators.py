@@ -92,29 +92,41 @@ class TestAccretivity:
     def test_rotation_matrix(self):
         g = dirichlet_grid(4, dim=2)
         A = ops.CoefficientField.constant(g, [[1.0, 1.0], [-1.0, 1.0]])
-        assert ops.check_accretive(A) == pytest.approx(1.0, abs=1e-14)
+        assert A.gamma == pytest.approx(1.0, abs=1e-14)
 
     def test_inadmissible_shear(self):
         g = dirichlet_grid(4, dim=2)
         A = ops.CoefficientField.constant(g, [[1.0, 3.0], [0.0, 1.0]])
-        assert ops.check_accretive(A) == pytest.approx(-0.5, abs=1e-14)
+        assert A.gamma == pytest.approx(-0.5, abs=1e-14)
 
     def test_identity(self):
         g = dirichlet_grid(4, dim=3)
-        assert ops.check_accretive(ops.CoefficientField.identity(g)) == pytest.approx(1.0)
+        assert ops.CoefficientField.identity(g).gamma == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_least_eig_matches_per_sample_oracle(self, dim):
+        g = Grid(cells=(6, 5, 4)[:dim], lo=(0.0,) * dim, hi=(1.0,) * dim,
+                 boundary=Boundary.DIRICHLET)
+        vals = np.random.default_rng(dim).standard_normal(g.vertex_shape + (dim, dim))
+        A = ops.CoefficientField(g, vals)
+        oracle = np.array([np.linalg.eigvalsh(0.5 * (m + m.T))[0]
+                           for m in vals.reshape(-1, dim, dim)]).reshape(g.vertex_shape)
+        assert A.least_eig.shape == g.vertex_shape
+        assert A.least_eig.flags.c_contiguous and A.least_eig.base is None
+        np.testing.assert_allclose(A.least_eig, oracle, rtol=0.0, atol=1e-14)
+        assert A.gamma == pytest.approx(oracle.min(), abs=1e-14)
 
 
 class TestSymmetrize:
     def test_rotation_becomes_identity(self):
         g = dirichlet_grid(4, dim=2)
         A = ops.CoefficientField.constant(g, [[1.0, 1.0], [-1.0, 1.0]])
-        S = ops.symmetrize(A)
-        assert np.allclose(S.values[..., :, :], np.eye(2))
+        assert np.allclose(A.sym, np.eye(2))
 
     def test_symmetric_unchanged(self):
         g = dirichlet_grid(4, dim=2)
         A = ops.CoefficientField.constant(g, [[2.0, 0.3], [0.3, 1.0]])
-        assert np.array_equal(ops.symmetrize(A).values, A.values)
+        assert np.array_equal(A.sym, A.values)
 
     def test_gamma_preserved(self):
         g = dirichlet_grid(5, dim=2)
@@ -129,8 +141,7 @@ class TestSymmetrize:
             return out
 
         A = ops.CoefficientField(g, fn(*g.vertex_coords()))
-        assert ops.check_accretive(ops.symmetrize(A)) == pytest.approx(
-            ops.check_accretive(A), rel=1e-14)
+        assert ops.CoefficientField(A.grid, A.sym).gamma == pytest.approx(A.gamma, rel=1e-14)
 
     def test_symmetrization_identity_random_xi(self):
         # Re(A xi . conj(xi)) equals (sym A) xi . conj(xi) for complex xi
@@ -334,7 +345,7 @@ class TestInvariants:
             g = Grid(cells=(9, 8), lo=(0.0, 0.0), hi=(1.0, 1.0), boundary=boundary)
             A = ops.CoefficientField(g, wild(*g.vertex_coords()))
             V = ops.PotentialField(g, 0.3 + 0.2 * np.sin(g.node_coords()[0]))
-            gamma = ops.check_accretive(A)
+            gamma = A.gamma
             assert gamma > 0
             L = ops.assemble(g, A, V)
             G = L.gradient
@@ -380,7 +391,7 @@ class TestInvariants:
             return out
 
         A = ops.CoefficientField(g, afun(*g.vertex_coords()))
-        gamma = ops.check_accretive(A)
+        gamma = A.gamma
         L = ops.assemble(g, A, ops.PotentialField.zero(g))
         G = L.gradient
         rng = np.random.default_rng(9)
