@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from . import presets as ps
 from . import semigroup as sg
 from .errors import AccuracyError, ConfigError, ConvergenceError, DomainError
 from .grids import Boundary, Grid, GridFunction
-from .reports import FieldRows, Summary, emit_report, fmt, passes
+from .reports import Columns, FieldRows, Summary, emit_report, fmt, passes
 from .scenario import build_scenario, load_scenario_file
 
 
@@ -57,6 +56,11 @@ def _scenario_from_args(args, name=None) -> hz.ScenarioSpec:
                           name=name)
 
 
+def _check_table(values: dict[str, float]) -> tuple[list[str], Columns]:
+    """A (check, value) table of the named values, in their order."""
+    return ["check", "value"], Columns(list(values), list(values.values()))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -70,31 +74,30 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
     except DomainError as exc:
         raise ConfigError(f"--p: {exc}") from exc
     summary = Summary()
-    rows = []
+    parts = []
     header = ["p", "index", "re_zeta", "im_zeta", "re_eta", "im_eta",
               "prop_i_slack", "tau", "margin_hessian", "margin_drift", "valid"]
     for p, params in zip(pvals, all_params):
         rng = ps.rng_for(args.seed, f"bellman-points-p{p}")
         zetas, etas = bl.sample_certification_points(params, args.points, rng)
         res = bl.certify_batch(params, zetas, etas)
-        cols = (zetas.real, zetas.imag, etas.real, etas.imag, res["prop_i_slack"],
-                res["tau"], res["margin_hessian"], res["margin_drift"], res["valid"])
-        rows.extend(zip(repeat(p), range(len(zetas)), *(c.tolist() for c in cols)))
+        parts.append((np.full(len(zetas), p), np.arange(len(zetas)),
+                      zetas.real, zetas.imag, etas.real, etas.imag, res["prop_i_slack"],
+                      res["tau"], res["margin_hessian"], res["margin_drift"], res["valid"]))
         summary.add(f"range-bound(p={p:g})", float(res["prop_i_slack"].min()))
         shared = np.minimum(res["margin_hessian"], res["margin_drift"])
         summary.add(f"convexity+drift-tau(p={p:g})", float(shared.min()) + 1e-10,
                     note=f"{args.points} points, exact")
-    return summary, {"bellman": (header, rows)}
+    return summary, {"bellman": (header, Columns(*map(np.concatenate, zip(*parts))))}
 
 
 def cmd_operator_verify(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
     grid, A, V = spec.grid, spec.coefficients, spec.potential
     summary = Summary()
-    rows = []
     gamma = A.gamma
     summary.add("accretivity-gamma", gamma)
-    rows.append(("gamma", gamma))
+    checks = {"gamma": gamma}
     op = ops.assemble(grid, A, V)
     rng = ps.rng_for(args.seed, "operator-verify")
     G = op.gradient
@@ -112,24 +115,30 @@ def cmd_operator_verify(args) -> tuple[Summary, dict]:
     worst_adj = float(np.max(adj))
     worst_ell = float(np.min(ell))
     summary.add("adjoint-consistency", 1e-12 - worst_adj)
-    rows.append(("adjoint_gap", worst_adj))
+    checks["adjoint_gap"] = worst_adj
     summary.add("discrete-ellipticity", worst_ell + 1e-9)
-    rows.append(("ellipticity_slack", worst_ell))
+    checks["ellipticity_slack"] = worst_ell
     sym = A.sym
-    gap = abs(ops.CoefficientField(grid, sym).gamma - gamma)
-    summary.add("symmetrization-gamma", 1e-12 - gap)
-    rows.append(("symmetrize_gamma_gap", gap))
+    tol = 1e-12 * max(A.sup_norm, 1.0)
+    # sym A is symmetric and keeps the quadratic form of A: xi^T (sym A) xi
+    # = xi^T A xi for a random real xi at every sample
+    xi = rng.standard_normal(sym.shape[:-1])
+    form_sym, form_a = (np.einsum("...i,...ij,...j->...", xi, M, xi) for M in (sym, A.values))
+    asym = np.max(np.abs(sym - np.swapaxes(sym, -1, -2)))
+    form_gap = np.max(np.abs(form_sym - form_a) / np.sum(xi * xi, axis=-1))
+    gap = float(np.maximum(asym, form_gap))
+    summary.add("symmetrization", tol - gap)
+    checks["symmetrization_gap"] = gap
     S = ops.matrix_sqrt_spd(sym)
     rec = np.abs(np.einsum("...ij,...jk->...ik", S, S) - sym).max()
-    rec_tol = 1e-12 * max(A.sup_norm, 1.0)
-    summary.add("sqrt-reconstruction", rec_tol - rec)
-    rows.append(("sqrt_reconstruction", rec))
-    return summary, {"operator": (["check", "value"], rows)}
+    summary.add("sqrt-reconstruction", tol - rec)
+    checks["sqrt_reconstruction"] = rec
+    return summary, {"operator": _check_table(checks)}
 
 
 def cmd_semigroup_verify(args) -> tuple[Summary, dict]:
     summary = Summary()
-    rows = []
+    checks = {}
     tight = sg.SolverConfig(tol=1e-13)
     # eigen-oracle for one backward Euler step
     g = Grid(cells=(64,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
@@ -146,7 +155,7 @@ def cmd_semigroup_verify(args) -> tuple[Summary, dict]:
         errs.append(np.abs(u1 - u.flat / (1 + dt * lam)).max())
     worst = float(np.max(errs))
     summary.add("eigenmode-step-oracle", 1e-10 - worst)
-    rows.append(("eigenmode_step_error", worst))
+    checks["eigenmode_step_error"] = worst
     # Crank-Nicolson against the dense exponential
     gd = Grid(cells=(64,), lo=(-3.0,), hi=(3.0,), boundary=Boundary.DIRICHLET)
     Ld = ops.assemble(gd, ops.CoefficientField.identity(gd), ops.PotentialField.zero(gd))
@@ -157,19 +166,19 @@ def cmd_semigroup_verify(args) -> tuple[Summary, dict]:
     rel = float(np.linalg.norm(traj.values[-1] - oracle.flat)
                 / np.linalg.norm(oracle.flat))
     summary.add("crank-nicolson-vs-expm", 1e-4 - rel)
-    rows.append(("cn_vs_expm_rel", rel))
+    checks["cn_vs_expm_rel"] = rel
     # sup-norm contraction and mass conservation
     f2 = ps.make_bump(g, 0.5, 0.2, 1.0)
     tg2 = sg.TimeGrid(dt=5e-4, T=0.1, scheme=sg.Scheme.BACKWARD_EULER)
     traj2 = sg.evolve(L, f2, tg2, tight)
     rep = sg.linf_contraction_check(L, traj2)
     summary.add("sup-norm-contraction", sg.CONTRACTION_BOUND - rep.worst_ratio)
-    rows.append(("contraction_worst_ratio", rep.worst_ratio))
+    checks["contraction_worst_ratio"] = rep.worst_ratio
     masses = traj2.values.sum(axis=1) * g.cell_volume
     drift = float(np.abs(masses - masses[0]).max() / abs(masses[0]))
     summary.add("mass-conservation", 1e-10 - drift)
-    rows.append(("mass_drift_rel", drift))
-    return summary, {"semigroup": (["check", "value"], rows)}
+    checks["mass_drift_rel"] = drift
+    return summary, {"semigroup": _check_table(checks)}
 
 
 def cmd_pointwise(args) -> tuple[Summary, dict]:
@@ -192,7 +201,7 @@ def cmd_embed(args) -> tuple[Summary, dict]:
     ev = hz.run_scenario(dataclasses.replace(spec, timegrid=tg))
     rep = hz.embedding_check(ev)
     header = [f.name for f in dataclasses.fields(rep)]
-    rows = [tuple(float("nan") if v is None else v for v in dataclasses.astuple(rep))]
+    rows = Columns(*([np.nan if v is None else v] for v in dataclasses.astuple(rep)))
     summary = Summary()
     summary.add_margins(rep.margins, {"embedding-energy-bound":
                                       f"tol={fmt(rep.quad_error_est)}"})
@@ -208,13 +217,12 @@ def cmd_ibp(args) -> tuple[Summary, dict]:
     ev = hz.run_scenario(spec, embedding=False)
     rep = hz.ibp_upper_check(ev)
     header = ["R", "term", "value"]
-    rows = []
-    for r in rep.rows:
-        for term, val in (("I_RT", r.I_RT), ("bound", r.bound), ("eps_R", r.eps_R),
-                          ("time_term_quad", r.time_term_quad),
-                          ("time_term_exact", r.time_term_exact),
-                          ("flux", r.flux_term), ("potential_term", r.potential_term)):
-            rows.append((r.R, term, val))
+    terms = ("I_RT", "bound", "eps_R", "time_term_quad", "time_term_exact", "flux",
+             "potential_term")
+    values = [(r.I_RT, r.bound, r.eps_R, r.time_term_quad, r.time_term_exact,
+               r.flux_term, r.potential_term) for r in rep.rows]
+    rows = Columns(np.repeat([r.R for r in rep.rows], len(terms)),
+                   np.tile(terms, len(rep.rows)), np.ravel(values))
     summary = Summary()
     summary.add_margins(rep.margins)
     return summary, {"ibp": (header, rows)}
@@ -244,7 +252,7 @@ def cmd_offdiag(args) -> tuple[Summary, dict]:
         note = (f"slope={fmt(rep.slope)}, C={fmt(rep.fitted_C)}, "
                 f"c={fmt(rep.fitted_c)}")
         summary.add_margins(rep.margins, dict.fromkeys(rep.margins, note))
-    return summary, {"offdiag": (header, rows)}
+    return summary, {"offdiag": (header, Columns(*zip(*rows)))}
 
 
 def cmd_sweep(args) -> tuple[Summary, dict]:
@@ -265,15 +273,15 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
                     ev, spec=dataclasses.replace(spec, params=bl.BellmanParams(p)))
                 pw = hz.pointwise_check(evp)
                 em = hz.embedding_check(evp)
-                rows.append((preset, dim, p, ev.op.gamma, pw.worst_slack, pw.eps_h,
-                             em.sum_margin, em.product_margin, em.ratio_empirical,
+                rows.append((preset, dim, p, ev.op.coefficients.gamma, pw.worst_slack,
+                             pw.eps_h, em.sum_margin, em.product_margin, em.ratio_empirical,
                              pw.ok and em.ok))
                 # the arrangement gap's margin is about 1e-10 on every passing
                 # row, so it would hide the others; it enters only when it fails
                 margins = [m for name, m in {**pw.margins, **em.margins}.items()
                            if name != "chain-rule-arrangements" or not passes(m)]
                 summary.add(f"sweep({preset}, n={dim}, p={p:g})", np.min(margins))
-    return summary, {"sweep": (header, rows)}
+    return summary, {"sweep": (header, Columns(*zip(*rows)))}
 
 
 COMMANDS = {

@@ -166,12 +166,13 @@ def _embedding_hook(spec: ScenarioSpec):
             return
         rows = np.stack(pending).reshape(-1, grid.n_nodes)
         sq = _star_sq(grid, V, rows).reshape(len(pending), len(datum), grid.n_nodes)
-        star_sq = np.zeros((len(pending), 2, grid.n_nodes))
-        for i, j in enumerate(datum):
-            star_sq[:, j] += sq[:, i]
+        # the rows are in datum order, f's before g's: one sum over each
+        # datum's run of rows, which is 0 for a datum without rows
+        split = np.searchsorted(datum, 1)
+        star_f, star_g = (np.sqrt(sq[:, run].sum(axis=1))
+                          for run in (slice(None, split), slice(split, None)))
         products[done - len(pending):done] = (
-            spec.timegrid.dt * grid.cell_volume
-            * np.sum(np.sqrt(star_sq[:, 0]) * np.sqrt(star_sq[:, 1]), axis=1))
+            spec.timegrid.dt * grid.cell_volume * np.sum(star_f * star_g, axis=1))
         pending.clear()
 
     return products, add_step
@@ -456,7 +457,7 @@ def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
     cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
     f, g = ev.traj_f.values, ev.traj_g.values
     parts = _stored_parts(f, g)
-    c = 2.0 * params.delta * min(1.0, ev.op.gamma)
+    c = 2.0 * params.delta * min(1.0, ev.op.coefficients.gamma)
     rhs = np.empty(f.shape)
     for blk in _snapshot_blocks(*f.shape):
         star_f, star_g = (np.sqrt(sum(_star_sq(spec.grid, ev.op.potential, part(x[blk]))
@@ -520,16 +521,17 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     spec = ev.spec
     params = spec.params
     p, q, delta = params.p, params.q, params.delta
+    gamma = ev.op.coefficients.gamma
     tf, tg = ev.traj_f, ev.traj_g
     if ev.step_products is None:
         raise DomainError("the scenario carries no per-step products; evolve f "
                           "and g together with run_scenario(embedding=True)")
     E_T = float(np.sum(ev.step_products))
     tail = float(spec.grid.cell_volume * np.linalg.norm(tf.values[-1])
-                 * np.linalg.norm(tg.values[-1]) / (2.0 * min(1.0, ev.op.gamma)))
+                 * np.linalg.norm(tg.values[-1]) / (2.0 * min(1.0, gamma)))
     nf = spec.f.norm(p)
     ng = spec.g.norm(q)
-    cgam = max(1.0, 1.0 / ev.op.gamma) / (2.0 * delta)
+    cgam = max(1.0, 1.0 / gamma) / (2.0 * delta)
     a = nf ** p
     b = ng ** q
     sum_bound = cgam * (a + b)
@@ -537,7 +539,7 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     lambda_star = (math.exp((math.log(q) + q * math.log(ng) - math.log(p) - p * math.log(nf))
                             / (p + q)) if nf > 0.0 and ng > 0.0 else None)
     product_bound = cgam * ((q / p) ** (1.0 / q) + (p / q) ** (1.0 / p)) * nf * ng
-    energy_bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
+    energy_bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, gamma))
     total = E_T + tail
     # floating-point tolerance: a step whose solve leaves relative residual
     # rho moves E_T + tail against energy_bound by at most 4 rho of it; rho
@@ -546,7 +548,7 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     quad_err = 4.0 * len(ev.step_products) * rho * energy_bound
     ratio = total / (p * nf * ng) if nf * ng > 0 else 0.0
     return EmbeddingReport(
-        E_T=E_T, tail=tail, norm_f_p=nf, norm_g_q=ng, gamma=ev.op.gamma,
+        E_T=E_T, tail=tail, norm_f_p=nf, norm_g_q=ng, gamma=gamma,
         sum_bound=sum_bound, sum_margin=sum_bound - total,
         lambda_star=lambda_star, product_bound=product_bound,
         product_margin=product_bound - total, ratio_empirical=ratio,

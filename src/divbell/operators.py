@@ -180,8 +180,7 @@ class DiscreteOperator:
     gradient: sp.csr_matrix = field(repr=False)      # G: nodes -> faces
     face_action: sp.csr_matrix = field(repr=False)   # A_h: faces -> faces
     potential: np.ndarray = field(repr=False)        # V per node, flat
-    gamma: float = 0.0
-    coefficients: CoefficientField | None = field(default=None, repr=False)
+    coefficients: CoefficientField = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -225,7 +224,7 @@ def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOper
     Vflat = V.values.ravel()
     L = (G.T @ Ah @ G + sp.diags(Vflat)).tocsr()
     return DiscreteOperator(grid=grid, matrix=L, gradient=G, face_action=Ah,
-                            potential=Vflat, gamma=A.gamma, coefficients=A)
+                            potential=Vflat, coefficients=A)
 
 
 def grad_sq_at_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -22,34 +22,56 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _row_template(types: tuple[type, ...]) -> str | None:
-    """One %-template for a CSV line whose values have these exact types,
-    rendering each value as ``fmt`` does; None when a type is a subclass of
-    int or float, which may format itself differently."""
-    convs = []
-    for t in types:
-        if t is bool or t is int:
-            convs.append("%d")
-        elif t is float or t is np.float64:
-            convs.append("%.17g")
-        elif issubclass(t, (int, float)):
-            return None
-        else:
-            convs.append("%s")   # fmt renders every other type with str()
-    return ",".join(convs) + "\n"
+# the %-conversion of each accepted numpy dtype kind; on the column's
+# ``tolist`` values each renders as ``fmt`` does
+KIND_FORMATS = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d", "U": "%s"}
 
 
-def _csv_lines(rows):
-    """Each row as one CSV line, equal to joining ``fmt`` of its values; rows
-    with the same value types share one %-template."""
-    templates: dict[tuple[type, ...], str | None] = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = _row_template(types)
-        tmpl = templates[types]
-        yield tmpl % row if tmpl is not None else ",".join(map(fmt, row)) + "\n"
+class Columns:
+    """A table held as equal-length 1-D numpy columns, one per CSV field,
+    each formatted by its dtype kind (``KIND_FORMATS``).
+
+    A column given as a sequence goes through ``np.asarray``; one that
+    would become an object array, or a string array holding non-strings,
+    raises DomainError, as do columns of unequal length.  ``lines`` formats
+    ``CHUNK_ROWS`` rows at a time, so the text held is O(chunk) whatever
+    the row count.
+    """
+
+    CHUNK_ROWS = 2048
+
+    def __init__(self, *columns):
+        self.columns = []
+        for k, col in enumerate(columns):
+            arr = np.asarray(col)
+            if arr.ndim != 1 or arr.dtype.kind not in KIND_FORMATS:
+                raise DomainError(f"column {k}: expected a 1-D float, integer, boolean "
+                                  f"or string column, got {arr.dtype} of shape {arr.shape}")
+            if (arr.dtype.kind == "U" and not isinstance(col, np.ndarray)
+                    and not all(isinstance(v, str) for v in col)):
+                raise DomainError(f"column {k} mixes strings with other values")
+            self.columns.append(arr)
+        sizes = [c.size for c in self.columns]
+        if len(set(sizes)) > 1:
+            raise DomainError(f"columns of unequal lengths {sizes}")
+        self.template = ",".join(KIND_FORMATS[c.dtype.kind] for c in self.columns) + "\n"
+
+    def __len__(self) -> int:
+        return self.columns[0].size if self.columns else 0
+
+    def lines(self):
+        """One string per chunk of ``CHUNK_ROWS`` rows, equal to the ``fmt``
+        CSV lines of its rows: one %-template over the chunk's values,
+        interleaved row by row."""
+        n, k = len(self), len(self.columns)
+        chunk = self.template * self.CHUNK_ROWS
+        for lo in range(0, n, self.CHUNK_ROWS):
+            hi = min(lo + self.CHUNK_ROWS, n)
+            values = [None] * ((hi - lo) * k)
+            for j, col in enumerate(self.columns):
+                values[j::k] = col[lo:hi].tolist()
+            template = chunk if hi - lo == self.CHUNK_ROWS else self.template * (hi - lo)
+            yield template % tuple(values)
 
 
 class FieldRows:
@@ -68,7 +90,7 @@ class FieldRows:
         self.times = np.asarray(times, dtype=np.float64)
         self.fields = [np.asarray(f, dtype=np.float64) for f in fields]
         shape = (self.times.size, self.coords[0].size)
-        if (any(c.size != shape[1] for c in self.coords)
+        if (self.times.ndim != 1 or any(c.size != shape[1] for c in self.coords)
                 or any(f.shape != shape for f in self.fields)):
             raise DomainError(f"fields {[f.shape for f in self.fields]} do not match "
                               f"{shape[0]} times x {shape[1]} nodes")
@@ -92,12 +114,11 @@ class FieldRows:
             yield template % tuple(np.column_stack(vals).ravel().tolist())
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple] | FieldRows) -> None:
-    lines = rows.lines() if isinstance(rows, FieldRows) else _csv_lines(rows)
+def write_csv(path: str, header: list[str], rows: Columns | FieldRows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
+            fh.writelines(rows.lines())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -166,7 +187,7 @@ def ensure_outdir(path: str) -> str:
 
 
 def emit_report(summary: Summary,
-                tables: dict[str, tuple[list[str], list[tuple] | FieldRows]],
+                tables: dict[str, tuple[list[str], Columns | FieldRows]],
                 outdir: str) -> list[str]:
     """Write every named CSV table plus the human-readable summary.
 

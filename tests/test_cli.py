@@ -20,7 +20,7 @@ import divbell.presets as ps
 from divbell.cli import COMMANDS, main, make_parser
 from divbell.errors import ConfigError
 from divbell.grids import Boundary, Grid, GridFunction
-from divbell.reports import fmt
+from divbell.reports import Columns, FieldRows, fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
 from oracles import _assemble_neg_hess, second_order_ref, smooth_random_full
@@ -588,8 +588,10 @@ class TestMarginsMatchVerdicts:
                              ids=["energy-form", "quad-error", "arrangement-gap"])
     def test_sweep_margin_covers_every_form(self, sum_margin, energy_margin, gap,
                                             monkeypatch):
-        ev = hz.EvolvedScenario(None, ops.DiscreteOperator(None, None, None, None, None,
-                                                           gamma=1.0), None, None)
+        g = Grid(cells=(4,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
+        op = ops.DiscreteOperator(None, None, None, None, None,
+                                  coefficients=ops.CoefficientField.identity(g))
+        ev = hz.EvolvedScenario(None, op, None, None)
         em = hz.EmbeddingReport(
             E_T=1.0, tail=0.0, norm_f_p=1.0, norm_g_q=1.0, gamma=1.0, sum_bound=2.0,
             sum_margin=sum_margin, lambda_star=1.0, product_bound=2.0, product_margin=1.0,
@@ -641,6 +643,58 @@ class TestMarginsMatchVerdicts:
         monkeypatch.setattr(cli.ops, "matrix_sqrt_spd", lambda M: sqrt(M) * (1.0 + 3.3e-13))
         check = _run_command(["operator-verify", "--config", str(cfg)])["sqrt-reconstruction"]
         assert check.passed and check.margin == pytest.approx(1e-12, rel=0.1)
+
+    def test_symmetrization_passes_on_rotation(self):
+        check = _run_command(["operator-verify", "--preset", "rotation", "--grid", "16,16"])[
+            "symmetrization"]
+        assert check.passed
+
+    @pytest.mark.parametrize("wrong_sym", [lambda A: A.values,
+                                           lambda A: A.values + np.swapaxes(A.values, -1, -2)],
+                             ids=["unsymmetrized", "wrong-quadratic-form"])
+    def test_symmetrization_fails_on_a_wrong_symmetric_part(self, wrong_sym, monkeypatch):
+        # the raw rotation field is not symmetric; twice its symmetric part
+        # is, but doubles every quadratic form.  The square root refuses
+        # non-symmetric input, so it gets the symmetric part of what it is
+        # given and the command reaches its summary
+        sqrt = ops.matrix_sqrt_spd
+        monkeypatch.setattr(ops.CoefficientField, "sym", property(wrong_sym))
+        monkeypatch.setattr(cli.ops, "matrix_sqrt_spd",
+                            lambda M: sqrt(0.5 * (M + np.swapaxes(M, -1, -2))))
+        check = _run_command(["operator-verify", "--preset", "rotation", "--grid", "16,16"])[
+            "symmetrization"]
+        assert not check.passed and check.margin < -1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["bellman-verify", "--points", "50"],
+    ["operator-verify", "--grid", "8"],
+    ["semigroup-verify"],
+    ["pointwise", "--grid", "16"],
+    ["embed", "--grid", "16"],
+    ["ibp", "--grid", "32"],
+    ["offdiag", "--grid", "32"],
+    ["sweep", "--p", "2"],
+], ids=lambda argv: argv[0])
+def test_every_table_is_columns_or_field_rows(argv):
+    _, tables = COMMANDS[argv[0]](make_parser().parse_args(argv))
+    assert tables
+    for header, rows in tables.values():
+        assert isinstance(rows, (Columns, FieldRows))
+        if isinstance(rows, Columns):
+            assert len(rows.columns) == len(header)
+            assert all(isinstance(c, np.ndarray) for c in rows.columns)
+        else:
+            assert len(rows.coords) + 1 + len(rows.fields) == len(header)
+
+
+def test_bellman_verify_returns_numpy_columns():
+    header, rows = COMMANDS["bellman-verify"](
+        make_parser().parse_args(["bellman-verify", "--points", "50"]))[1]["bellman"]
+    assert isinstance(rows, Columns) and len(rows) == 200
+    assert [c.shape for c in rows.columns] == [(200,)] * len(header)
+    assert rows.columns[header.index("valid")].dtype == bool
+    assert rows.columns[header.index("index")].dtype.kind == "i"
 
 
 @pytest.mark.parametrize("workload", sorted(_benchmark_workloads()))

@@ -575,7 +575,7 @@ class TestBilinear:
                                spec.f, spec.g, spec.params, spec.timegrid,
                                SolverConfig(tol=1e-13))
         ev = hz.run_scenario(spec)
-        assert ev.op.gamma == 1.0 and not np.any(ev.op.potential)
+        assert ev.op.coefficients.gamma == 1.0 and not np.any(ev.op.potential)
         w = spec.grid.cell_volume
         exact = 0.5 * w * (np.linalg.norm(spec.f.flat) ** 2
                            - np.linalg.norm(ev.traj_f.values[-1]) ** 2)
@@ -591,7 +591,7 @@ class TestBilinear:
                              boundary=boundary, scheme=scheme)
         ev = hz.run_scenario(spec)
         rep = hz.embedding_check(ev)
-        bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.gamma))
+        bound = spec.f.norm(2.0) * spec.g.norm(2.0) / (2.0 * min(1.0, ev.op.coefficients.gamma))
         assert rep.energy_bound == pytest.approx(bound, rel=1e-15)
         assert rep.E_T + rep.tail <= bound + rep.quad_error_est
         assert rep.margins["embedding-energy-bound"] > 0.0
@@ -609,7 +609,7 @@ class TestBilinear:
                                f, f, spec.params, spec.timegrid, spec.solver)
         ev = hz.run_scenario(spec)
         rep = hz.embedding_check(ev)
-        assert ev.op.gamma == 1.0
+        assert ev.op.coefficients.gamma == 1.0
         assert 2.0 * rep.ratio_empirical <= 0.5 + rep.quad_error_est / (
             rep.norm_f_p * rep.norm_g_q)
         assert rep.ok
@@ -683,7 +683,7 @@ class TestEmbedding:
                                 spec.solver, spec.cutoff_radii)
         ev = hz.run_scenario(spec2)
         rep = hz.embedding_check(ev)
-        assert ev.op.gamma == pytest.approx(0.25, rel=1e-12)
+        assert ev.op.coefficients.gamma == pytest.approx(0.25, rel=1e-12)
         assert rep.ok
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 8.0])

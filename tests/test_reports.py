@@ -1,7 +1,5 @@
 """Tests for CSV emission, export tables, and the summary renderer."""
 
-import enum
-
 import numpy as np
 import pytest
 
@@ -22,30 +20,68 @@ def test_fmt_17_significant_digits_roundtrip():
     assert rp.fmt(3) == "3"
 
 
-class Level(enum.IntEnum):
-    HIGH = 2
+def _reference_text(header, columns) -> str:
+    """Header and rows rendered value by value: ``fmt`` of each Python value."""
+    rows = zip(*(c.tolist() for c in columns))
+    return "".join(",".join(map(rp.fmt, row)) + "\n" for row in [header, *rows])
 
 
-def test_write_csv_matches_fmt_reference(tmp_path):
-    # every value type a table holds, rows of one type pattern repeated,
-    # and a few mixed ones
-    header = ["a", "b", "c", "d", "e"]
-    rows = [
-        (True, False, np.bool_(True), np.bool_(False), None),
-        (0, -7, 12345678901234567890, np.int64(-3), "x%sy"),
-        (1.0 / 3.0, np.float64(-2.5), float("nan"), float("inf"), -float("inf")),
-        (-0.0, np.float64(-0.0), 5e-324, 1e300, np.float64(np.nan)),
-        ("str", None, True, 1.5, 2),
-        (1.0 / 3.0, np.float64(-2.5), float("nan"), float("inf"), -float("inf")),
-        [1, 2.0, "three", None, np.float64(4.0)],
-        (Level.HIGH, 1, 2.0, "int subclass", None),
-        (),
+def test_columns_render_every_kind_as_fmt(tmp_path):
+    # one column per accepted dtype kind, special floats included
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0])
+    columns = [
+        floats,
+        np.array([np.nan, np.inf, -np.inf, -0.0, 1e-45, 3e38, 1.0 / 3.0], dtype=np.float32),
+        np.array([True, False, True, True, False, False, True]),
+        np.array([0, -7, 2 ** 62, -(2 ** 63), 1, 2, 3], dtype=np.int64),
+        np.arange(-3, 4, dtype=np.int8),
+        np.array([0, 1, 2 ** 64 - 1, 5, 6, 7, 8], dtype=np.uint64),
+        np.array(["x%sy", "", "a,b", "%d", "nan", "True", "\u03b3"]),
     ]
+    header = [c.dtype.str for c in columns]
     path = tmp_path / "t.csv"
-    rp.write_csv(str(path), header, rows)
-    expected = "".join(",".join(rp.fmt(x) for x in row) + "\n" for row in [header] + rows)
-    assert path.read_text() == expected
-    assert path.read_text().splitlines()[1] == "1,0,True,False,None"
+    rp.write_csv(str(path), header, rp.Columns(*columns))
+    assert path.read_text(encoding="utf-8") == _reference_text(header, columns)
+    assert path.read_text(encoding="utf-8").splitlines()[1].startswith("nan,nan,1,0,-3,0,x%sy")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+def test_columns_chunk_edges(offset):
+    n = rp.Columns.CHUNK_ROWS + offset
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n), np.arange(n), rng.standard_normal(n) > 0,
+               np.array(["P", "P_tilde"])[rng.integers(0, 2, n)]]
+    table = rp.Columns(*columns)
+    assert len(table) == n
+    chunks = list(table.lines())
+    assert len(chunks) == -(-n // rp.Columns.CHUNK_ROWS)
+    assert all(chunk.count("\n") <= rp.Columns.CHUNK_ROWS for chunk in chunks)
+    assert "".join(chunks) == _reference_text([], columns)[1:]
+
+
+@pytest.mark.parametrize("columns", [[np.empty(0), np.array([], dtype=bool)], []],
+                         ids=["no-rows", "no-columns"])
+def test_columns_without_rows(columns, tmp_path):
+    table = rp.Columns(*columns)
+    assert len(table) == 0 and list(table.lines()) == []
+    path = tmp_path / "e.csv"
+    rp.write_csv(str(path), ["a", "b"], table)
+    assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([1.0, None], dtype=object)],
+    [[1.0, None]],
+    [["a", 1.0]],
+    [[1, "b"]],
+    [np.zeros(3), np.zeros(2)],
+    [np.zeros((2, 2))],
+    [np.zeros(2, dtype=complex)],
+], ids=["object-array", "object-list", "mixed-str-float", "mixed-int-str", "unequal",
+        "2d", "complex"])
+def test_columns_reject_what_they_cannot_render(columns):
+    with pytest.raises(DomainError):
+        rp.Columns(*columns)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
@@ -76,8 +112,9 @@ def test_field_rows_match_fmt_of_their_rows(cells, boundary, tmp_path):
     rp.write_csv(str(path), header, rows)
     expected = "".join(",".join(rp.fmt(x) for x in row) + "\n" for row in [header] + listed)
     assert path.read_text() == expected
-    with pytest.raises(DomainError):
-        rp.FieldRows(g.node_coords(), times[1:], fields)
+    for bad_times in (times[1:], times.reshape(2, 2)):
+        with pytest.raises(DomainError):
+            rp.FieldRows(g.node_coords(), bad_times, fields)
 
 
 def test_empty_report_and_summary(tmp_path):
@@ -110,8 +147,7 @@ def test_gridfunction_table(tmp_path):
     # tables build them, written through write_csv
     g = Grid(cells=(4, 4), lo=(0.0, 0.0), hi=(1.0, 1.0), boundary=Boundary.DIRICHLET)
     u = GridFunction(g, np.arange(9).reshape(3, 3) * (1 + 2j))
-    coords = [c.ravel().tolist() for c in g.node_coords()]
-    rows = list(zip(*coords, u.flat.real.tolist(), u.flat.imag.tolist()))
+    rows = rp.Columns(*(c.ravel() for c in g.node_coords()), u.flat.real, u.flat.imag)
     path = tmp_path / "u.csv"
     rp.write_csv(str(path), ["x", "y", "re", "im"], rows)
     lines = path.read_text().splitlines()
@@ -127,13 +163,14 @@ def test_trajectory_and_stats_tables(tmp_path):
     f = ps.make_bump(g, 0.5, 0.2, 1.0)
     traj = sg.evolve(L, f, sg.TimeGrid(dt=0.01, T=0.03), sg.SolverConfig(tol=1e-12))
     assert traj.values.shape == (len(traj.times), g.n_nodes)
-    rows = [(k + 1, st.method, st.iterations, st.residual)
-            for k, st in enumerate(traj.stats)]
+    residual = np.array([st.residual for st in traj.stats])
+    rows = rp.Columns(np.arange(1, len(traj.stats) + 1), [st.method for st in traj.stats],
+                      [st.iterations for st in traj.stats], residual)
     paths = rp.emit_report(rp.Summary(), {"stats": (["step", "method", "iterations",
                                                       "residual"], rows)}, str(tmp_path))
     assert len((tmp_path / "stats.csv").read_text().splitlines()) == 1 + 3
     assert str(tmp_path / "summary.txt") in paths
-    assert all(r[3] <= 1e-11 for r in rows)
+    assert np.all(residual <= 1e-11)
 
 
 def test_scenario_inline_coefficient_values():

@@ -77,7 +77,8 @@ class TestStep:
             u1 = GridFunction(g, one_step(L, u, dt))
             drop = u.norm(2) ** 2 - u1.norm(2) ** 2
             G = L.gradient
-            diss = 2 * dt * (L.gamma * w * np.vdot(G @ u1.flat, G @ u1.flat).real
+            gamma = L.coefficients.gamma
+            diss = 2 * dt * (gamma * w * np.vdot(G @ u1.flat, G @ u1.flat).real
                              + w * np.vdot(u1.flat, L.potential * u1.flat).real)
             assert drop >= diss - 1e-10 * max(abs(drop), 1.0)
 
