@@ -15,9 +15,9 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error
 (cutoff radii with 2R beyond the box half-width included), 3 numerical
 failure (a solver did not converge, or a result failed its own error
 estimate).  Identical configuration and seed produce byte-identical output
-files.  ``sweep`` builds and evolves each (preset, dimension) pair once and
-checks every p on the shared trajectories, since P_t f and P_t g do not
-depend on p.
+files.  ``sweep`` builds each (preset, dimension) pair once, evolves all of
+them in one batch on their shared time grid, and checks every p on the
+shared trajectories, since P_t f and P_t g do not depend on p.
 """
 
 from __future__ import annotations
@@ -259,28 +259,29 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
     pvals = [args.p] if args.p is not None else [2.0, 3.0, 4.0, 8.0]
     header = ["preset", "dim", "p", "gamma", "worst_slack", "eps_h",
               "sum_margin", "product_margin", "ratio_empirical", "pass"]
+    cells = [(preset, dim) for preset in ps.PRESET_NAMES for dim in (1, 2)]
+    specs = [build_scenario(None, preset=preset, dim=dim,
+                            cells=(96,) if dim == 1 else (16,) * dim, p=pvals[0], T=0.3,
+                            seed=args.seed, name=f"{preset}-{dim}d")
+             for preset, dim in cells]
     rows = []
     summary = Summary()
-    for preset in ps.PRESET_NAMES:
-        for dim in (1, 2):
-            cells = (96,) if dim == 1 else (16,) * dim
-            spec = build_scenario(None, preset=preset, dim=dim, cells=cells, p=pvals[0],
-                                  T=0.3, seed=args.seed, name=f"{preset}-{dim}d")
-            ev = hz.run_scenario(spec)
-            for p in pvals:
-                # the trajectories do not depend on p; only the Bellman parameters do
-                evp = dataclasses.replace(
-                    ev, spec=dataclasses.replace(spec, params=bl.BellmanParams(p)))
-                pw = hz.pointwise_check(evp)
-                em = hz.embedding_check(evp)
-                rows.append((preset, dim, p, ev.op.coefficients.gamma, pw.worst_slack,
-                             pw.eps_h, em.sum_margin, em.product_margin, em.ratio_empirical,
-                             pw.ok and em.ok))
-                # the arrangement gap's margin is about 1e-10 on every passing
-                # row, so it would hide the others; it enters only when it fails
-                margins = [m for name, m in {**pw.margins, **em.margins}.items()
-                           if name != "chain-rule-arrangements" or not passes(m)]
-                summary.add(f"sweep({preset}, n={dim}, p={p:g})", np.min(margins))
+    # the cells share one time grid, so one batch evolves them all
+    for (preset, dim), spec, ev in zip(cells, specs, hz.run_scenarios(specs)):
+        for p in pvals:
+            # the trajectories do not depend on p; only the Bellman parameters do
+            evp = dataclasses.replace(
+                ev, spec=dataclasses.replace(spec, params=bl.BellmanParams(p)))
+            pw = hz.pointwise_check(evp)
+            em = hz.embedding_check(evp)
+            rows.append((preset, dim, p, ev.op.coefficients.gamma, pw.worst_slack,
+                         pw.eps_h, em.sum_margin, em.product_margin, em.ratio_empirical,
+                         pw.ok and em.ok))
+            # the arrangement gap's margin is about 1e-10 on every passing
+            # row, so it would hide the others; it enters only when it fails
+            margins = [m for name, m in {**pw.margins, **em.margins}.items()
+                       if name != "chain-rule-arrangements" or not passes(m)]
+            summary.add(f"sweep({preset}, n={dim}, p={p:g})", np.min(margins))
     return summary, {"sweep": (header, Columns(*zip(*rows)))}
 
 

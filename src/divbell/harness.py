@@ -131,17 +131,30 @@ def _snapshot_blocks(nt: int, n_values: int):
     return [slice(lo, min(lo + steps, nt)) for lo in range(0, nt, steps)]
 
 
+def run_scenarios(specs, embedding: bool = True) -> list[EvolvedScenario]:
+    """Assemble each spec's L_h and evolve every spec's f and g in one batch
+    (``semigroup.evolve``), one time loop for all of them; the specs must
+    share one ``TimeGrid`` and one ``SolverConfig``.  With ``embedding``
+    each result carries the per-step sums dt w sum_x |x_f|_* |x_g|_* of its
+    solve outputs x, which ``embedding_check`` reads; without it no star
+    norm is taken and ``step_products`` is None."""
+    specs = list(specs)
+    if not specs or any((s.timegrid, s.solver) != (specs[0].timegrid, specs[0].solver)
+                        for s in specs):
+        raise DomainError("a batch needs one or more scenarios sharing one TimeGrid "
+                          "and one SolverConfig")
+    ops = [assemble(s.grid, s.coefficients, s.potential) for s in specs]
+    hooks = [_embedding_hook(s) if embedding else (None, None) for s in specs]
+    trajs = evolve(ops, [(s.f, s.g) for s in specs], specs[0].timegrid, specs[0].solver,
+                   on_step=[add_step for _, add_step in hooks])
+    return [EvolvedScenario(spec, op, *(Trajectory(op.grid, traj.times, values, traj.stats)
+                                        for values in traj.values), products)
+            for spec, op, traj, (products, _) in zip(specs, ops, trajs, hooks)]
+
+
 def run_scenario(spec: ScenarioSpec, embedding: bool = True) -> EvolvedScenario:
-    """Assemble L_h and evolve f and g as one block.  With ``embedding`` the
-    result carries the per-step sums dt w sum_x |x_f|_* |x_g|_* of the solve
-    outputs x, which ``embedding_check`` reads; without it no star norm is
-    taken and ``step_products`` is None."""
-    op = assemble(spec.grid, spec.coefficients, spec.potential)
-    products, add_step = _embedding_hook(spec) if embedding else (None, None)
-    traj = evolve(op, (spec.f, spec.g), spec.timegrid, spec.solver, on_step=add_step)
-    traj_f, traj_g = (Trajectory(op.grid, traj.times, values, traj.stats)
-                      for values in traj.values)
-    return EvolvedScenario(spec, op, traj_f, traj_g, products)
+    """``run_scenarios`` for one spec: f and g evolved as one block."""
+    return run_scenarios([spec], embedding)[0]
 
 
 def _embedding_hook(spec: ScenarioSpec):

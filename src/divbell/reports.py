@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -79,10 +78,9 @@ class FieldRows:
     snapshot time and node, snapshot-major: row k * n + i holds node i's
     coordinates, ``times[k]`` and ``fld[k, i]`` of each (nt, n) field.
 
-    Iteration yields the rows as tuples of Python floats, the reference
-    rendering.  ``lines`` renders the same text one snapshot at a time: each
-    node's coordinates and each snapshot's time are formatted once, and no
-    row tuple is built.
+    ``lines`` renders the CSV text one snapshot at a time: each node's
+    coordinates and each snapshot's time are formatted once, and no row
+    tuple is built.
     """
 
     def __init__(self, coords, times, fields):
@@ -97,11 +95,6 @@ class FieldRows:
 
     def __len__(self) -> int:
         return self.times.size * self.coords[0].size
-
-    def __iter__(self):
-        coords = [c.tolist() for c in self.coords]
-        for t, *vals in zip(self.times.tolist(), *self.fields):
-            yield from zip(*coords, repeat(t), *(v.tolist() for v in vals))
 
     def lines(self):
         """One string per snapshot, equal to the ``fmt`` CSV lines of its rows."""

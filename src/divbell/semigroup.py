@@ -6,27 +6,37 @@ so its x is the midpoint (u + u')/2.  Each solve output x is where its
 scheme's energy identity (Crank-Nicolson) or inequality (backward Euler)
 holds, and ``evolve`` can hand it to a per-step hook.  ``evolve`` advances
 one datum or a tuple of data under one operator as one block, so P_t f
-and P_t g share every step.  The state is a set of real rows, one for
-each nonzero real or imaginary part of each datum, so no product upcasts
-the real matrices to complex.  Up to ``DIRECT_LIMIT`` unknowns
-(``DIRECT_LIMIT_3D`` in 3D) the left-hand matrix is factored once by
-SuperLU and each step solves all rows in one call.  Above it each row is
-solved by Jacobi-preconditioned BiCGStab, whose breakdown test is
-relative to the residual norms and so blind to the scale of the data,
-with a restarted GMRES fallback on breakdown or non-convergence.  Each
-Krylov solve starts from the polynomial extrapolation of that row's last
-solve outputs (``EXTRAPOLATION``, degree 4 once five exist), and takes
-its initial residual from the same combination of the products of those
-outputs that the residual gate computed, so a solve costs its
-iterations' matvecs plus the gate's one.  Both paths refuse a non-finite
-right-hand side before solving and gate every datum's per-step residual
-on a freshly computed product.  A dense scaling-and-squaring exponential
-is provided as a test oracle for small systems.
+and P_t g share every step.  It also advances a batch of operators that
+share one time grid and one solver configuration as one block-diagonal
+system in one time loop; one operator is a batch of one.  The state is a
+set of real rows over the batch's unknowns, each holding on an
+operator's segment one nonzero real or imaginary part of one of its data
+(or zeros), so no product upcasts the real matrices to complex.  When
+every operator is within ``DIRECT_LIMIT`` unknowns (``DIRECT_LIMIT_3D``
+in 3D), the block-diagonal left-hand matrix is factored once by SuperLU
+and each step solves all rows in one call.  If any operator is above its
+limit, every operator goes Krylov: each of its row segments is solved on
+its own, with its matrix and Jacobi diagonal, by BiCGStab, whose
+breakdown test is relative to the residual norms and so blind to the
+scale of the data, with a restarted GMRES fallback on breakdown or
+non-convergence; so each operator's iterations are those of its single
+evolution.  Each Krylov solve starts from the polynomial extrapolation of
+that row's last solve outputs (``EXTRAPOLATION``, degree 4 once five
+exist), and takes its initial residual from the same combination of the
+products of those outputs that the residual gate computed, so a solve
+costs its iterations' matvecs plus the gate's one.  Both paths refuse a
+non-finite right-hand side before solving and gate the per-step residual
+of every (operator, datum) on a freshly computed product, from segment
+sums over the operators' offsets, so a small operator's residual never
+hides behind a large one's norm; each operator gets its own step stats.
+A dense scaling-and-squaring exponential is provided as a test oracle for
+small systems.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,32 +201,21 @@ def _bicgstab(A, b, x, r, inv_diag, tol: float, max_iter: int):
     return x, False, max_iter
 
 
-class _LinearStep:
-    """One implicit step, with the matrices and the factor or the
-    preconditioner built once.
+class _KrylovBlock:
+    """The Krylov solves of one operator of a batch: its left-hand matrix,
+    its Jacobi diagonal, and the last ``len(EXTRAPOLATION)`` solve outputs
+    of each of its rows with their products, from which the next solve of
+    that row starts."""
 
-    It solves real rows, each one real or imaginary part of one datum.  On
-    the Krylov path it keeps the last ``len(EXTRAPOLATION)`` solve outputs
-    of each row and their products with the left-hand matrix, from which
-    the next solve of that row starts."""
-
-    def __init__(self, op: DiscreteOperator, dt: float, scheme: Scheme,
-                 solver: SolverConfig):
+    def __init__(self, lhs: sp.csr_matrix, solver: SolverConfig):
+        self.lhs = lhs
         self.solver = solver
-        self.midpoint = scheme is Scheme.CRANK_NICOLSON
-        n = op.n
-        theta = 0.5 if self.midpoint else 1.0
-        self.lhs = (sp.identity(n, format="csr") + theta * dt * op.matrix).tocsr()
-        self.lu = None
-        # (x, lhs @ x) of the last solve outputs of every (rows, n) block,
+        d = lhs.diagonal()
+        self.inv_diag = 1.0 / d if np.all(d != 0.0) else np.ones(lhs.shape[0])
+        # (x, lhs @ x) of the last solve outputs of the (rows, n) block,
         # output i in slot i mod len(EXTRAPOLATION); ``stored`` counts them
         self.history: np.ndarray | None = None
         self.stored = 0
-        if n <= (DIRECT_LIMIT_3D if op.grid.dim == 3 else DIRECT_LIMIT):
-            self.lu = spla.splu(self.lhs.tocsc())
-            return
-        d = self.lhs.diagonal()
-        self.inv_diag = 1.0 / d if np.all(d != 0.0) else np.ones(n)
 
     def _gmres(self, b: np.ndarray):
         """Restarted GMRES from x0 = b, the fallback when BiCGStab breaks
@@ -235,9 +234,10 @@ class _LinearStep:
             raise ConvergenceError("linear solve stagnated", count[0], res)
         return x, count[0]
 
-    def _krylov(self, b: np.ndarray):
-        """Solve each row of ``b``; return the outputs, their products with
-        the left-hand matrix, the summed iterations and the method.
+    def solve(self, b: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """Solve each row of ``b`` into that row of ``x``, and write its
+        product with the left-hand matrix into ``y``; return the summed
+        iterations and the method.
 
         With k = min(stored, len(EXTRAPOLATION)) outputs at hand, a row
         starts from their extrapolation of degree k - 1 and takes its
@@ -255,8 +255,6 @@ class _LinearStep:
             w[(self.stored - k + np.arange(k)) % m] = EXTRAPOLATION[k - 1]
             x_start, y_start = (w @ self.history.reshape(m, -1)).reshape(self.history.shape[1:])
             r_start = b - y_start
-        x = np.empty_like(b)
-        y = np.empty_like(b)
         iters, method = 0, "bicgstab"
         for i, bi in enumerate(b):
             if k:
@@ -276,33 +274,70 @@ class _LinearStep:
         slot[0] = x
         slot[1] = y
         self.stored += 1
-        return x, y, iters, method
+        return iters, method
 
-    def advance_rows(self, b: np.ndarray, datum: np.ndarray) -> tuple[np.ndarray, StepStats]:
-        """Solve (I + theta dt L_h) x = b for the C-contiguous real (r, n)
-        rows ``b``, row i a real or imaginary part of datum ``datum[i]``.
 
-        The stats give the summed iterations and the worst datum's relative
-        residual, from a product of each output computed afresh; the method
-        is "splu", or "gmres" if any row fell back from "bicgstab"."""
+class _LinearStep:
+    """One implicit step of a batch of operators, the block-diagonal system
+    diag(I + theta dt L_b), with the factor or the preconditioners built
+    once.  Operator b's unknowns are the segment ``bounds[b]:bounds[b + 1]``
+    of every row."""
+
+    def __init__(self, ops, dt: float, scheme: Scheme, solver: SolverConfig):
+        self.solver = solver
+        self.midpoint = scheme is Scheme.CRANK_NICOLSON
+        theta = 0.5 if self.midpoint else 1.0
+        lhs = [(sp.identity(op.n, format="csr") + theta * dt * op.matrix).tocsr() for op in ops]
+        self.bounds = np.cumsum([0] + [op.n for op in ops])
+        self.lu = None
+        if all(op.n <= (DIRECT_LIMIT_3D if op.grid.dim == 3 else DIRECT_LIMIT) for op in ops):
+            self.matrix = sp.block_diag(lhs, format="csr")
+            self.lu = spla.splu(self.matrix.tocsc())
+        else:
+            self.krylov = [_KrylovBlock(block, solver) for block in lhs]
+
+    def advance_rows(self, b: np.ndarray, datum: np.ndarray) -> tuple[np.ndarray, list[StepStats]]:
+        """Solve the batch's system for the C-contiguous real (r, N) rows
+        ``b``: ``datum[i, k]`` is the datum whose part row i holds on
+        operator k's segment, or -1 where that segment is zero.  A zero
+        segment must lie below every nonzero one of its operator.
+
+        Each operator's stats give its summed iterations and its worst
+        datum's relative residual, from a product of each output computed
+        afresh, so no datum's residual is measured against another's norm;
+        the method is "splu", or "gmres" if any of its rows fell back from
+        "bicgstab"."""
         if not np.all(np.isfinite(b)):
             raise ConvergenceError("non-finite right-hand side", 0, float("nan"))
+        n_ops = datum.shape[1]
         if self.lu is not None:
             x = np.ascontiguousarray(self.lu.solve(b.T).T)
-            y = (self.lhs @ x.T).T
-            iters, method = 0, "splu"
+            y = (self.matrix @ x.T).T
+            solves = [(0, "splu")] * n_ops
         else:
-            x, y, iters, method = self._krylov(b)
-        r = y - b
-        rn2 = np.bincount(datum, np.einsum("ij,ij->i", r, r))
-        bn2 = np.bincount(datum, np.einsum("ij,ij->i", b, b))
+            x, y = np.empty_like(b), np.empty_like(b)
+            solves = []
+            for k, (block, lo, hi) in enumerate(zip(self.krylov, self.bounds, self.bounds[1:])):
+                rows = np.count_nonzero(datum[:, k] >= 0)
+                solves.append(block.solve(np.ascontiguousarray(b[:rows, lo:hi]),
+                                          x[:rows, lo:hi], y[:rows, lo:hi]))
+                x[rows:, lo:hi] = y[rows:, lo:hi] = 0.0   # its zero segments
+        # squared norms of every (row, operator) segment, summed per
+        # (operator, datum); a zero segment adds 0 to its operator's datum 0
+        width = int(datum.max(initial=0)) + 1
+        pair = (np.maximum(datum, 0) + width * np.arange(n_ops)).ravel()
+        rn2, bn2 = (np.bincount(pair, np.add.reduceat(a * a, self.bounds[:-1], axis=1).ravel(),
+                                minlength=width * n_ops).reshape(n_ops, width)
+                    for a in (y - b, b))
         # a NaN norm must reach the gate, which fails on it
         ratio = np.divide(rn2, bn2, out=np.zeros(rn2.shape), where=bn2 != 0)
-        residual = float(np.sqrt(np.max(ratio, initial=0.0)))
-        if not residual <= 10.0 * self.solver.tol:
-            raise ConvergenceError("residual above tolerance after solve",
-                                   iters, residual)
-        return x, StepStats(method, iters, residual)
+        stats = []
+        for (iters, method), residual in zip(solves, np.sqrt(ratio.max(axis=1)).tolist()):
+            if not residual <= 10.0 * self.solver.tol:
+                raise ConvergenceError("residual above tolerance after solve",
+                                       iters, residual)
+            stats.append(StepStats(method, iters, residual))
+        return x, stats
 
 
 def _real_rows(u: np.ndarray):
@@ -314,14 +349,33 @@ def _real_rows(u: np.ndarray):
     return parts[part], part
 
 
-def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
+class Trajectories(tuple):
+    """The trajectories of a batch, one per operator, in batch order."""
+
+    @property
+    def stats(self) -> list[StepStats]:
+        """Every operator's step stats, operator after operator, so a batch
+        counts the steps and iterations of its single evolutions, as
+        ``perfbench/spans.py`` reads them from what ``evolve`` returns."""
+        return [st for traj in self for st in traj.stats]
+
+
+def evolve(op: DiscreteOperator | Sequence[DiscreteOperator],
+           data: GridFunction | tuple[GridFunction, ...] | Sequence,
            timegrid: TimeGrid, solver: SolverConfig = SolverConfig(),
-           on_step=None) -> Trajectory:
+           on_step=None) -> Trajectory | Trajectories:
     """Compose steps up to the horizon, recording the requested snapshots.
 
     ``data`` is one initial datum or a tuple of k of them, advanced together
     as one block.  For a tuple, ``values`` has a leading data axis,
     (k, n_snapshots, n_nodes), and each step's stats cover all k data.
+
+    ``op`` may also be a sequence of operators, a batch advanced as one
+    block-diagonal system in one time loop: ``data`` then holds each
+    operator's datum or tuple of data, ``on_step`` is None or holds each
+    operator's hook (or None), and the result is a ``Trajectories`` holding
+    each operator's trajectory, with the dtype, values and stats of its
+    single evolution.
 
     The state is held as real rows, one for each nonzero real or imaginary
     part of each datum, in datum order and real part first; a real L_h
@@ -332,32 +386,52 @@ def evolve(op: DiscreteOperator, data: GridFunction | tuple[GridFunction, ...],
     (rows, n_nodes) solve output x and the datum index of each row: x is
     u^(n+1) for backward Euler, the midpoint u^(n+1/2) for Crank-Nicolson.
     """
-    single = isinstance(data, GridFunction)
-    fs = (data,) if single else tuple(data)
-    if any(f.grid != op.grid for f in fs):
+    batch = not isinstance(op, DiscreteOperator)
+    ops, data = (tuple(op), tuple(data)) if batch else ((op,), (data,))
+    hooks = tuple(on_step) if batch and on_step is not None else (on_step,) * len(ops)
+    if not ops or len(data) != len(ops) or len(hooks) != len(ops):
+        raise DomainError(f"a batch of {len(ops)} operators needs as many data and hooks, "
+                          f"got {len(data)} and {len(hooks)}")
+    fss = [(d,) if isinstance(d, GridFunction) else tuple(d) for d in data]
+    if any(f.grid != o.grid for o, fs in zip(ops, fss) for f in fs):
         raise DomainError("initial datum does not live on the operator's grid")
-    stepper = _LinearStep(op, timegrid.dt, timegrid.scheme, solver)
+    stepper = _LinearStep(ops, timegrid.dt, timegrid.scheme, solver)
     snap_steps = timegrid.snapshot_steps()
-    u, part = _real_rows(np.stack([f.flat for f in fs], axis=1))
-    datum = part // 2
-    dtype = np.complex128 if np.any(part % 2) else np.float64
-    out = np.zeros((len(fs), len(snap_steps), op.n), dtype=dtype)
-    targets = [(out.imag if c % 2 else out.real)[c // 2] for c in part]
-    stats: list[StepStats] = []
+    parts = [_real_rows(np.stack([f.flat for f in fs], axis=1)) for fs in fss]
+    u = np.zeros((max(len(part) for _, part in parts), stepper.bounds[-1]))
+    datum = np.full(u.shape[:1] + (len(ops),), -1)
+    # (snapshot array, row, segment) of every row, and (hook, rows, segment,
+    # datum of each row) of every operator with a hook
+    outs, targets, calls = [], [], []
+    for k, (o, fs, (rows, part), hook) in enumerate(zip(ops, fss, parts, hooks)):
+        segment = slice(*stepper.bounds[k:k + 2])
+        u[:len(part), segment] = rows
+        datum[:len(part), k] = part // 2
+        out = np.zeros((len(fs), len(snap_steps), o.n),
+                       dtype=np.complex128 if np.any(part % 2) else np.float64)
+        outs.append(out)
+        targets += [((out.imag if c % 2 else out.real)[c // 2], i, segment)
+                    for i, c in enumerate(part)]
+        if hook is not None:
+            calls.append((hook, slice(len(part)), segment, part // 2))
+    stats: list[list[StepStats]] = []
     pos = 0
-    for k in range(timegrid.n_steps + 1):
-        if k:
-            x, st = stepper.advance_rows(u, datum)
+    for n in range(timegrid.n_steps + 1):
+        if n:
+            x, step_stats = stepper.advance_rows(u, datum)
             u = 2.0 * x - u if stepper.midpoint else x
-            stats.append(st)
-            if on_step is not None:
-                on_step(x, datum)
-        if pos < len(snap_steps) and k == snap_steps[pos]:
-            for target, row in zip(targets, u):
-                target[pos] = row
+            stats.append(step_stats)
+            for hook, rows, segment, hook_datum in calls:
+                hook(x[rows, segment], hook_datum)
+        if pos < len(snap_steps) and n == snap_steps[pos]:
+            for target, i, segment in targets:
+                target[pos] = u[i, segment]
             pos += 1
-    return Trajectory(grid=op.grid, times=snap_steps * timegrid.dt,
-                      values=out[0] if single else out, stats=stats)
+    trajs = Trajectories(
+        Trajectory(grid=o.grid, times=snap_steps * timegrid.dt,
+                   values=out[0] if isinstance(d, GridFunction) else out, stats=list(st))
+        for o, d, out, st in zip(ops, data, outs, zip(*stats)))
+    return trajs if batch else trajs[0]
 
 
 DENSE_ORACLE_LIMIT = 1024

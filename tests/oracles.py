@@ -8,6 +8,7 @@ Tests compare the batched tables, forms and certificates against them.
 
 import enum
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -271,9 +272,10 @@ def grad_sq_at_nodes_maps(grid, u) -> np.ndarray:
 
 def advance_complex(stepper, u: np.ndarray):
     """One ``_LinearStep.advance_rows`` solve for the complex (n, k) block
-    ``u`` of k data; returns the complex (n, k) outputs and the stats."""
+    ``u`` of k data, on a stepper of one operator; returns the complex
+    (n, k) outputs and the stats."""
     rows, part = sg._real_rows(u)
-    x_rows, st = stepper.advance_rows(rows, part // 2)
+    x_rows, (st,) = stepper.advance_rows(rows, (part // 2)[:, None])
     x = np.zeros((2 * u.shape[1], u.shape[0]))
     x[part] = x_rows
     return (x[0::2] + 1j * x[1::2]).T, st
@@ -385,3 +387,12 @@ def square_function(op, u, T: float, dt: float) -> SquareFunctionResult:
     frac = float(tail.sum() / max(total.sum(), 1e-300))
     return SquareFunctionResult(values=GridFunction(op.grid, np.sqrt(total)),
                                 tail_fraction=frac, mu=mu)
+
+
+def field_rows(rows):
+    """Reference rendering of a ``reports.FieldRows``: its rows
+    ``(*coords, t, *values)`` as tuples of Python floats, snapshot-major,
+    which ``lines`` must format as ``fmt`` formats each value."""
+    coords = [c.tolist() for c in rows.coords]
+    for t, *vals in zip(rows.times.tolist(), *rows.fields):
+        yield from zip(*coords, repeat(t), *(v.tolist() for v in vals))

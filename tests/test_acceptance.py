@@ -48,13 +48,11 @@ def _scenario(preset, dim, N, p, T, steps, seed=0, f_scale=1.0):
 @pytest.fixture(scope="module")
 def evolved_cells():
     """One evolution pair per (preset, dim); the Bellman exponent enters only
-    the checks, so trajectories are shared across p."""
-    out = {}
-    for preset in ps.PRESET_NAMES:
-        for dim, N in ((1, 96), (2, 16)):
-            spec = _scenario(preset, dim, N, 2.0, T=0.4, steps=200)
-            out[(preset, dim)] = hz.run_scenario(spec)
-    return out
+    the checks, so trajectories are shared across p.  The cells share one
+    time grid, so one batch evolves them all."""
+    cells = [(preset, dim, N) for preset in ps.PRESET_NAMES for dim, N in ((1, 96), (2, 16))]
+    specs = [_scenario(preset, dim, N, 2.0, T=0.4, steps=200) for preset, dim, N in cells]
+    return {(preset, dim): ev for (preset, dim, _), ev in zip(cells, hz.run_scenarios(specs))}
 
 
 def _with_p(ev, p):

@@ -23,7 +23,7 @@ from divbell.grids import Boundary, Grid, GridFunction
 from divbell.reports import Columns, FieldRows, fmt
 from divbell.scenario import build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
-from oracles import _assemble_neg_hess, second_order_ref, smooth_random_full
+from oracles import _assemble_neg_hess, field_rows, second_order_ref, smooth_random_full
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -260,7 +260,7 @@ class TestCli:
         assert "mollified=0]" not in (tmp_path / "a" / "summary.txt").read_text()
         header, rows = COMMANDS["pointwise"](make_parser().parse_args(args))[1]["pointwise"]
         expected = "".join(",".join(fmt(x) for x in row) + "\n"
-                           for row in [header] + list(rows))
+                           for row in [header] + list(field_rows(rows)))
         assert (tmp_path / "a" / "pointwise.csv").read_text() == expected
 
     def test_pointwise_chain_rule_matches_reference_tables(self, monkeypatch):
@@ -299,7 +299,7 @@ class TestCli:
 
     def test_sweep_evolves_once_per_scenario(self, tmp_path, monkeypatch):
         # P_t f and P_t g do not depend on p: each (preset, dim) pair is
-        # built once and f and g are evolved together once, and shared by
+        # built once, and one batch evolves every pair's f and g once for
         # the 4 default exponents
         calls = {"evolve": 0, "build": 0}
 
@@ -313,7 +313,7 @@ class TestCli:
         monkeypatch.setattr(cli, "build_scenario", counting("build", build_scenario))
         rc = main(["sweep", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        assert calls == {"evolve": len(ps.PRESET_NAMES) * 2, "build": len(ps.PRESET_NAMES) * 2}
+        assert calls == {"evolve": 1, "build": len(ps.PRESET_NAMES) * 2}
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2 * 4
 
@@ -343,7 +343,7 @@ class TestCli:
 
         monkeypatch.setattr(hz, "evolve", recording_evolve)
         assert main(["embed", "--grid", "64", "--out", str(tmp_path), "--quiet"]) == 0
-        (traj,) = trajs
+        ((traj,),) = trajs
         assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(0.3)
         assert traj.values.shape[1] == 2 and len(traj.stats) > 1
 
@@ -599,7 +599,7 @@ class TestMarginsMatchVerdicts:
             quad_error_est=1e-3)
         pw = hz.PointwiseReport(worst_slack=0.1, eps_h=0.01, lhs=None, rhs=None, slack=None,
                                 arrangement_gap=gap)
-        monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: ev)
+        monkeypatch.setattr(hz, "run_scenarios", lambda specs, embedding=True: [ev] * len(specs))
         monkeypatch.setattr(hz, "pointwise_check", lambda ev: pw)
         monkeypatch.setattr(hz, "embedding_check", lambda ev: em)
         checks = _run_command(["sweep", "--p", "4"])

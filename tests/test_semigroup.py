@@ -182,7 +182,7 @@ class TestBlockEvolution:
         # SuperLU's fill-in loses to Krylov from 729 unknowns in 3D, and
         # only above 961 in 2D
         _, L = random_accretive(dim, cells)
-        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        stepper = sg._LinearStep([L], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         assert (stepper.lu is not None) == direct
 
     def test_krylov_pair_equals_single_evolutions(self):
@@ -212,12 +212,12 @@ class TestBlockEvolution:
         assert np.array_equal(pair.values[0].real, sg.evolve(L, f, tg).values.real)
         twice = GridFunction(spec.grid, 2.0 * f.values)
         assert np.array_equal(pair.values[0].imag, sg.evolve(L, twice, tg).values.real)
-        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        stepper = sg._LinearStep([L], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         assert stepper.lu is None
         u = np.stack([f.flat * (1 + 2j), spec.g.flat * (0.5 - 1j)], axis=1)
         # both schemes solve (I + theta dt L_h) x = u: the right-hand side is u
         x, st = advance_complex(stepper, u)
-        recomputed = (np.linalg.norm(stepper.lhs @ x - u, axis=0)
+        recomputed = (np.linalg.norm(stepper.krylov[0].lhs @ x - u, axis=0)
                       / np.linalg.norm(u, axis=0)).max()
         assert st.iterations > 0
         assert abs(st.residual - recomputed) <= 1e-13
@@ -271,7 +271,7 @@ class TestBlockEvolution:
         u = np.stack([spec.f.flat, spec.g.flat], axis=1)
         cold_iters = 0
         for _ in range(tg.n_steps):
-            x, st = advance_complex(sg._LinearStep(L, tg.dt, scheme, sg.SolverConfig()), u)
+            x, st = advance_complex(sg._LinearStep([L], tg.dt, scheme, sg.SolverConfig()), u)
             u = 2.0 * x - u if scheme is sg.Scheme.CRANK_NICOLSON else x
             cold_iters += st.iterations
         warm_iters = sum(st.iterations for st in warm.stats)
@@ -289,17 +289,17 @@ class TestBlockEvolution:
         # the warm start guesses from the history; the gate still reports
         # the true residual of whatever right-hand side comes next
         spec, L = random_accretive(3, 12)
-        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        stepper = sg._LinearStep([L], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         u = np.stack([spec.f.flat, spec.g.flat], axis=1)
         for _ in range(len(sg.EXTRAPOLATION) + 1):
             x, _ = advance_complex(stepper, u)
             u = 2.0 * x - u
         # five outputs, x and lhs @ x, of two rows; the sixth has wrapped
-        assert stepper.history.shape == (5, 2, 2, L.n)
-        assert stepper.stored == 6
+        assert stepper.krylov[0].history.shape == (5, 2, 2, L.n)
+        assert stepper.krylov[0].stored == 6
         b = np.random.default_rng(0).standard_normal((L.n, 2)) + 0j
         x, st = advance_complex(stepper, b)
-        recomputed = (np.linalg.norm(stepper.lhs @ x - b, axis=0)
+        recomputed = (np.linalg.norm(stepper.krylov[0].lhs @ x - b, axis=0)
                       / np.linalg.norm(b, axis=0)).max()
         assert st.iterations > 0
         assert abs(st.residual - recomputed) <= 1e-13
@@ -329,17 +329,17 @@ class TestBlockEvolution:
             return solve(A, b, x, r, *args)
 
         monkeypatch.setattr(sg, "_bicgstab", recording)
-        stepper = sg._LinearStep(L, 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        stepper = sg._LinearStep([L], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         u = spec.f.flat.real[None, :].copy()
         outputs = []
         for step in range(8):
-            x, _ = stepper.advance_rows(u, np.zeros(1, dtype=np.int64))
+            x, _ = stepper.advance_rows(u, np.zeros((1, 1), dtype=np.int64))
             b, x0, r0 = starts[step]
             k = min(step, len(sg.EXTRAPOLATION))
             want = (np.tensordot(sg.EXTRAPOLATION[k - 1], outputs[-k:], axes=1)
                     if k else b)
             assert np.allclose(x0, want, rtol=0.0, atol=1e-13 * np.abs(b).max()), step
-            assert np.allclose(r0, b - stepper.lhs @ x0, rtol=0.0,
+            assert np.allclose(r0, b - stepper.krylov[0].lhs @ x0, rtol=0.0,
                                atol=1e-13 * np.abs(b).max()), step
             outputs.append(x[0].copy())
             u = 2.0 * x - u
@@ -395,6 +395,117 @@ class TestBlockEvolution:
         with pytest.raises(ConvergenceError, match="non-finite") as info:
             sg.evolve(L, (GridFunction(spec.grid, vals), spec.g), sg.TimeGrid(dt=0.01, T=0.01))
         assert info.value.iterations == 0
+
+
+def batch_of_three():
+    """Three operators of two dimensions and their data: a complex datum
+    with a real one (3 rows), one real datum (1 row) and a real pair (2
+    rows), so the shorter blocks are padded with zero rows."""
+    (s1, L1), (s2, L2), (s3, L3) = (random_accretive(1, 40), random_accretive(2, 8),
+                                    random_accretive(1, 24, seed=5))
+    data = [(GridFunction(s1.grid, s1.f.values * (1 + 2j)), s1.g), s2.f, (s3.g, s3.f)]
+    return [L1, L2, L3], data
+
+
+class TestBatch:
+    @pytest.mark.parametrize("scheme", list(sg.Scheme))
+    def test_batch_matches_single_evolutions(self, scheme):
+        # one factor of the block-diagonal system: each block's floats are
+        # its single evolution's up to SuperLU's ordering, and its hook sees
+        # its own rows
+        ops_, data = batch_of_three()
+        tg = sg.TimeGrid(dt=0.01, T=0.2, scheme=scheme, snapshot_stride=3)
+
+        def recorder(seen):
+            return lambda x, datum: seen.append((x.copy(), datum.copy()))
+
+        seen_batch = [[] for _ in ops_]
+        batch = sg.evolve(ops_, data, tg, on_step=[recorder(s) for s in seen_batch])
+        assert isinstance(batch, sg.Trajectories) and len(batch) == len(ops_)
+        assert batch.stats == [st for traj in batch for st in traj.stats]
+        for L, d, traj, seen in zip(ops_, data, batch, seen_batch):
+            seen_single = []
+            single = sg.evolve(L, d, tg, on_step=recorder(seen_single))
+            tol = 1e-15 * max(np.abs(f.values).max()
+                              for f in ((d,) if isinstance(d, GridFunction) else d))
+            assert traj.values.dtype == single.values.dtype
+            assert traj.values.shape == single.values.shape
+            assert np.abs(traj.values - single.values).max() <= tol
+            assert np.array_equal(traj.times, single.times)
+            assert [(st.method, st.iterations) for st in traj.stats] == \
+                [(st.method, st.iterations) for st in single.stats]
+            assert all(st.residual <= 10.0 * sg.SolverConfig().tol for st in traj.stats)
+            assert len(seen) == len(seen_single) == tg.n_steps
+            for (x, datum), (x1, datum1) in zip(seen, seen_single):
+                assert np.array_equal(datum, datum1) and x.shape == x1.shape
+                assert np.abs(x - x1).max() <= tol
+
+    def test_krylov_batch_matches_single_evolutions(self, monkeypatch):
+        # every block goes Krylov and solves its rows with its own matrix,
+        # Jacobi diagonal and history, so values and iterations are those of
+        # its single evolution
+        monkeypatch.setattr(sg, "DIRECT_LIMIT", 0)
+        monkeypatch.setattr(sg, "DIRECT_LIMIT_3D", 0)
+        ops_, data = batch_of_three()
+        spec3, L3 = random_accretive(3, 5)
+        ops_.append(L3)
+        data.append((spec3.f, spec3.g))
+        tg = sg.TimeGrid(dt=0.01, T=0.1, snapshot_stride=2)
+        batch = sg.evolve(ops_, data, tg)
+        for L, d, traj in zip(ops_, data, batch):
+            single = sg.evolve(L, d, tg)
+            rel = np.abs(traj.values - single.values).max() / np.abs(single.values).max()
+            assert rel <= 1e-12
+            assert [(st.method, st.iterations) for st in traj.stats] == \
+                [(st.method, st.iterations) for st in single.stats]
+            assert {st.method for st in traj.stats} == {"bicgstab"}
+            assert all(st.iterations > 0 for st in traj.stats)
+
+    def test_one_block_above_its_limit_sends_the_batch_to_krylov(self, monkeypatch):
+        _, L2 = random_accretive(2, 8)
+        _, L3 = random_accretive(3, 5)
+        step = sg._LinearStep([L2, L3], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        assert step.lu is not None and step.matrix.shape == (L2.n + L3.n,) * 2
+        monkeypatch.setattr(sg, "DIRECT_LIMIT_3D", L3.n - 1)
+        step = sg._LinearStep([L2, L3], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
+        assert step.lu is None and len(step.krylov) == 2
+
+    def test_gate_is_per_block(self, monkeypatch):
+        # a small block's corrupted solve must fail the gate although its
+        # share of the whole row's norm is far below the tolerance
+        (s1, L1), (s2, L2) = random_accretive(1, 40), random_accretive(2, 8)
+        big = GridFunction(s2.grid, 1e8 * s2.f.values)
+        tg = sg.TimeGrid(dt=0.01, T=0.01)
+        error = 1e-6
+        splu = sg.spla.splu
+
+        class Corrupted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[:L1.n] *= 1.0 + error
+                return x
+
+        monkeypatch.setattr(sg.spla, "splu", lambda A: Corrupted(splu(A)))
+        # the residual the corruption leaves, against the norm of both rows
+        share = error * np.linalg.norm(s1.f.flat) / np.linalg.norm(big.flat)
+        assert share < 1e-3 * sg.SolverConfig().tol
+        with pytest.raises(ConvergenceError, match="residual above tolerance") as info:
+            sg.evolve([L1, L2], [s1.f, big], tg)
+        assert info.value.residual > 1e-3 * error
+        monkeypatch.setattr(sg.spla, "splu", splu)
+        assert len(sg.evolve([L1, L2], [s1.f, big], tg).stats) == 2
+
+    def test_batch_needs_one_datum_and_hook_per_operator(self):
+        (s1, L1), (s2, L2) = random_accretive(1, 16), random_accretive(2, 6)
+        tg = sg.TimeGrid(dt=0.01, T=0.02)
+        for data, hooks in (([s1.f], None), ([s1.f, s2.f], [None]), ([], None)):
+            with pytest.raises(DomainError):
+                sg.evolve([L1, L2] if data else [], data, tg, on_step=hooks)
+        with pytest.raises(DomainError, match="grid"):
+            sg.evolve([L1, L2], [s2.f, s1.f], tg)
 
 
 class TestDenseOracle:
@@ -532,8 +643,8 @@ class TestConservationAndOrders:
         L = identity_op(g)
         x = g.node_coords()[0]
         f = GridFunction(g, bump(x))
-        stepper = sg._LinearStep(L, 0.01, sg.Scheme.BACKWARD_EULER, sg.SolverConfig())
+        stepper = sg._LinearStep([L], 0.01, sg.Scheme.BACKWARD_EULER, sg.SolverConfig())
         u1, st = advance_complex(stepper, f.flat[:, None])
         b = f.flat
-        recomputed = np.linalg.norm(stepper.lhs @ u1[:, 0] - b) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(stepper.matrix @ u1[:, 0] - b) / np.linalg.norm(b)
         assert abs(st.residual - recomputed) <= 1e-13
