@@ -22,7 +22,7 @@ from .bellman import (ZERO_MODULUS, BellmanParams, bilinear_forms, cap_mollify_s
 from .errors import AccuracyError, DomainError, GeometryError
 from .grids import Grid, GridFunction
 from .operators import (CoefficientField, DiscreteOperator, PotentialField,
-                        _grid_maps, assemble, grad_sq_at_nodes, matrix_sqrt_spd,
+                        _gradient, assemble, grad_sq_at_nodes, matrix_sqrt_spd,
                         node_coefficients)
 from .reports import passes
 from .semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
@@ -630,16 +630,16 @@ class IbpReport(_Verdict):
 def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
     """I_{R,T} = int_0^T int psi_R L'b against ||f||_p^p + ||g||_q^q.
 
-    Summation by parts splits sum_x psi_R L_h b into the flux
-    <G psi_R, A_h G b> through the cutoff annulus and the nonpositive term
-    sum_x V psi_R b, so every term is a sum of b against a node vector: psi_R,
-    G^T A_h^T G psi_R or V psi_R.  One walk over the snapshot blocks takes
-    those sums, and I_RT is the time term (``time_derivative`` of the psi_R
-    sums, by the trapezoid) plus the flux and potential trapezoids.  The time
-    term is also reduced exactly to sum_x psi_R (b(T) - b(0)), and the
-    discarded flux and potential terms are reported per R.  eps_R is |flux|
-    plus |quadrature time term - exact one|, the latter taken from
-    ``time_stencil_defect``.
+    Summation by parts splits sum_x psi_R L_h b into the flux through the
+    cutoff annulus, sum_x b (L_h^T - V) psi_R, which vanishes where psi_R
+    is locally constant, and the nonpositive term sum_x V psi_R b, so every
+    term is a sum of b against a node vector.  One walk over the snapshot
+    blocks takes those sums, and I_RT is the time term (``time_derivative``
+    of the psi_R sums, by the trapezoid) plus the flux and potential
+    trapezoids.  The time term is also reduced exactly to sum_x psi_R (b(T)
+    - b(0)), and the discarded flux and potential terms are reported per R.
+    eps_R is |flux| plus |quadrature time term - exact one|, the latter
+    taken from ``time_stencil_defect``.
     """
     spec = ev.spec
     grid = spec.grid
@@ -653,8 +653,8 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
             raise GeometryError(f"cutoff 2R = {2 * R} exceeds the box half-width {half_width}")
     op = ev.op
     psi = np.stack([cutoff_values(grid, R).ravel() for R in radii], axis=1)
-    kernels = np.hstack([psi, op.gradient.T @ (op.face_action.T @ (op.gradient @ psi)),
-                         op.potential[:, None] * psi])           # (n, 3 len(radii))
+    v_psi = op.potential[:, None] * psi
+    kernels = np.hstack([psi, op.matrix.T @ psi - v_psi, v_psi])    # (n, 3 len(radii))
     times = ev.traj_f.times
     sums = np.empty((len(times), kernels.shape[1]))
     for blk in _snapshot_blocks(*ev.traj_f.values.shape):
@@ -745,26 +745,21 @@ def offdiag_check(op: DiscreteOperator, h_datum: GridFunction,
     outside = np.abs(h_datum.values)[~e_mask]
     if outside.size and outside.max() > 0:
         raise DomainError("datum must be supported inside the near set E")
-    grads = _grid_maps(grid)[0]
-    dist_face = []   # dist(face midpoint, E) per axis, in the order of grads[a]'s rows
-    for a in range(grid.dim):
-        r_face = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.face_midpoints(a), center)))
-        dist_face.append(np.maximum(r_face - e_radius, 0.0).ravel())
+    r_face = [np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.face_midpoints(a), center))).ravel()
+              for a in range(grid.dim)]
+    dist_face = np.maximum(np.concatenate(r_face) - e_radius, 0.0)    # in G's row order
     samples = {which: [] for which in OFFDIAG_OPERATORS}
     for t in ts:
         tg = TimeGrid(dt=t / OFFDIAG_STEPS, T=t, scheme=Scheme.BACKWARD_EULER,
                       snapshot_stride=OFFDIAG_STEPS)
         u_t = evolve(op, h_datum, tg, TIGHT_SOLVER).values[-1]
         lu_t = t * (op.matrix @ u_t)
-        grad_u = [(G @ u_t).ravel() for G in grads]
+        grad_u = _gradient(grid) @ u_t
         for d0 in distances:
             f_mask = (dist_node >= d0) & (dist_node <= d0 + band_width)
-            total = 0.0
-            for w, df in zip(grad_u, dist_face):
-                fm = (df >= d0) & (df <= d0 + band_width)
-                total += np.sum(np.abs(w[fm]) ** 2)
+            fm = (dist_face >= d0) & (dist_face <= d0 + band_width)
             norms = (_l2_over_mask(grid, u_t, f_mask), _l2_over_mask(grid, lu_t, f_mask),
-                     math.sqrt(grid.cell_volume * total) * math.sqrt(t))
+                     _l2_over_mask(grid, grad_u, fm) * math.sqrt(t))
             for which, norm_f in zip(OFFDIAG_OPERATORS, norms):
                 ratio = norm_f / h_norm
                 samples[which].append(OffdiagSample(t=float(t), distance=float(d0),

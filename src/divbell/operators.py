@@ -1,26 +1,26 @@
 """Flux-form discretization of L = -div(A grad u) + V u on rectangular grids.
 
-The operator is assembled as L_h = G^T A_h G + diag(V):
+L_h = sum_a G_a^T diag(abar_aa) G_a + sum_{a != b} C_a^T diag(a_ab) C_b + diag(V),
+a 3/9/19-point stencil (1D/2D/3D).  G_a is the staggered difference along
+axis a (nodes to a-faces), abar_aa the mean of a_aa over each a-face's two
+vertices, and C_a the node-centred difference (u(x + e_a) - u(x - e_a)) /
+(2 h_a), with zero extension on a Dirichlet axis and wrapping on a periodic
+one (C_a = 0 on 2 cells).  Cross coefficients a_ab are read at nodes only.
 
-* G is the staggered first-difference gradient (nodes to faces),
-* A_h acts on the concatenated face space.  Diagonal entries a_aa are
-  averaged onto each face from its two endpoint lattice samples; the
-  cross entries a_ab (a != b) couple an axis-a face to the four axis-b
-  faces sharing one of its endpoints, with weight a_ab(shared vertex)/4.
-
-That arrangement keeps the discrete accretivity exact: grouping the real
-part of <A_h w, w> by lattice vertex and applying Jensen's inequality to
-the per-vertex face averages gives Re <A_h w, w> >= gamma ||w||^2 for every
-complex face field w, with gamma the minimum eigenvalue of the symmetrized
-coefficient samples (``CoefficientField.gamma``).  The antisymmetric part
-of A cancels in the real part because the (f, g) and (g, f) couplings are
-placed transpose-symmetrically.
+The accretivity Re <L_h u, u> >= gamma ||G u||^2 + <V u, u> is exact, with
+gamma = ``CoefficientField.gamma``.  Split each face's abar_aa |G_a u|^2
+evenly between its vertices.  At a node x, c_a = C_a u(x) is the mean of
+G_a u on the two a-faces at x, so |c_a|^2 <= m_a, the mean of their squares,
+and x gets sum_a a_aa(x) (m_a - |c_a|^2) + <sym A(x) c, c> >= lambda(x)
+sum_a m_a, as a_aa(x) >= lambda(x), the least eigenvalue of sym A(x).  A
+boundary vertex gets a_aa >= gamma times its half square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,57 +128,39 @@ def matrix_sqrt_spd(M: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse building blocks (cached per grid)
+# nodal reads, the gradient and the assembly
 # ---------------------------------------------------------------------------
 
-def _axis_maps(grid: Grid, axis: int):
-    """One axis's sparse maps, all read off its face-vertex incidence D:
-    face f joins vertices f and (f + 1) mod the vertex count, which closes a
-    periodic axis, and the nodes sit at the axis's node vertices.  Returns
-    the difference D / h on the nodes (faces x nodes), the vertex-to-face
-    average |D| / 2 and the vertex-to-node selection."""
-    n, m = grid.cells[axis], grid.vertex_count(axis)
-    nodes = grid.node_vertices(axis)
-    faces = np.arange(n)
-    D = sp.csr_matrix((np.repeat([-1.0, 1.0], n),
-                       (np.tile(faces, 2), np.concatenate([faces, (faces + 1) % m]))),
-                      shape=(n, m))
-    select = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), nodes)),
-                           shape=(len(nodes), m))
-    return D[:, nodes] / grid.spacing[axis], abs(D) / 2, select
-
-
-def _kron(mats) -> sp.csr_matrix:
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats)
+def _at_nodes(grid: Grid, W: np.ndarray, shift) -> np.ndarray:
+    """The vertex array ``W`` (vertex_shape leading) at the nodes moved by
+    ``shift``, -1, 0 or 1 per axis: a slice on a Dirichlet grid, whose
+    boundary ring holds the moves off the nodes, a wrapped copy if periodic."""
+    if grid.periodic:
+        return np.roll(W, [-s for s in shift], axis=tuple(range(grid.dim)))
+    return W[tuple(slice(1 + s, m - 1 + s) for s, m in zip(shift, grid.vertex_shape))]
 
 
 @lru_cache(maxsize=32)
-def _grid_maps(grid: Grid):
-    """Per-grid sparse maps: gradient G_a and vertex-to-face T_a per axis a,
-    and the vertex-to-node restriction R."""
-    d = grid.dim
-    diffs, avgs, selects = zip(*(_axis_maps(grid, a) for a in range(d)))
-    eye_nodes = [sp.identity(m, format="csr") for m in grid.node_shape]
+def _gradient(grid: Grid) -> sp.csr_matrix:
+    """G: nodes -> faces, the axis-a differences G_a stacked in axis order.
+    Face f joins vertices f and (f + 1) mod the vertex count m, which
+    closes a periodic axis; G_a is that incidence on the axis's node
+    vertices, over h_a, times the identity across the other axes."""
+    shape, blocks = grid.node_shape, []
+    for a, (n, m) in enumerate(zip(grid.cells, grid.vertex_shape)):
+        D = (sp.eye(n, m, 1) + sp.eye(n, m, 1 - m) - sp.eye(n, m)).tocsr() / grid.spacing[a]
+        blocks.append(sp.kron(sp.kron(sp.identity(int(np.prod(shape[:a]))),
+                                      D[:, grid.node_vertices(a)]),
+                              sp.identity(int(np.prod(shape[a + 1:]))), format="csr"))
+    return sp.vstack(blocks, format="csr")
 
-    def per_axis(along, across):
-        """Axis a's map: ``along[a]`` on axis a, ``across[b]`` on every other b."""
-        return [_kron([along[b] if b == a else across[b] for b in range(d)]) for a in range(d)]
-
-    return per_axis(diffs, eye_nodes), per_axis(avgs, selects), _kron(selects)
-
-
-# ---------------------------------------------------------------------------
-# operator assembly
-# ---------------------------------------------------------------------------
 
 @dataclass
 class DiscreteOperator:
-    """Sparse L_h with its flux-form factors retained."""
+    """Sparse L_h with its potential and coefficient field."""
 
     grid: Grid
     matrix: sp.csr_matrix = field(repr=False)
-    gradient: sp.csr_matrix = field(repr=False)      # G: nodes -> faces
-    face_action: sp.csr_matrix = field(repr=False)   # A_h: faces -> faces
     potential: np.ndarray = field(repr=False)        # V per node, flat
     coefficients: CoefficientField = field(repr=False)
 
@@ -186,45 +168,70 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def gradient(self) -> sp.csr_matrix:
+        """G: nodes -> faces, one per grid."""
+        return _gradient(self.grid)
+
     def is_monotone_stencil(self) -> bool:
         """True when no off-diagonal entry of L_h exceeds 1e-12 times its
         largest |entry|, so the backward Euler step matrix is an M-matrix."""
-        c = self.matrix.tocoo()
-        off = c.row != c.col
-        if not off.any():
-            return True
-        scale = max(abs(c.data).max(), 1e-300)
-        return bool(c.data[off].max(initial=-np.inf) <= 1e-12 * scale)
+        off = (self.matrix - sp.diags(self.matrix.diagonal())).data
+        return bool(off.max(initial=-np.inf) <= 1e-12 * np.abs(self.matrix.data).max())
+
+    def step_matrix(self, scale: float) -> sp.csr_matrix:
+        """I + scale L_h, sharing L_h's indices and indptr, which hold its diagonal."""
+        L = self.matrix
+        data = scale * L.data
+        data[L.indices == np.repeat(np.arange(self.n, dtype=L.indices.dtype),
+                                    np.diff(L.indptr))] += 1.0
+        return sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
 
 
 def assemble(grid: Grid, A: CoefficientField, V: PotentialField) -> DiscreteOperator:
-    """Assemble L_h = G^T A_h G + diag(V).
-
-    Raises DomainError, citing gamma, when the coefficient field is not
-    accretive.
-    """
+    """L_h from its stencil: each node's coefficient for each move (0,
+    +-e_a, +-e_a +- e_b) fills an (n_nodes, moves) array beside the move's
+    wrapped column, compressed in place into one CSR matrix.  A move off a
+    Dirichlet grid gets 0 and is dropped; periodic rows are sorted, and the
+    moves that meet across a 2-cell axis summed.  Raises DomainError, citing
+    gamma, when the coefficient field is not accretive."""
     if A.grid != grid or V.grid != grid:
         raise DomainError("coefficient/potential fields must live on the given grid")
     if A.gamma <= 0.0:
         raise DomainError(f"coefficient field is not accretive: gamma = {A.gamma}")
-    d = grid.dim
-    grads, t_maps, _ = _grid_maps(grid)
-    G = sp.vstack(grads, format="csr")
-    blocks = [[None] * d for _ in range(d)]
+    d, shape, h = grid.dim, grid.node_shape, grid.spacing
+    # in lexicographic order, so Dirichlet rows come out sorted
+    moves = [o for o in product((-1, 0, 1), repeat=d) if d - o.count(0) <= 2]
+    data = np.zeros((grid.n_nodes, len(moves)))
+    cols = np.empty(data.shape, dtype=np.int32)
+    nodes = np.arange(grid.n_nodes, dtype=np.int32).reshape(shape)
+    coef = {o: data[:, k].reshape(shape) for k, o in enumerate(moves)}     # views
+    for k, o in enumerate(moves):
+        cols[:, k] = np.roll(nodes, [-s for s in o], axis=tuple(range(d))).ravel()
+    e, centre = np.eye(d, dtype=int), (0,) * d
     for a in range(d):
-        for b in range(d):
-            coeff = A.values[..., a, b].ravel()
-            if a == b:
-                blocks[a][b] = sp.diags(t_maps[a] @ coeff)
-            else:
-                # each (a-face, b-face) pair shares one vertex and inherits
-                # weight 1/4 from the two averaging maps
-                blocks[a][b] = t_maps[a] @ sp.diags(coeff) @ t_maps[b].T
-    Ah = sp.bmat(blocks, format="csr")
-    Vflat = V.values.ravel()
-    L = (G.T @ Ah @ G + sp.diags(Vflat)).tocsr()
-    return DiscreteOperator(grid=grid, matrix=L, gradient=G, face_action=Ah,
-                            potential=Vflat, coefficients=A)
+        W = A.values[..., a, a]
+        for s in (-1, 1):
+            # a_aa averaged over the face between x and x + s e_a
+            face = (_at_nodes(grid, W, centre) + _at_nodes(grid, W, s * e[a])) * (0.5 / h[a] ** 2)
+            coef[tuple(s * e[a])] -= face
+            coef[centre] += face
+            for b in set(range(d)) - {a}:
+                # C_a^T diag(a_ab) C_b, with a_ab read at the node x + s e_a
+                cross = _at_nodes(grid, A.values[..., a, b], s * e[a]) / (4.0 * h[a] * h[b])
+                for t in (-1, 1):
+                    coef[tuple(s * e[a] + t * e[b])] -= s * t * cross
+    coef[centre] += V.values
+    inside = np.pad(np.ones(shape), 0 if grid.periodic else 1)     # 0 on the boundary ring
+    for o, c in coef.items():
+        c *= _at_nodes(grid, inside, o)     # 0 where the move leaves a Dirichlet grid
+    L = sp.csr_matrix((data.ravel(), cols.ravel(),
+                       np.arange(0, data.size + 1, len(moves), dtype=np.int32)),
+                      shape=(grid.n_nodes,) * 2)
+    L.eliminate_zeros()
+    L.sum_duplicates()
+    L.eliminate_zeros()     # the cross moves that cancel across a 2-cell periodic axis
+    return DiscreteOperator(grid=grid, matrix=L, potential=V.values.ravel(), coefficients=A)
 
 
 def grad_sq_at_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -274,6 +281,4 @@ def grad_sq_at_nodes(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def node_coefficients(A: CoefficientField) -> np.ndarray:
     """Coefficient samples restricted to the node lattice, (n_nodes, d, d)."""
-    grid = A.grid
-    d = grid.dim
-    return (_grid_maps(grid)[2] @ A.values.reshape(-1, d * d)).reshape(grid.n_nodes, d, d)
+    return _at_nodes(A.grid, A.values, (0,) * A.grid.dim).reshape((-1,) + A.values.shape[-2:])

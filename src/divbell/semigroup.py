@@ -287,7 +287,7 @@ class _LinearStep:
         self.solver = solver
         self.midpoint = scheme is Scheme.CRANK_NICOLSON
         theta = 0.5 if self.midpoint else 1.0
-        lhs = [(sp.identity(op.n, format="csr") + theta * dt * op.matrix).tocsr() for op in ops]
+        lhs = [op.step_matrix(theta * dt) for op in ops]
         self.bounds = np.cumsum([0] + [op.n for op in ops])
         self.lu = None
         if all(op.n <= (DIRECT_LIMIT_3D if op.grid.dim == 3 else DIRECT_LIMIT) for op in ops):

@@ -8,13 +8,14 @@ Tests compare the batched tables, forms and certificates against them.
 
 import enum
 import math
+from functools import reduce
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 import divbell.bellman as bl
-import divbell.operators as ops
 import divbell.semigroup as sg
 from divbell.bellman import BellmanParams, _form_coeffs, _phases
 from divbell.errors import AccuracyError, DomainError, SingularityError
@@ -257,14 +258,72 @@ def smooth_random_full(coords, grid, rng: np.random.Generator, modes: int = 2) -
     return out / np.sqrt(modes * grid.dim + 1)
 
 
+def _axis_maps(grid, axis):
+    """One axis's sparse maps, all read off its face-vertex incidence D:
+    face f joins vertices f and (f + 1) mod the vertex count, which closes a
+    periodic axis, and the nodes sit at the axis's node vertices.  Returns
+    the difference D / h on the nodes (faces x nodes), the vertex-to-face
+    average |D| / 2 and the vertex-to-node selection."""
+    n, m = grid.cells[axis], grid.vertex_count(axis)
+    nodes = grid.node_vertices(axis)
+    faces = np.arange(n)
+    D = sp.csr_matrix((np.repeat([-1.0, 1.0], n),
+                       (np.tile(faces, 2), np.concatenate([faces, (faces + 1) % m]))),
+                      shape=(n, m))
+    select = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), nodes)),
+                           shape=(len(nodes), m))
+    return D[:, nodes] / grid.spacing[axis], abs(D) / 2, select
+
+
+def grid_maps(grid):
+    """Per-axis gradient G_a and vertex-to-face average T_a, each a kron of
+    its axis's map with the identity (for G_a) or the vertex-to-node
+    selection (for T_a) across the other axes."""
+    d = grid.dim
+    diffs, avgs, selects = zip(*(_axis_maps(grid, a) for a in range(d)))
+    eye_nodes = [sp.identity(m, format="csr") for m in grid.node_shape]
+
+    def per_axis(along, across):
+        return [reduce(lambda x, y: sp.kron(x, y, format="csr"),
+                       [along[b] if b == a else across[b] for b in range(d)])
+                for a in range(d)]
+
+    return per_axis(diffs, eye_nodes), per_axis(avgs, selects)
+
+
+def face_action(grid, A) -> sp.csr_matrix:
+    """The face matrix A_h on the concatenated face space: a_aa averaged
+    onto each a-face from its two vertices, and each cross entry a_ab
+    (a != b) coupling an a-face to the b-faces sharing one of its vertices
+    with weight a_ab(shared vertex)/4, through both averaging maps."""
+    d = grid.dim
+    t_maps = grid_maps(grid)[1]
+    blocks = [[None] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            coeff = A.values[..., a, b].ravel()
+            if a == b:
+                blocks[a][b] = sp.diags(t_maps[a] @ coeff)
+            else:
+                blocks[a][b] = t_maps[a] @ sp.diags(coeff) @ t_maps[b].T
+    return sp.bmat(blocks, format="csr")
+
+
+def flux_form_matrix(grid, A, V) -> sp.csr_matrix:
+    """Reference for ``operators.assemble``: G^T A_h G + diag(V) by sparse
+    products, G the stacked per-axis gradients."""
+    G = sp.vstack(grid_maps(grid)[0], format="csr")
+    return (G.T @ face_action(grid, A) @ G + sp.diags(V.values.ravel())).tocsr()
+
+
 def grad_sq_at_nodes_maps(grid, u) -> np.ndarray:
     """Reference for ``operators.grad_sq_at_nodes`` on an (n_nodes, k)
-    array: per axis a, the face differences G_a u by the assembly's sparse
-    gradient, squared and averaged onto the nodes by the face-to-node map
+    array: per axis a, the face differences G_a u by the sparse gradient,
+    squared and averaged onto the nodes by the face-to-node map
     |G_a|^T h_a / 2, both applied as complex matrices."""
     u = np.asarray(u, dtype=np.complex128)
     out = np.zeros(u.shape)
-    for G, h in zip(ops._grid_maps(grid)[0], grid.spacing):
+    for G, h in zip(grid_maps(grid)[0], grid.spacing):
         w = G.astype(np.complex128) @ u
         out += (abs(G).T * (h / 2)) @ (w.real ** 2 + w.imag ** 2)
     return out

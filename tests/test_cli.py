@@ -589,7 +589,7 @@ class TestMarginsMatchVerdicts:
     def test_sweep_margin_covers_every_form(self, sum_margin, energy_margin, gap,
                                             monkeypatch):
         g = Grid(cells=(4,), lo=(0.0,), hi=(1.0,), boundary=Boundary.PERIODIC)
-        op = ops.DiscreteOperator(None, None, None, None, None,
+        op = ops.DiscreteOperator(None, None, None,
                                   coefficients=ops.CoefficientField.identity(g))
         ev = hz.EvolvedScenario(None, op, None, None)
         em = hz.EmbeddingReport(

@@ -751,14 +751,32 @@ class TestCutoffAndIbp:
             total = r.time_term_quad + r.flux_term + r.potential_term
             assert r.I_RT == pytest.approx(total, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_flux_kernel_matches_the_face_form(self, dim, boundary):
+        # ibp's flux kernel (L_h^T - V) psi_R is G^T A_h^T G psi_R, A_h the
+        # oracle's face matrix, with V != 0 and, from 2D, a nonsymmetric L_h
+        spec = make_scenario("random-accretive", dim=dim, N=(40, 16, 8)[dim - 1],
+                             boundary=boundary)
+        op = ops.assemble(spec.grid, spec.coefficients, spec.potential)
+        assert op.potential.max() > 0.0
+        assert dim == 1 or abs(op.matrix - op.matrix.T).max() > 0.0
+        G, Ah = op.gradient, orc.face_action(spec.grid, spec.coefficients)
+        for R in spec.cutoff_radii[:2]:
+            psi = hz.cutoff_values(spec.grid, R).ravel()
+            ref = G.T @ (Ah.T @ (G @ psi))
+            got = op.matrix.T @ psi - op.potential * psi
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_flux_matches_the_per_snapshot_loop(self):
         ev = hz.run_scenario(make_scenario("rotation", dim=2, N=24, steps=60))
         rep = hz.ibp_upper_check(ev)
         op, w = ev.op, ev.spec.grid.cell_volume
+        Ah = orc.face_action(ev.spec.grid, op.coefficients)
         b = hz.compose_b(ev.spec.params, ev.traj_f, ev.traj_g)
         for r in rep.rows:
             gpsi = op.gradient @ hz.cutoff_values(ev.spec.grid, r.R).ravel()
-            loop = np.trapezoid(w * np.array([np.dot(gpsi, op.face_action @ (op.gradient @ bk))
+            loop = np.trapezoid(w * np.array([np.dot(gpsi, Ah @ (op.gradient @ bk))
                                               for bk in b]), ev.traj_f.times)
             assert r.flux_term == pytest.approx(loop, rel=1e-13)
 

@@ -1,13 +1,17 @@
 """Tests for grids, coefficient fields, and the flux-form discretization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import divbell.harness as hz
 import divbell.operators as ops
+import divbell.presets as ps
 import divbell.semigroup as sg
 from divbell.errors import DomainError
 from divbell.grids import Boundary, Grid, GridFunction
+import oracles as orc
 from oracles import grad_sq_at_nodes_maps, star_norm_field
 
 
@@ -64,10 +68,15 @@ class TestGrid:
             diff = [[-2, 2, 0], [0, -2, 2], [2, 0, -2]]
             avg = [[.5, .5, 0], [0, .5, .5], [.5, 0, .5]]
             select = np.eye(3)
-        maps = ops._axis_maps(g, 0)
+        assert np.array_equal(ops._gradient(g).toarray(), np.asarray(diff, dtype=float))
+        maps = orc._axis_maps(g, 0)
         assert len(maps) == 3
         for got, want in zip(maps, (diff, avg, select)):
             assert np.array_equal(got.toarray(), np.asarray(want, dtype=float))
+        # nodal reads slice the vertex array: the node selection, moved by s
+        w = 10.0 + np.arange(g.vertex_count(0))
+        for s in (-1, 0, 1):
+            assert np.array_equal(ops._at_nodes(g, w, (s,)), np.asarray(select) @ np.roll(w, -s))
 
     def test_spacing_times_count_is_extent(self):
         g = Grid(cells=(10, 4), lo=(0.0, -1.0), hi=(2.5, 1.0), boundary=Boundary.DIRICHLET)
@@ -214,6 +223,45 @@ class TestAssemble:
         g = dirichlet_grid(4)
         with pytest.raises(DomainError):
             ops.PotentialField(g, -np.ones(g.node_shape))
+
+
+class TestExplicitStencil:
+    """``assemble`` against the flux-form oracle G^T A_h G + diag(V)."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("cells", [(7,), (2,), (6, 5), (2, 5), (2, 2), (4, 3, 5),
+                                       (2, 3, 4), (2, 2, 2)])
+    def test_matches_flux_form_oracle(self, cells, boundary):
+        # random nonsymmetric fields, unequal spacings; a 2-cell periodic
+        # axis has C_a = 0, so the oracle's cross entries cancel there
+        d = len(cells)
+        g = Grid(cells=cells, lo=(0.0,) * d, hi=tuple(1.0 + 0.7 * a for a in range(d)),
+                 boundary=boundary)
+        rng = np.random.default_rng(sum(cells) + 10 * d)
+        A = ops.CoefficientField(g, 3.0 * np.eye(d)
+                                 + 0.4 * rng.standard_normal(g.vertex_shape + (d, d)))
+        assert A.gamma > 0.0
+        V = ops.PotentialField(g, rng.uniform(0.0, 2.0, g.node_shape))
+        L = ops.assemble(g, A, V).matrix
+        ref = orc.flux_form_matrix(g, A, V)
+        ref.sum_duplicates()
+        assert L.has_canonical_format
+        assert np.array_equal(L.indptr, ref.indptr) and np.array_equal(L.indices, ref.indices)
+        assert np.abs(L.data - ref.data).max() <= 4 * np.finfo(float).eps * np.abs(ref.data).max()
+
+    def test_assembly_peak_within_three_matrices(self):
+        # no face matrix and no product temporaries: the (nodes, 19) stencil
+        # arrays are compressed in place into the returned matrix
+        g = Grid(cells=(24,) * 3, lo=(0.0,) * 3, hi=(1.0,) * 3)
+        A = ps.coefficient_preset("random-accretive", g, seed=1)
+        V = ops.PotentialField.zero(g)
+        tracemalloc.start()
+        try:
+            L = ops.assemble(g, A, V).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
 
 
 class TestApply:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import divbell.operators as ops
 import divbell.semigroup as sg
@@ -184,6 +185,21 @@ class TestBlockEvolution:
         _, L = random_accretive(dim, cells)
         stepper = sg._LinearStep([L], 0.01, sg.Scheme.CRANK_NICOLSON, sg.SolverConfig())
         assert (stepper.lu is not None) == direct
+
+    @pytest.mark.parametrize("scheme", list(sg.Scheme))
+    def test_step_matrix_on_the_operators_pattern(self, scheme):
+        # I + theta dt L_h reuses L_h's indices and indptr; only data is new
+        _, L = random_accretive(3, 10)
+        stepper = sg._LinearStep([L], 0.01, scheme, sg.SolverConfig())
+        lhs = stepper.krylov[0].lhs
+        theta = 0.5 if scheme is sg.Scheme.CRANK_NICOLSON else 1.0
+        ref = (sp.identity(L.n, format="csr") + theta * 0.01 * L.matrix).tocsr()
+        assert np.shares_memory(lhs.indices, L.matrix.indices)
+        assert np.shares_memory(lhs.indptr, L.matrix.indptr)
+        assert not np.shares_memory(lhs.data, L.matrix.data)
+        assert np.array_equal(lhs.indices, ref.indices)
+        assert np.array_equal(lhs.indptr, ref.indptr)
+        assert lhs.data.tobytes() == ref.data.tobytes()
 
     def test_krylov_pair_equals_single_evolutions(self):
         # above the cutoff each column runs its own Krylov solves, so a pair
