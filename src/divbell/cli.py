@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the verification suites:
 * ``sweep``            pointwise + embedding over presets x dimension x p
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error
-(cutoff radii with 2R beyond the box half-width included), 3 numerical
+(cutoff radii with 2R beyond the box half-width included, and a flag that
+the command does not read, such as ``--grid`` for ``sweep``), 3 numerical
 failure (a solver did not converge, or a result failed its own error
 estimate).  Identical configuration and seed produce byte-identical output
 files.  ``sweep`` builds each (preset, dimension) pair once, evolves all of
@@ -67,8 +68,9 @@ def _check_table(values: dict[str, float]) -> tuple[list[str], Columns]:
 
 def cmd_bellman_verify(args) -> tuple[Summary, dict]:
     pvals = [args.p] if args.p is not None else [2.0, 3.0, 4.0, 8.0]
-    if args.points < 1:
-        raise ConfigError(f"--points: expected a positive count, got {args.points}")
+    points = 10000 if args.points is None else args.points
+    if points < 1:
+        raise ConfigError(f"--points: expected a positive count, got {points}")
     try:
         all_params = [bl.BellmanParams(p) for p in pvals]
     except DomainError as exc:
@@ -79,7 +81,7 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
               "prop_i_slack", "tau", "margin_hessian", "margin_drift", "valid"]
     for p, params in zip(pvals, all_params):
         rng = ps.rng_for(args.seed, f"bellman-points-p{p}")
-        zetas, etas = bl.sample_certification_points(params, args.points, rng)
+        zetas, etas = bl.sample_certification_points(params, points, rng)
         res = bl.certify_batch(params, zetas, etas)
         parts.append((np.full(len(zetas), p), np.arange(len(zetas)),
                       zetas.real, zetas.imag, etas.real, etas.imag, res["prop_i_slack"],
@@ -87,7 +89,7 @@ def cmd_bellman_verify(args) -> tuple[Summary, dict]:
         summary.add(f"range-bound(p={p:g})", float(res["prop_i_slack"].min()))
         shared = np.minimum(res["margin_hessian"], res["margin_drift"])
         summary.add(f"convexity+drift-tau(p={p:g})", float(shared.min()) + 1e-10,
-                    note=f"{args.points} points, exact")
+                    note=f"{points} points, exact")
     return summary, {"bellman": (header, Columns(*map(np.concatenate, zip(*parts))))}
 
 
@@ -261,7 +263,7 @@ def cmd_sweep(args) -> tuple[Summary, dict]:
               "sum_margin", "product_margin", "ratio_empirical", "pass"]
     cells = [(preset, dim) for preset in ps.PRESET_NAMES for dim in (1, 2)]
     specs = [build_scenario(None, preset=preset, dim=dim,
-                            cells=(96,) if dim == 1 else (16,) * dim, p=pvals[0], T=0.3,
+                            cells=(96,) if dim == 1 else (16,) * dim, p=pvals[0],
                             seed=args.seed, name=f"{preset}-{dim}d")
              for preset, dim in cells]
     rows = []
@@ -296,6 +298,19 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
+# The optional flags each command reads, besides --out, --seed and --quiet;
+# given to any other command, a flag is a configuration error.
+_SCENARIO_FLAGS = ("config", "grid", "preset", "p", "dt", "T")
+_READS = {"bellman-verify": ("p", "points"), "semigroup-verify": (), "sweep": ("p",),
+         **dict.fromkeys(("operator-verify", "pointwise", "embed", "ibp", "offdiag"),
+                         _SCENARIO_FLAGS)}
+
+
+def _check_flags(args) -> None:
+    for flag in (*_SCENARIO_FLAGS, "points"):
+        if getattr(args, flag) is not None and flag not in _READS[args.command]:
+            raise ConfigError(f"{args.command} does not read --{flag}")
+
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="divbell",
@@ -311,8 +326,8 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--dt", type=float, default=None)
     ap.add_argument("--T", type=float, default=None)
     ap.add_argument("--preset", choices=ps.PRESET_NAMES, default=None)
-    ap.add_argument("--points", type=int, default=10000,
-                    help="sample count for bellman-verify")
+    ap.add_argument("--points", type=int, default=None,
+                    help="sample count for bellman-verify (default 10000)")
     ap.add_argument("--quiet", action="store_true")
     ap.add_argument("--version", action="version", version=__version__)
     return ap
@@ -321,6 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_flags(args)
         summary, tables = COMMANDS[args.command](args)
         emit_report(summary, tables, args.out)
     except ConfigError as exc:

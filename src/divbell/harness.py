@@ -25,7 +25,7 @@ from .operators import (CoefficientField, DiscreteOperator, PotentialField,
                         _gradient, assemble, grad_sq_at_nodes, matrix_sqrt_spd,
                         node_coefficients)
 from .reports import passes
-from .semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
+from .semigroup import RESIDUAL_GATE, Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 
 # Pointwise-check tolerance eps_h = C1*h + C2*dt^2.  The constants were
 # calibrated on the identity preset (A = I, V = 0, 1D and 2D ladders) and
@@ -345,10 +345,10 @@ def _arrangements(form, grads, S, A):
 
 @dataclass
 class ChainRuleField:
-    """L'b evaluated through the chain rule, with both arrangements."""
+    """L'b evaluated through the chain rule, and the largest gap between
+    its two arrangements."""
 
     rhs: np.ndarray                 # (nt, n) total: factored A-part + V-part
-    rhs_aij: np.ndarray             # same field via the a_ij double sum
     arrangement_gap: float
     n_mollified: int
 
@@ -370,8 +370,8 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     is one part, a complex one its real and imaginary parts.
 
     Every quantity is local in time, so the snapshots are walked in blocks
-    of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the two
-    (nt, n) outputs, memory is O(block).
+    of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the (nt, n)
+    output, memory is O(block).
     """
     if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
         raise DomainError("trajectories must share grid and snapshot times")
@@ -384,7 +384,6 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
     scale = _modulus_scale(f, g)
     h = min(grid.spacing)
     rhs = np.empty(f.shape)
-    rhs_aij = np.empty(f.shape)
     gap = 0.0
     n_mollified = 0
     for blk in _snapshot_blocks(*f.shape):
@@ -419,9 +418,7 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
                                            / np.maximum(1.0, np.abs(a_part)))))
         n_mollified += ti.size
         rhs[blk] = a_part + v_part
-        rhs_aij[blk] = aij_part + v_part
-    return ChainRuleField(rhs=rhs, rhs_aij=rhs_aij, arrangement_gap=gap,
-                          n_mollified=n_mollified)
+    return ChainRuleField(rhs=rhs, arrangement_gap=gap, n_mollified=n_mollified)
 
 
 def chain_rule_identity_error(ev: EvolvedScenario, cr: ChainRuleField) -> float:
@@ -556,8 +553,8 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     total = E_T + tail
     # floating-point tolerance: a step whose solve leaves relative residual
     # rho moves E_T + tail against energy_bound by at most 4 rho of it; rho
-    # is below the 10 tol gate plus one rounding unit
-    rho = 10.0 * spec.solver.tol + np.finfo(float).eps
+    # is below the residual gate plus one rounding unit
+    rho = RESIDUAL_GATE * spec.solver.tol + np.finfo(float).eps
     quad_err = 4.0 * len(ev.step_products) * rho * energy_bound
     ratio = total / (p * nf * ng) if nf * ng > 0 else 0.0
     return EmbeddingReport(

@@ -25,6 +25,8 @@ from .grids import Grid, GridFunction
 from .operators import CoefficientField, PotentialField
 
 PRESET_NAMES = ("identity", "oscillator", "rotation", "checker", "random-accretive")
+BETA = 0.5          # rotation: amplitude of the antisymmetric part
+GAMMA_MIN = 0.5     # random-accretive: least ellipticity after the clamp
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -86,8 +88,8 @@ def _smooth_random(axes, grid: Grid, rng: np.random.Generator,
     return out / np.sqrt(modes * grid.dim + 1)
 
 
-def coefficient_preset(name: str, grid: Grid, seed: int = 0, beta: float = 0.5,
-                       gamma_min: float = 0.5) -> CoefficientField:
+def coefficient_preset(name: str, grid: Grid, seed: int = 0, beta: float = BETA,
+                       gamma_min: float = GAMMA_MIN) -> CoefficientField:
     d = grid.dim
     coords = grid.vertex_coords()
     if name in ("identity", "oscillator"):
@@ -123,10 +125,7 @@ def coefficient_preset(name: str, grid: Grid, seed: int = 0, beta: float = 0.5,
             vals[..., a, a] += deficit
     else:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    field = CoefficientField(grid, vals)
-    if field.gamma <= 0.0:
-        raise ConfigError(f"preset {name!r} produced a non-accretive field")
-    return field
+    return CoefficientField(grid, vals)
 
 
 def potential_preset(name: str, grid: Grid, seed: int = 0) -> PotentialField:

@@ -3,20 +3,33 @@
 The format is line-based and human-diffable: ``[section]`` headers, one
 ``key = value`` pair per line, ``#`` comments, arrays inline as
 space-separated tokens.  Parse errors carry the line number and field.
-Section and key names are case-insensitive.  The accepted keys are:
+Section names, key names and values are case-insensitive.  Three rules
+hold for every input, each a configuration error (exit 2), never ignored:
 
-* ``[grid]`` dim, cells, lo, hi, boundary (dirichlet or periodic)
+* a NaN or infinite number, whether a file or a command-line flag gave it;
+* a key given twice in one section (a section header given twice merges
+  its keys, so the key may not repeat across them either);
+* a command-line flag that the command does not read, such as ``--grid``
+  for ``sweep``; ``--out``, ``--seed`` and ``--quiet`` every command accepts.
+
+An unknown section or key is a configuration error too.
+``SCENARIO_KEYS`` gives each key's kind, default and range.  The accepted
+keys, with the defaults that depend on other keys:
+
+* ``[grid]`` dim, cells, lo, hi, boundary: cells 128 in 1D and 24 per axis
+  otherwise, one entry sets every axis; lo -4 and hi 4 on every axis
 * ``[bellman]`` p
-* ``[coefficients]`` preset, beta, gamma-min, values
-* ``[potential]`` values
-* ``[data]`` f, g (``bump <center...> <radius> <amp>``, radius > 0)
-* ``[time]`` T, dt, scheme (crank-nicolson or backward-euler),
-  snapshot-stride (0 or absent: about 64 uniform snapshots)
-* ``[solver]`` tol (positive, finite), max-iter (at least 1)
-* ``[cutoff]`` radii (one or more, positive, finite, 2R <= box half-width)
-
-An unknown section or key, and a NaN or infinite number, is a
-configuration error, never ignored.
+* ``[coefficients]`` preset, beta, gamma-min, values: values, one d x d
+  matrix per vertex, replace the preset's field and must be accretive
+* ``[potential]`` values: one value per node, replacing the preset's
+* ``[data]`` f, g: ``bump <center...> <radius> <amp>`` with radius > 0;
+  by default two bumps well inside the box
+* ``[time]`` T, dt, scheme, snapshot-stride: dt at most T, by default
+  min(h^2, T / 200), shortened so that it divides T; the stride divides
+  the step count, and 0 takes about 64 uniform snapshots
+* ``[solver]`` tol, max-iter
+* ``[cutoff]`` radii: 2R at most the box half-width; by default a quarter,
+  three eighths and a half of the half-width
 
 Example::
 
@@ -48,6 +61,7 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -57,9 +71,34 @@ from .errors import ConfigError, DivbellError
 from .grids import Boundary, Grid
 from .harness import ScenarioSpec
 from .operators import CoefficientField, PotentialField
-from .presets import (PRESET_NAMES, coefficient_preset, default_data, make_bump,
-                      potential_preset)
+from .presets import (BETA, GAMMA_MIN, PRESET_NAMES, coefficient_preset, default_data,
+                      make_bump, potential_preset)
 from .semigroup import Scheme, SolverConfig, TimeGrid
+
+# section -> key -> (kind, default, range).  A word's range is the words it
+# may be, a number's a bound that each of its values exceeds (-inf: none).
+# A default of None is worked out from other keys.
+SCENARIO_KEYS = {
+    "grid": {"dim": ("int", 1, 0),
+             "cells": ("int list", None, -math.inf),
+             "lo": ("float list", None, -math.inf),
+             "hi": ("float list", None, -math.inf),
+             "boundary": ("word", Grid.boundary.value, tuple(b.value for b in Boundary))},
+    "bellman": {"p": ("float", 2.0, -math.inf)},
+    "coefficients": {"preset": ("word", "identity", PRESET_NAMES),
+                     "beta": ("float", BETA, -math.inf),
+                     "gamma-min": ("float", GAMMA_MIN, -math.inf),
+                     "values": ("float list", None, -math.inf)},
+    "potential": {"values": ("float list", None, -math.inf)},
+    "data": {"f": ("text", None, None), "g": ("text", None, None)},
+    "time": {"T": ("float", 0.3, 0),
+             "dt": ("float", None, 0),
+             "scheme": ("word", TimeGrid.scheme.value, tuple(s.value for s in Scheme)),
+             "snapshot-stride": ("int", 0, -1)},
+    "solver": {"tol": ("float", SolverConfig.tol, 0),
+               "max-iter": ("int", SolverConfig.max_iter, 0)},
+    "cutoff": {"radii": ("float list", None, 0)},
+}
 
 
 def parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
@@ -71,19 +110,16 @@ def parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        sections[current][key] = value.strip()
+        key, value = (part.strip().lower() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: [{current}] {key}: duplicate key")
+        sections[current][key] = value
     return sections
 
 
@@ -95,48 +131,70 @@ def load_scenario_file(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
 
 
-def _get(sections, section, key, default=None):
-    return sections.get(section, {}).get(key, default)
-
-
-def _parse_float(sections, section, key, default):
-    raw = _get(sections, section, key)
-    if raw is None:
-        return default
+def _parse(where: str, kind: str, raw: str):
+    """The value of ``kind`` that the text ``raw`` spells."""
+    if kind in ("word", "text"):
+        return raw
+    number = float if kind.startswith("float") else int
     try:
-        return float(raw)
+        values = tuple(map(number, raw.split() if kind.endswith("list") else [raw]))
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{where}: expected {kind}, got {raw!r}") from exc
+    return values if kind.endswith("list") else values[0]
 
 
-def _parse_int(sections, section, key, default):
-    raw = _get(sections, section, key)
-    if raw is None:
-        return default
+def _read(sections: dict[str, dict[str, str]]) -> dict[tuple[str, str], object]:
+    """The typed value of every key that the parsed ``sections`` set."""
+    given = {}
+    for section, keys in sections.items():
+        if section not in SCENARIO_KEYS:
+            raise ConfigError(f"[{section}]: unknown section, choose from "
+                              f"{sorted(SCENARIO_KEYS)}")
+        names = {name.lower(): name for name in SCENARIO_KEYS[section]}
+        for key, raw in keys.items():
+            if key not in names:
+                raise ConfigError(f"[{section}] {key}: unknown key, choose from "
+                                  f"{tuple(SCENARIO_KEYS[section])}")
+            kind = SCENARIO_KEYS[section][names[key]][0]
+            given[section, names[key]] = _parse(f"[{section}] {names[key]}", kind, raw)
+    return given
+
+
+def _check(where: str, kind: str, allowed, value) -> None:
+    """``value`` against the rules of ``kind`` and the range ``allowed``:
+    every number finite, whatever its key."""
+    if kind == "word" and value not in allowed:
+        raise ConfigError(f"{where}: {value!r} is not one of {allowed}")
+    if kind in ("word", "text"):
+        return
+    numbers = np.atleast_1d(np.asarray(value, dtype=float))
+    if not numbers.size:
+        raise ConfigError(f"{where}: expected one or more numbers")
+    ok = np.isfinite(numbers) & (numbers > allowed)
+    if not ok.all():
+        rule = f" > {allowed:g}" if allowed > -math.inf else ""
+        raise ConfigError(f"{where}: expected finite numbers{rule}, got {numbers[~ok][0]:g}")
+
+
+@contextlib.contextmanager
+def _named(where: str):
+    """Report a domain error raised in the block as a configuration error
+    of ``where``."""
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+        yield
+    except (ValueError, DivbellError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_numbers(raw, section, key, kind=float):
-    try:
-        return tuple(kind(tok) for tok in raw.split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number list: {raw!r}") from exc
-
-
-# Accepted keys per section (lower-cased, as parsed); see the module docstring.
-SCENARIO_KEYS = {
-    "grid": ("dim", "cells", "lo", "hi", "boundary"),
-    "bellman": ("p",),
-    "coefficients": ("preset", "beta", "gamma-min", "values"),
-    "potential": ("values",),
-    "data": ("f", "g"),
-    "time": ("t", "dt", "scheme", "snapshot-stride"),
-    "solver": ("tol", "max-iter"),
-    "cutoff": ("radii",),
-}
+def _bump(grid: Grid, key: str, raw: str):
+    """The datum that ``[data] key = bump <center...> <radius> <amp>`` sets."""
+    where, toks, d = f"[data] {key}", raw.split(), grid.dim
+    nums = _parse(where, "float list", " ".join(toks[1:]))
+    if toks[:1] != ["bump"] or len(nums) != d + 2 or not nums[d] > 0.0:
+        raise ConfigError(f"{where}: expected 'bump <center...> <radius> <amp>' with {d} "
+                          f"center coordinates and a positive radius, got {raw!r}")
+    _check(where, "float list", -math.inf, nums)
+    return make_bump(grid, nums[:d], nums[d], nums[d + 1])
 
 
 def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
@@ -146,168 +204,85 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
                    seed: int = 0, name: str | None = None) -> ScenarioSpec:
     """Build a validated scenario from a parsed file and/or overrides.
 
-    Keyword overrides win over file values; every domain invariant (known
-    sections and keys, grid shape, accretivity, nonnegative potential,
-    exponent range, data nonzero at some node, support margins, time-grid
-    divisibility, solver settings) is checked here, before any computation
+    Keyword overrides win over file values and go through the same checks:
+    each key's kind and range, then the checks that relate keys (cells
+    against dim, dt against T, the stride against the step count, 2R
+    against the box, the bumps against dim) and the fields' own (grid
+    shape, accretivity, nonnegative potential, exponent range, data
+    nonzero at some node, support margins), all before any computation
     starts.
     """
-    s = sections or {}
-    for section, keys in s.items():
-        if section not in SCENARIO_KEYS:
-            raise ConfigError(f"[{section}]: unknown section, choose from "
-                              f"{sorted(SCENARIO_KEYS)}")
-        for key in keys:
-            if key not in SCENARIO_KEYS[section]:
-                raise ConfigError(f"[{section}] {key}: unknown key, choose from "
-                                  f"{SCENARIO_KEYS[section]}")
-    preset = preset or _get(s, "coefficients", "preset", "identity")
-    if preset not in PRESET_NAMES:
-        raise ConfigError(f"[coefficients] preset: unknown preset {preset!r}, "
-                          f"choose from {PRESET_NAMES}")
-    if dim is None:
-        dim = _parse_int(s, "grid", "dim", 1)
-    if cells is None:
-        raw = _get(s, "grid", "cells", "128" if dim == 1 else "24 " * dim)
-        cells = _parse_numbers(raw, "grid", "cells", int)
-    if len(cells) == 1 and dim > 1:
+    given = _read(sections or {})
+    overrides = {("coefficients", "preset"): preset, ("grid", "dim"): dim,
+                 ("grid", "cells"): cells, ("bellman", "p"): p, ("time", "dt"): dt,
+                 ("time", "T"): T}
+    given.update((at, value) for at, value in overrides.items() if value is not None)
+    for (section, key), value in given.items():
+        kind, _, allowed = SCENARIO_KEYS[section][key]
+        _check(f"[{section}] {key}", kind, allowed, value)
+    v = {(section, key): given.get((section, key), default)
+         for section, keys in SCENARIO_KEYS.items() for key, (_, default, _) in keys.items()}
+
+    dim, preset = v["grid", "dim"], v["coefficients", "preset"]
+    cells = v["grid", "cells"] or ((128,) if dim == 1 else (24,))
+    if len(cells) == 1:
         cells = cells * dim
     if len(cells) != dim:
         raise ConfigError(f"[grid] cells: got {len(cells)} entries for dim {dim}")
-    lo = _parse_numbers(_get(s, "grid", "lo", " ".join(["-4.0"] * dim)), "grid", "lo")
-    hi = _parse_numbers(_get(s, "grid", "hi", " ".join(["4.0"] * dim)), "grid", "hi")
-    braw = _get(s, "grid", "boundary", "dirichlet").lower()
-    try:
-        boundary = Boundary(braw)
-    except ValueError as exc:
-        raise ConfigError(f"[grid] boundary: {braw!r} is not dirichlet/periodic") from exc
-    try:
-        grid = Grid(cells=cells, lo=lo, hi=hi, boundary=boundary)
-    except DivbellError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
+    with _named("[grid]"):
+        grid = Grid(cells=cells, lo=v["grid", "lo"] or (-4.0,) * dim,
+                    hi=v["grid", "hi"] or (4.0,) * dim,
+                    boundary=Boundary(v["grid", "boundary"]))
+    with _named("[bellman] p"):
+        params = BellmanParams(v["bellman", "p"])
 
-    if p is None:
-        p = _parse_float(s, "bellman", "p", 2.0)
-    try:
-        params = BellmanParams(p)
-    except DivbellError as exc:
-        raise ConfigError(f"[bellman] {exc}") from exc
-
-    beta = _parse_float(s, "coefficients", "beta", 0.5)
-    gamma_min = _parse_float(s, "coefficients", "gamma-min", 0.5)
-    for key, val in (("beta", beta), ("gamma-min", gamma_min)):
-        if not math.isfinite(val):
-            raise ConfigError(f"[coefficients] {key}: expected a finite number, got {val}")
-    araw = _get(s, "coefficients", "values")
-    if araw is not None:
-        vals = _parse_numbers(araw, "coefficients", "values")
-        want = grid.vertex_shape + (dim, dim)
-        try:
-            A = CoefficientField(grid, np.asarray(vals).reshape(want))
-        except (ValueError, DivbellError) as exc:
-            raise ConfigError(f"[coefficients] values: {exc}") from exc
-        if A.gamma <= 0.0:
-            raise ConfigError("[coefficients] values: field is not accretive "
-                              f"(gamma = {A.gamma})")
+    if v["coefficients", "values"] is None:
+        A = coefficient_preset(preset, grid, seed=seed, beta=v["coefficients", "beta"],
+                               gamma_min=v["coefficients", "gamma-min"])
     else:
-        A = coefficient_preset(preset, grid, seed=seed, beta=beta, gamma_min=gamma_min)
-    vraw = _get(s, "potential", "values")
-    if vraw is not None:
-        vals = _parse_numbers(vraw, "potential", "values")
-        try:
-            V = PotentialField(grid, np.asarray(vals).reshape(grid.node_shape))
-        except (ValueError, DivbellError) as exc:
-            raise ConfigError(f"[potential] values: {exc}") from exc
-    else:
+        with _named("[coefficients] values"):
+            A = CoefficientField(grid, np.reshape(v["coefficients", "values"],
+                                                  grid.vertex_shape + (dim, dim)))
+    if A.gamma <= 0.0:
+        raise ConfigError(f"[coefficients]: the field is not accretive (gamma = {A.gamma})")
+    if v["potential", "values"] is None:
         V = potential_preset(preset, grid, seed=seed)
+    else:
+        with _named("[potential] values"):
+            V = PotentialField(grid, np.reshape(v["potential", "values"], grid.node_shape))
 
-    def parse_datum(key, fallback):
-        raw = _get(s, "data", key)
-        if raw is None:
-            return fallback
-        toks = raw.split()
-        if toks[:1] != ["bump"] or len(toks) != dim + 3:
-            raise ConfigError(
-                f"[data] {key}: expected 'bump <center...> <radius> <amp>' "
-                f"with {dim} center coordinates, got {raw!r}")
-        try:
-            nums = [float(t) for t in toks[1:]]
-        except ValueError as exc:
-            raise ConfigError(f"[data] {key}: not numbers: {raw!r}") from exc
-        if not all(map(math.isfinite, nums)) or not nums[dim] > 0.0:
-            raise ConfigError(f"[data] {key}: expected finite numbers and a positive "
-                              f"radius, got {raw!r}")
-        return make_bump(grid, nums[:dim], nums[dim], nums[dim + 1])
-
-    f_default, g_default = default_data(grid)
-    f = parse_datum("f", f_default)
-    g = parse_datum("g", g_default)
-    for key, datum in (("f", f), ("g", g)):
-        if not np.any(datum.values):
+    data = dict(zip("fg", default_data(grid)))
+    for key in data:
+        if v["data", key] is not None:
+            data[key] = _bump(grid, key, v["data", key])
+        if not np.any(data[key].values):
             raise ConfigError(f"[data] {key}: the datum vanishes at every node of a grid of "
                               f"spacing {min(grid.spacing):g}; widen it or refine the grid")
 
-    if T is None:
-        T = _parse_float(s, "time", "t", 0.3)
-    if not 0.0 < T < np.inf:
-        raise ConfigError(f"[time] T: expected a positive finite time, got {T}")
-    if dt is None:
-        dt = _parse_float(s, "time", "dt", None)
-    if dt is None:
-        h = min(grid.spacing)
-        dt = min(h * h, T / 200.0)
-    elif not dt > 0.0:
-        raise ConfigError(f"[time] dt: expected a positive step, got {dt}")
-    elif dt > T:
+    T, h = v["time", "T"], min(grid.spacing)
+    dt = v["time", "dt"] or min(h * h, T / 200.0)
+    if dt > T:
         raise ConfigError(f"[time] dt: the step {dt} exceeds the horizon T = {T}")
     # the fewest steps that divide T without exceeding dt; the relative
     # guard keeps an exact divisor's count when T / dt rounds just above it
     n = math.ceil(T / dt * (1.0 - 1e-12))
-    dt = T / n
-    sraw = _get(s, "time", "scheme", "crank-nicolson").lower()
-    try:
-        scheme = Scheme(sraw)
-    except ValueError as exc:
-        raise ConfigError(f"[time] scheme: {sraw!r}") from exc
-    stride = _parse_int(s, "time", "snapshot-stride", 0)
-    if stride < 0:
-        raise ConfigError(f"[time] snapshot-stride: expected 0 (auto) or a positive "
-                          f"stride, got {stride}")
-    if stride == 0:
-        # uniform snapshots: largest stride <= n/64 that divides the step count
-        stride = max(1, n // 64)
-        while n % stride:
-            stride -= 1
-    elif n % stride:
+    # by default, the largest stride <= n/64 that divides the step count
+    stride = (v["time", "snapshot-stride"]
+              or max(k for k in range(1, max(1, n // 64) + 1) if n % k == 0))
+    if n % stride:
         raise ConfigError(f"[time] snapshot-stride: {stride} does not divide the "
                           f"step count {n}; snapshots would not be uniform")
-    timegrid = TimeGrid(dt=dt, T=T, scheme=scheme, snapshot_stride=stride)
-
-    tol = _parse_float(s, "solver", "tol", 1e-10)
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"[solver] tol: expected a positive finite tolerance, got {tol}")
-    max_iter = _parse_int(s, "solver", "max-iter", 500)
-    if max_iter < 1:
-        raise ConfigError(f"[solver] max-iter: expected at least 1, got {max_iter}")
-    solver = SolverConfig(tol=tol, max_iter=max_iter)
+    timegrid = TimeGrid(dt=T / n, T=T, scheme=Scheme(v["time", "scheme"]),
+                        snapshot_stride=stride)
+    solver = SolverConfig(tol=v["solver", "tol"], max_iter=v["solver", "max-iter"])
 
     half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
-    rraw = _get(s, "cutoff", "radii")
-    if rraw is not None:
-        radii = _parse_numbers(rraw, "cutoff", "radii")
-        if not radii or not all(0.0 < r < np.inf for r in radii):
-            raise ConfigError(f"[cutoff] radii: expected one or more positive finite "
-                              f"radii, got {rraw!r}")
-        if 2.0 * max(radii) > half + 1e-12:
-            raise ConfigError(f"[cutoff] radii: 2R = {2 * max(radii):g} exceeds the box "
-                              f"half-width {half:g}")
-    else:
-        radii = (0.25 * half, 0.375 * half, 0.5 * half)
+    radii = v["cutoff", "radii"] or (0.25 * half, 0.375 * half, 0.5 * half)
+    if 2.0 * max(radii) > half + 1e-12:
+        raise ConfigError(f"[cutoff] radii: 2R = {2 * max(radii):g} exceeds the box "
+                          f"half-width {half:g}")
 
-    try:
+    with _named("[data]"):
         return ScenarioSpec(name=name or preset, grid=grid, coefficients=A,
-                            potential=V, f=f, g=g, params=params,
-                            timegrid=timegrid, solver=solver,
-                            cutoff_radii=radii)
-    except DivbellError as exc:
-        raise ConfigError(str(exc)) from exc
+                            potential=V, f=data["f"], g=data["g"], params=params,
+                            timegrid=timegrid, solver=solver, cutoff_radii=radii)

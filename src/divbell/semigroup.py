@@ -49,6 +49,11 @@ from .grids import GridFunction
 from .operators import DiscreteOperator
 
 
+# A step passes its residual gate when every (operator, datum) relative
+# residual is at most RESIDUAL_GATE * tol.
+RESIDUAL_GATE = 10.0
+
+
 class Scheme(enum.Enum):
     BACKWARD_EULER = "backward-euler"
     CRANK_NICOLSON = "crank-nicolson"
@@ -333,7 +338,7 @@ class _LinearStep:
         ratio = np.divide(rn2, bn2, out=np.zeros(rn2.shape), where=bn2 != 0)
         stats = []
         for (iters, method), residual in zip(solves, np.sqrt(ratio.max(axis=1)).tolist()):
-            if not residual <= 10.0 * self.solver.tol:
+            if not residual <= RESIDUAL_GATE * self.solver.tol:
                 raise ConvergenceError("residual above tolerance after solve",
                                        iters, residual)
             stats.append(StepStats(method, iters, residual))
