@@ -12,13 +12,15 @@ Subcommands map one-to-one onto the verification suites:
 * ``sweep``            pointwise + embedding over presets x dimension x p
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error
-(cutoff radii with 2R beyond the box half-width included, and a flag that
-the command does not read, such as ``--grid`` for ``sweep``), 3 numerical
-failure (a solver did not converge, or a result failed its own error
-estimate).  Identical configuration and seed produce byte-identical output
-files.  ``sweep`` builds each (preset, dimension) pair once, evolves all of
-them in one batch on their shared time grid, and checks every p on the
-shared trajectories, since P_t f and P_t g do not depend on p.
+(cutoff radii with 2R beyond the box half-width or fewer than two distinct
+ones included, and a flag that the command does not read, such as
+``--grid`` for ``sweep`` or ``--T`` for ``offdiag``), 3 numerical failure
+(a solver did not converge, or a result failed its own error estimate).
+Identical configuration and seed produce byte-identical output files.
+``sweep`` builds each (preset, dimension) pair once, evolves all of them in
+one batch on their shared time grid, and checks every p on each pair's
+trajectories in one ``pointwise_check`` call, since P_t f and P_t g do not
+depend on p; the exponent is an argument of every check.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ def _scenario_from_args(args, name=None) -> hz.ScenarioSpec:
                           name=name)
 
 
+def _exponents(args) -> list[bl.BellmanParams]:
+    """The ``BellmanParams`` of --p, or of p = 2, 3, 4 and 8 without it."""
+    try:
+        return [bl.BellmanParams(p) for p in ([args.p] if args.p is not None
+                                              else [2.0, 3.0, 4.0, 8.0])]
+    except DomainError as exc:
+        raise ConfigError(f"--p: {exc}") from exc
+
+
 def _check_table(values: dict[str, float]) -> tuple[list[str], Columns]:
     """A (check, value) table of the named values, in their order."""
     return ["check", "value"], Columns(list(values), list(values.values()))
@@ -67,19 +78,16 @@ def _check_table(values: dict[str, float]) -> tuple[list[str], Columns]:
 # ---------------------------------------------------------------------------
 
 def cmd_bellman_verify(args) -> tuple[Summary, dict]:
-    pvals = [args.p] if args.p is not None else [2.0, 3.0, 4.0, 8.0]
+    all_params = _exponents(args)
     points = 10000 if args.points is None else args.points
     if points < 1:
         raise ConfigError(f"--points: expected a positive count, got {points}")
-    try:
-        all_params = [bl.BellmanParams(p) for p in pvals]
-    except DomainError as exc:
-        raise ConfigError(f"--p: {exc}") from exc
     summary = Summary()
     parts = []
     header = ["p", "index", "re_zeta", "im_zeta", "re_eta", "im_eta",
               "prop_i_slack", "tau", "margin_hessian", "margin_drift", "valid"]
-    for p, params in zip(pvals, all_params):
+    for params in all_params:
+        p = params.p
         rng = ps.rng_for(args.seed, f"bellman-points-p{p}")
         zetas, etas = bl.sample_certification_points(params, points, rng)
         res = bl.certify_batch(params, zetas, etas)
@@ -186,7 +194,7 @@ def cmd_semigroup_verify(args) -> tuple[Summary, dict]:
 def cmd_pointwise(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
     ev = hz.run_scenario(spec, embedding=False)
-    rep = hz.pointwise_check(ev)
+    rep, = hz.pointwise_check(ev, [spec.params])
     header = ["x", "y", "z"][:spec.grid.dim] + ["t", "lhs", "rhs", "slack"]
     rows = FieldRows(spec.grid.node_coords(), ev.traj_f.times,
                      (rep.lhs, rep.rhs, rep.slack))
@@ -201,7 +209,7 @@ def cmd_embed(args) -> tuple[Summary, dict]:
     # the check reads only the per-step products and the last snapshots
     tg = dataclasses.replace(spec.timegrid, snapshot_stride=spec.timegrid.n_steps)
     ev = hz.run_scenario(dataclasses.replace(spec, timegrid=tg))
-    rep = hz.embedding_check(ev)
+    rep = hz.embedding_check(ev, spec.params)
     header = [f.name for f in dataclasses.fields(rep)]
     rows = Columns(*([np.nan if v is None else v] for v in dataclasses.astuple(rep)))
     summary = Summary()
@@ -217,7 +225,7 @@ def cmd_ibp(args) -> tuple[Summary, dict]:
         raise ConfigError(f"ibp: the time grid gives {n_snaps} snapshots; the time "
                           "derivative needs at least 3 (a smaller dt or stride)")
     ev = hz.run_scenario(spec, embedding=False)
-    rep = hz.ibp_upper_check(ev)
+    rep = hz.ibp_upper_check(ev, spec.params)
     header = ["R", "term", "value"]
     terms = ("I_RT", "bound", "eps_R", "time_term_quad", "time_term_exact", "flux",
              "potential_term")
@@ -258,32 +266,29 @@ def cmd_offdiag(args) -> tuple[Summary, dict]:
 
 
 def cmd_sweep(args) -> tuple[Summary, dict]:
-    pvals = [args.p] if args.p is not None else [2.0, 3.0, 4.0, 8.0]
     header = ["preset", "dim", "p", "gamma", "worst_slack", "eps_h",
               "sum_margin", "product_margin", "ratio_empirical", "pass"]
+    all_params = _exponents(args)
     cells = [(preset, dim) for preset in ps.PRESET_NAMES for dim in (1, 2)]
     specs = [build_scenario(None, preset=preset, dim=dim,
-                            cells=(96,) if dim == 1 else (16,) * dim, p=pvals[0],
+                            cells=(96,) if dim == 1 else (16,) * dim,
                             seed=args.seed, name=f"{preset}-{dim}d")
              for preset, dim in cells]
     rows = []
     summary = Summary()
-    # the cells share one time grid, so one batch evolves them all
-    for (preset, dim), spec, ev in zip(cells, specs, hz.run_scenarios(specs)):
-        for p in pvals:
-            # the trajectories do not depend on p; only the Bellman parameters do
-            evp = dataclasses.replace(
-                ev, spec=dataclasses.replace(spec, params=bl.BellmanParams(p)))
-            pw = hz.pointwise_check(evp)
-            em = hz.embedding_check(evp)
-            rows.append((preset, dim, p, ev.op.coefficients.gamma, pw.worst_slack,
+    # the cells share one time grid, so one batch evolves them all; the
+    # trajectories do not depend on p, so each cell's are checked at every p
+    for (preset, dim), ev in zip(cells, hz.run_scenarios(specs)):
+        for params, pw in zip(all_params, hz.pointwise_check(ev, all_params)):
+            em = hz.embedding_check(ev, params)
+            rows.append((preset, dim, params.p, ev.op.coefficients.gamma, pw.worst_slack,
                          pw.eps_h, em.sum_margin, em.product_margin, em.ratio_empirical,
                          pw.ok and em.ok))
             # the arrangement gap's margin is about 1e-10 on every passing
             # row, so it would hide the others; it enters only when it fails
             margins = [m for name, m in {**pw.margins, **em.margins}.items()
                        if name != "chain-rule-arrangements" or not passes(m)]
-            summary.add(f"sweep({preset}, n={dim}, p={p:g})", np.min(margins))
+            summary.add(f"sweep({preset}, n={dim}, p={params.p:g})", np.min(margins))
     return summary, {"sweep": (header, Columns(*zip(*rows)))}
 
 
@@ -302,8 +307,8 @@ COMMANDS = {
 # given to any other command, a flag is a configuration error.
 _SCENARIO_FLAGS = ("config", "grid", "preset", "p", "dt", "T")
 _READS = {"bellman-verify": ("p", "points"), "semigroup-verify": (), "sweep": ("p",),
-         **dict.fromkeys(("operator-verify", "pointwise", "embed", "ibp", "offdiag"),
-                         _SCENARIO_FLAGS)}
+         **dict.fromkeys(("operator-verify", "offdiag"), ("config", "grid", "preset")),
+         **dict.fromkeys(("pointwise", "embed", "ibp"), _SCENARIO_FLAGS)}
 
 
 def _check_flags(args) -> None:

@@ -195,13 +195,12 @@ def _embedding_hook(spec: ScenarioSpec):
 # composed field and parabolic operator
 # ---------------------------------------------------------------------------
 
-def compose_b(params: BellmanParams, traj_f: Trajectory, traj_g: Trajectory,
+def compose_b(ev: EvolvedScenario, params: BellmanParams,
               snapshots=slice(None)) -> np.ndarray:
-    """b(x, t) = Q(P_t f(x), P_t g(x)) as an (n_times, n_nodes) real array,
-    on the snapshots that the index ``snapshots`` selects (all by default)."""
-    if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
-        raise DomainError("trajectories must share grid and snapshot times")
-    return q_values(params, traj_f.values[snapshots], traj_g.values[snapshots])
+    """b(x, t) = Q(P_t f(x), P_t g(x)) at exponent ``params`` as an
+    (n_times, n_nodes) real array, on the snapshots of ``ev`` that the index
+    ``snapshots`` selects (all by default)."""
+    return q_values(params, ev.traj_f.values[snapshots], ev.traj_g.values[snapshots])
 
 
 def time_derivative(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -330,14 +329,13 @@ def _node_matvec(M: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arrangements(form, grads, S, A):
+def _arrangements(form, grads, th, ag):
     """Both arrangements of sum_ij a_ij form(g_i, g_j), d calls of the
     symmetric bilinear ``form(a1, a2, b1, b2)`` each: (factored, double) with
     factored = sum_k form(theta_k, theta_k), theta = S g, and double =
-    sum_i form(g_i, (A g)_i).  ``grads`` holds the real gradients of both
-    fields as (d, 2, P, ..., n), P parts each; S = (sym A)^(1/2) and A are
-    node-last (d, d, n) and broadcast over the parts and snapshot axes."""
-    th, ag = _node_matvec(S, grads), _node_matvec(A, grads)
+    sum_i form(g_i, (A g)_i).  ``grads`` holds the real gradients g of both
+    fields as (d, 2, P, ..., n), P parts each, and ``th`` and ``ag`` hold
+    S g and A g in the same layout, for S = (sym A)^(1/2)."""
     factored = sum(form(*th[k], *th[k]) for k in range(len(grads)))
     double = sum(form(*grads[i], *ag[i]) for i in range(len(grads)))
     return factored, double
@@ -353,9 +351,9 @@ class ChainRuleField:
     n_mollified: int
 
 
-def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
-                   traj_f: Trajectory, traj_g: Trajectory) -> ChainRuleField:
-    """Evaluate L'b(x,t) = sum_ij a_ij <-d2Q(v) d_i v, d_j v> + V [Q - dQ v].
+def chain_rule_rhs(ev: EvolvedScenario, ps) -> list[ChainRuleField]:
+    """Evaluate L'b(x,t) = sum_ij a_ij <-d2Q(v) d_i v, d_j v> + V [Q - dQ v]
+    on the trajectories of ``ev``, one field per ``BellmanParams`` of ``ps``.
 
     The primary value is computed in the factored arrangement, summing the
     quadratic form over the root-weighted gradients (sym A)^(1/2) grad v_k
@@ -371,68 +369,65 @@ def chain_rule_rhs(params: BellmanParams, op: DiscreteOperator,
 
     Every quantity is local in time, so the snapshots are walked in blocks
     of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the (nt, n)
-    output, memory is O(block).
+    outputs, memory is O(block).  Each block computes what does not depend
+    on p once (the parts, phases, gradients, S grad and A grad, the
+    negligible nodes and the mollification scale); only the forms, the
+    interface mask, the mollified coefficients and the V term run per p.
     """
-    if traj_f.grid != traj_g.grid or not np.array_equal(traj_f.times, traj_g.times):
-        raise DomainError("trajectories must share grid and snapshot times")
-    grid = op.grid
-    f, g = traj_f.values, traj_g.values                  # (nt, n)
+    op, grid = ev.op, ev.op.grid
+    f, g = ev.traj_f.values, ev.traj_g.values            # (nt, n)
     parts = _stored_parts(f, g)
     A = node_coefficients(op.coefficients)              # (n, d, d)
     S = matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
     A, S = (np.ascontiguousarray(np.moveaxis(M, 0, -1)) for M in (A, S))  # (d, d, n)
     scale = _modulus_scale(f, g)
     h = min(grid.spacing)
-    rhs = np.empty(f.shape)
-    gap = 0.0
-    n_mollified = 0
+    fields = [ChainRuleField(np.empty(f.shape), 0.0, 0) for _ in ps]
     for blk in _snapshot_blocks(*f.shape):
         v1, v2 = f[blk], g[blk]
         u, v = np.abs(v1), np.abs(v2)
         x = np.array([[part(w) for part in parts] for w in (v1, v2)])  # (2, P, block, n)
         # phases x * (1/|x|), rounded as complex division by a real rounds
         ph = x * (1.0 / np.maximum(np.stack([u, v]), ZERO_MODULUS))[:, None]
-        coeffs, drift = form_coeffs_and_drift(params, u, v)
         grads = grad4(grid, x)                           # (d, 2, P, block, n)
-        exact = functools.partial(bilinear_forms, *coeffs, *ph)
-        a_part, aij_part = _arrangements(exact, grads, S, A)
-
+        th, ag = _node_matvec(S, grads), _node_matvec(A, grads)
         # nodes where both fields are negligibly small contribute nothing in
         # the continuum; evaluating v^(q-2)-type tables against stencil
         # leakage at the support edge would produce pure artifacts there
         negligible = np.maximum(u, v) < 1e-14 * scale
-        a_part[negligible] = 0.0
-        aij_part[negligible] = 0.0
-
         eps = _mollify_scale(u, v, h)
-        ti, ni = np.nonzero(_interface_margin_mask(params, u, v, eps, scale))
-        if ti.size:
-            mollified = mollified_form_coeffs(params, u[ti, ni], v[ti, ni], eps[ti, ni])
-            a_part[ti, ni], aij_part[ti, ni] = _arrangements(
-                functools.partial(bilinear_forms, *mollified, *ph[..., ti, ni]),
-                grads[..., ti, ni], S[..., ni], A[..., ni])
+        for params, cr in zip(ps, fields):
+            coeffs, drift = form_coeffs_and_drift(params, u, v)
+            a_part, aij_part = _arrangements(
+                functools.partial(bilinear_forms, *coeffs, *ph), grads, th, ag)
+            a_part[negligible] = aij_part[negligible] = 0.0
+            ti, ni = np.nonzero(_interface_margin_mask(params, u, v, eps, scale))
+            if ti.size:
+                mollified = mollified_form_coeffs(params, u[ti, ni], v[ti, ni], eps[ti, ni])
+                a_part[ti, ni], aij_part[ti, ni] = _arrangements(
+                    functools.partial(bilinear_forms, *mollified, *ph[..., ti, ni]),
+                    *(w[..., ti, ni] for w in (grads, th, ag)))
+            gap = np.max(np.abs(a_part - aij_part) / np.maximum(1.0, np.abs(a_part)))
+            # np.maximum, unlike Python's max, keeps a NaN gap
+            cr.arrangement_gap = float(np.maximum(cr.arrangement_gap, gap))
+            cr.n_mollified += ti.size
+            cr.rhs[blk] = a_part + op.potential * drift
+    return fields
 
-        v_part = op.potential * drift
-        # np.maximum, unlike Python's max, keeps a NaN gap
-        gap = float(np.maximum(gap, np.max(np.abs(a_part - aij_part)
-                                           / np.maximum(1.0, np.abs(a_part)))))
-        n_mollified += ti.size
-        rhs[blk] = a_part + v_part
-    return ChainRuleField(rhs=rhs, arrangement_gap=gap, n_mollified=n_mollified)
 
-
-def chain_rule_identity_error(ev: EvolvedScenario, cr: ChainRuleField) -> float:
+def chain_rule_identity_error(ev: EvolvedScenario, params: BellmanParams,
+                              cr: ChainRuleField) -> float:
     """sup |L'b - cr.rhs| over snapshots with t >= IDENTITY_T_MIN_FRAC * T,
-    for the chain-rule field ``cr`` of ``chain_rule_rhs`` on ``ev``.
+    for the chain-rule field ``cr`` of ``chain_rule_rhs`` on ``ev`` at
+    exponent ``params``.
 
     The early-time window is excluded: at t = 0 the compactly supported
     data vanish to infinite order at their support edge, where discrete
     difference quotients of b are pre-asymptotic artifacts rather than
     approximations of the (vanishing) continuum values.
     """
-    b = compose_b(ev.spec.params, ev.traj_f, ev.traj_g)
     times = ev.traj_f.times
-    lp = lprime(ev.op, b, times)
+    lp = lprime(ev.op, compose_b(ev, params), times)
     keep = times >= IDENTITY_T_MIN_FRAC * times[-1] - 1e-12
     return float(np.abs(lp[keep] - cr.rhs[keep]).max())
 
@@ -459,26 +454,39 @@ class PointwiseReport(_Verdict):
                 "chain-rule-arrangements": ARRANGEMENT_TOL - self.arrangement_gap}
 
 
-def pointwise_check(ev: EvolvedScenario) -> PointwiseReport:
+class PointwiseReports(tuple):
+    """The ``PointwiseReport`` of each p, in the order the p were given."""
+
+    @property
+    def n_mollified(self) -> int:
+        """The mollified nodes of every p, summed, as ``perfbench/spans.py``
+        counts them."""
+        return sum(rep.n_mollified for rep in self)
+
+
+def pointwise_check(ev: EvolvedScenario, ps) -> PointwiseReports:
     """Slack of L'b >= 2 delta min(1, gamma) |f~|_* |g~|_* over all nodes
-    and snapshot times; acceptance requires worst slack > -eps_h."""
-    spec = ev.spec
-    params = spec.params
-    cr = chain_rule_rhs(params, ev.op, ev.traj_f, ev.traj_g)
+    and snapshot times, for each ``BellmanParams`` of ``ps``; acceptance
+    requires worst slack > -eps_h.  The star norms do not depend on p, so
+    each snapshot block takes them once for every p."""
+    grid = ev.spec.grid
+    crs = chain_rule_rhs(ev, ps)
     f, g = ev.traj_f.values, ev.traj_g.values
     parts = _stored_parts(f, g)
-    c = 2.0 * params.delta * min(1.0, ev.op.coefficients.gamma)
-    rhs = np.empty(f.shape)
+    cs = [2.0 * params.delta * min(1.0, ev.op.coefficients.gamma) for params in ps]
+    rhss = [np.empty(f.shape) for _ in ps]
     for blk in _snapshot_blocks(*f.shape):
-        star_f, star_g = (np.sqrt(sum(_star_sq(spec.grid, ev.op.potential, part(x[blk]))
+        star_f, star_g = (np.sqrt(sum(_star_sq(grid, ev.op.potential, part(x[blk]))
                                       for part in parts)) for x in (f, g))
-        rhs[blk] = c * star_f * star_g
-    slack = cr.rhs - rhs
-    eps_h = slack_tolerance(min(spec.grid.spacing), spec.timegrid.dt)
-    return PointwiseReport(worst_slack=float(slack.min()), eps_h=eps_h,
-                           lhs=cr.rhs, rhs=rhs, slack=slack,
-                           n_mollified=cr.n_mollified,
-                           arrangement_gap=cr.arrangement_gap)
+        for c, rhs in zip(cs, rhss):
+            rhs[blk] = c * star_f * star_g
+    eps_h = slack_tolerance(min(grid.spacing), ev.spec.timegrid.dt)
+    slacks = [cr.rhs - rhs for cr, rhs in zip(crs, rhss)]
+    return PointwiseReports(
+        PointwiseReport(worst_slack=float(slack.min()), eps_h=eps_h, lhs=cr.rhs, rhs=rhs,
+                        slack=slack, n_mollified=cr.n_mollified,
+                        arrangement_gap=cr.arrangement_gap)
+        for cr, rhs, slack in zip(crs, rhss, slacks))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +519,9 @@ class EmbeddingReport(_Verdict):
                 "embedding-energy-bound": self.energy_margin + self.quad_error_est}
 
 
-def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
-    """The two closed forms of the embedding bound, and the p = 2 theorem of
-    the scheme.
+def embedding_check(ev: EvolvedScenario, params: BellmanParams) -> EmbeddingReport:
+    """The two closed forms of the embedding bound at exponent ``params``,
+    and the p = 2 theorem of the scheme.
 
     Sum form: E_T + tail <= max(1, 1/gamma)/(2 delta) (||f||_p^p + ||g||_q^q).
     Product form: the same constant times
@@ -529,7 +537,6 @@ def embedding_check(ev: EvolvedScenario) -> EmbeddingReport:
     the per-step products raises DomainError rather than read 0.
     """
     spec = ev.spec
-    params = spec.params
     p, q, delta = params.p, params.q, params.delta
     gamma = ev.op.coefficients.gamma
     tf, tg = ev.traj_f, ev.traj_g
@@ -624,8 +631,10 @@ class IbpReport(_Verdict):
         return margins
 
 
-def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
-    """I_{R,T} = int_0^T int psi_R L'b against ||f||_p^p + ||g||_q^q.
+def ibp_upper_check(ev: EvolvedScenario, params: BellmanParams, radii=None) -> IbpReport:
+    """I_{R,T} = int_0^T int psi_R L'b against ||f||_p^p + ||g||_q^q at
+    exponent ``params``, for two or more distinct radii R (the scenario's
+    by default), taken in ascending order.
 
     Summation by parts splits sum_x psi_R L_h b into the flux through the
     cutoff annulus, sum_x b (L_h^T - V) psi_R, which vanishes where psi_R
@@ -640,14 +649,13 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
     """
     spec = ev.spec
     grid = spec.grid
-    params = spec.params
-    radii = tuple(radii if radii is not None else spec.cutoff_radii)
-    if not radii:
-        raise DomainError("no cutoff radii given")
+    radii = sorted(radii if radii is not None else spec.cutoff_radii)
     half_width = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
     for R in radii:
         if 2.0 * R > half_width + 1e-12:
             raise GeometryError(f"cutoff 2R = {2 * R} exceeds the box half-width {half_width}")
+    if len(set(radii)) < 2:
+        raise DomainError(f"need two or more distinct cutoff radii, got {radii}")
     op = ev.op
     psi = np.stack([cutoff_values(grid, R).ravel() for R in radii], axis=1)
     v_psi = op.potential[:, None] * psi
@@ -655,7 +663,7 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
     times = ev.traj_f.times
     sums = np.empty((len(times), kernels.shape[1]))
     for blk in _snapshot_blocks(*ev.traj_f.values.shape):
-        sums[blk] = grid.cell_volume * (compose_b(params, ev.traj_f, ev.traj_g, blk) @ kernels)
+        sums[blk] = grid.cell_volume * (compose_b(ev, params, blk) @ kernels)
     mass, flux, pot = np.split(sums, 3, axis=1)
     t_quad = np.trapezoid(time_derivative(mass, times), times, axis=0)
     t_exact = mass[-1] - mass[0]
@@ -669,7 +677,7 @@ def ibp_upper_check(ev: EvolvedScenario, radii=None) -> IbpReport:
             for k, R in enumerate(radii)]
     # nodewise: -b(x,0) = phi(|f|,|g|)/2 <= |f|^p + |g|^q by the range bound,
     # read as the slack relative to the right-hand side
-    b_0, b_T = compose_b(params, ev.traj_f, ev.traj_g, [0, -1])
+    b_0, b_T = compose_b(ev, params, [0, -1])
     rhs0 = np.abs(spec.f.flat) ** params.p + np.abs(spec.g.flat) ** params.q
     initial = (rhs0 * (1 + 1e-12) + 1e-300 + b_0) / np.maximum(rhs0, 1e-300)
     return IbpReport(rows=rows, nodewise_initial_margin=float(np.min(initial)),

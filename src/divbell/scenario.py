@@ -28,8 +28,9 @@ keys, with the defaults that depend on other keys:
   min(h^2, T / 200), shortened so that it divides T; the stride divides
   the step count, and 0 takes about 64 uniform snapshots
 * ``[solver]`` tol, max-iter
-* ``[cutoff]`` radii: 2R at most the box half-width; by default a quarter,
-  three eighths and a half of the half-width
+* ``[cutoff]`` radii: two or more distinct radii, read in ascending
+  order whatever order they are given in; 2R at most the box half-width;
+  by default a quarter, three eighths and a half of the half-width
 
 Example::
 
@@ -277,10 +278,12 @@ def build_scenario(sections: dict[str, dict[str, str]] | None = None, *,
     solver = SolverConfig(tol=v["solver", "tol"], max_iter=v["solver", "max-iter"])
 
     half = 0.5 * min(b - a for a, b in zip(grid.lo, grid.hi))
-    radii = v["cutoff", "radii"] or (0.25 * half, 0.375 * half, 0.5 * half)
-    if 2.0 * max(radii) > half + 1e-12:
-        raise ConfigError(f"[cutoff] radii: 2R = {2 * max(radii):g} exceeds the box "
+    radii = tuple(sorted(v["cutoff", "radii"] or (0.25 * half, 0.375 * half, 0.5 * half)))
+    if 2.0 * radii[-1] > half + 1e-12:
+        raise ConfigError(f"[cutoff] radii: 2R = {2 * radii[-1]:g} exceeds the box "
                           f"half-width {half:g}")
+    if len(set(radii)) < 2:
+        raise ConfigError(f"[cutoff] radii: need two or more distinct radii, got {radii}")
 
     with _named("[data]"):
         return ScenarioSpec(name=name or preset, grid=grid, coefficients=A,

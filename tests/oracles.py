@@ -370,20 +370,14 @@ def bilinear_forms_complex(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2):
             + dtt * dot2 + (drr - dtt) * xa2 * xb2)
 
 
-def arrangements_complex(form, grads, S, A):
-    """Reference for ``harness._arrangements``, in its signature so that it
-    can stand in for it: the gradients become complex (d, ...) fields, S
-    and A (..., d, d) stacks, S g and A g one complex einsum each, and the
-    form receives (2, ...) parts stacks."""
-    g1, g2 = np.moveaxis(_from_parts(np.moveaxis(grads, 2, 0)), 1, 0)
-    S, A = (np.moveaxis(M, (0, 1), (-2, -1)) for M in (S, A))
-    th1, th2, ag1, ag2 = (np.einsum("...ij,j...->i...", M, g)
-                          for M in (S, A) for g in (g1, g2))
-    factored = sum(form(parts(th1[k]), parts(th2[k]), parts(th1[k]), parts(th2[k]))
-                   for k in range(len(g1)))
-    double = sum(form(parts(g1[i]), parts(g2[i]), parts(ag1[i]), parts(ag2[i]))
-                 for i in range(len(g1)))
-    return factored, double
+def node_matvec_complex(M, g):
+    """Reference for ``harness._node_matvec``, in its signature so that it
+    can stand in for it: the (d, 2, P, ..., n) parts stacks of the gradients
+    become complex (d, 2, ..., n) fields, M g is one complex einsum against
+    the node-last (d, d, n) M, and the product returns as a (d, 2, 2, ..., n)
+    parts stack."""
+    z = _from_parts(np.moveaxis(g, 2, 0))
+    return np.moveaxis(parts(np.einsum("ijn,j...n->i...n", M, z)), 0, 2)
 
 
 def star_norm_field(grid, fld, V) -> np.ndarray:

@@ -55,14 +55,6 @@ def evolved_cells():
     return {(preset, dim): ev for (preset, dim, _), ev in zip(cells, hz.run_scenarios(specs))}
 
 
-def _with_p(ev, p):
-    spec = ev.spec
-    spec_p = hz.ScenarioSpec(spec.name, spec.grid, spec.coefficients,
-                             spec.potential, spec.f, spec.g, BellmanParams(p),
-                             spec.timegrid, spec.solver, spec.cutoff_radii)
-    return dataclasses.replace(ev, spec=spec_p)
-
-
 def test_criterion_01_bellman_certification():
     """p in {2,3,4,8}, 1e4 seeded points each, moduli in (1e-3, 10] clear of
     the singular-set margins: range-bound slack >= 0 exactly, shared-tau
@@ -253,9 +245,9 @@ def test_criterion_05_chain_rule_ladder():
         spec = _scenario("rotation", 2, N, 4.0, T=0.2, steps=steps, f_scale=0.55 / 0.9)
         spec = dataclasses.replace(spec, g=spec.f)
         ev = hz.run_scenario(spec)
-        cr = hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g)
+        cr, = hz.chain_rule_rhs(ev, [spec.params])
         gap = max(gap, cr.arrangement_gap)
-        errs.append(hz.chain_rule_identity_error(ev, cr))
+        errs.append(hz.chain_rule_identity_error(ev, spec.params, cr))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     assert min(ratios) >= 1.8, (errs, ratios)
     assert gap <= 1e-10
@@ -268,15 +260,15 @@ def test_criterion_06_pointwise_lower_bound(evolved_cells):
     five presets, n in {1, 2}, p in {2, 4}; the slack floor improves
     monotonically on a 3-level ladder."""
     worst_rel = np.inf
+    all_params = [BellmanParams(2.0), BellmanParams(4.0)]
     for (preset, dim), ev in evolved_cells.items():
-        for p in (2.0, 4.0):
-            rep = hz.pointwise_check(_with_p(ev, p))
-            assert rep.ok, (preset, dim, p, rep.worst_slack, rep.eps_h)
+        for params, rep in zip(all_params, hz.pointwise_check(ev, all_params)):
+            assert rep.ok, (preset, dim, params.p, rep.worst_slack, rep.eps_h)
             worst_rel = min(worst_rel, (rep.worst_slack + rep.eps_h) / rep.eps_h)
     floors = []
     for N, steps in ((16, 100), (32, 100), (64, 100)):
         spec = _scenario("identity", 2, N, 4.0, T=0.3, steps=steps)
-        rep = hz.pointwise_check(hz.run_scenario(spec))
+        rep, = hz.pointwise_check(hz.run_scenario(spec), [spec.params])
         assert rep.ok
         floors.append(min(rep.worst_slack, 0.0))
     assert all(f1 >= f0 - 1e-12 for f0, f1 in zip(floors, floors[1:])), floors
@@ -292,7 +284,7 @@ def test_criterion_07_embedding(evolved_cells):
     worst_prod = np.inf
     for (preset, dim), ev in evolved_cells.items():
         for p in (2.0, 4.0):
-            rep = hz.embedding_check(_with_p(ev, p))
+            rep = hz.embedding_check(ev, BellmanParams(p))
             assert rep.sum_margin > rep.quad_error_est, (preset, dim, p)
             assert rep.product_margin > rep.quad_error_est, (preset, dim, p)
             worst_sum = min(worst_sum, rep.sum_margin)
@@ -300,7 +292,7 @@ def test_criterion_07_embedding(evolved_cells):
     ratios = {}
     for dim, N in ((1, 96), (2, 16), (3, 8)):
         spec = _scenario("identity", dim, N, 2.0, T=0.4, steps=200)
-        rep = hz.embedding_check(hz.run_scenario(spec))
+        rep = hz.embedding_check(hz.run_scenario(spec), spec.params)
         assert np.isfinite(rep.ratio_empirical)
         ratios[dim] = rep.ratio_empirical
     assert max(ratios.values()) < 10.0  # report-style: bounded, no sharp threshold
@@ -317,7 +309,7 @@ def test_criterion_08_ibp_upper_bound():
     half = 0.5 * (spec.grid.hi[0] - spec.grid.lo[0])
     radii = tuple(half * s for s in (0.25, 0.375, 0.5))
     ev = hz.run_scenario(spec)
-    rep = hz.ibp_upper_check(ev, radii=radii)
+    rep = hz.ibp_upper_check(ev, spec.params, radii=radii)
     assert rep.ok
     eps = [r.eps_R for r in rep.rows]
     flux = [abs(r.flux_term) for r in rep.rows]

@@ -82,6 +82,18 @@ class TestScenarioFormat:
         # T / dt is an exact divisor up to rounding: the count is kept
         assert spec.timegrid.n_steps == 100
 
+    def test_radii_are_read_in_ascending_order(self, tmp_path):
+        # ibp's margins compare neighbouring radii and the first with the
+        # last, so a file's radii read the same in any order
+        spec = build_scenario(parse_scenario_text("[cutoff]\nradii = 2.0 1.0 1.5\n"))
+        assert spec.cutoff_radii == (1.0, 1.5, 2.0)
+        for order in ("1.0 1.5 2.0", "2.0 1.5 1.0"):
+            cfg = tmp_path / f"{order}.scenario"
+            cfg.write_text("[grid]\ndim = 1\ncells = 64\n[cutoff]\nradii = " + order + "\n")
+            assert main(["ibp", "--config", str(cfg), "--out", str(tmp_path / order),
+                         "--quiet"]) == 0
+        assert not filecmp.dircmp(tmp_path / "1.0 1.5 2.0", tmp_path / "2.0 1.5 1.0").diff_files
+
     def test_step_never_exceeds_requested(self):
         # T / dt = 1.5 steps: two steps of 0.15, not one of 0.3
         spec = build_scenario(None, dt=0.2, T=0.3)
@@ -296,7 +308,7 @@ class TestCli:
         runs = []
         for second_order in (bl.second_order, second_order_ref):
             monkeypatch.setattr(bl, "second_order", second_order)
-            runs.append(hz.chain_rule_rhs(spec.params, ev.op, ev.traj_f, ev.traj_g))
+            runs.extend(hz.chain_rule_rhs(ev, [spec.params]))
         cr, ref = runs
         assert cr.n_mollified == ref.n_mollified > 0
         assert np.abs(ref.rhs[0]).max() > 1e90      # t = 0, on the eta = 0 ray
@@ -319,9 +331,9 @@ class TestCli:
 
     def test_sweep_evolves_once_per_scenario(self, tmp_path, monkeypatch):
         # P_t f and P_t g do not depend on p: each (preset, dim) pair is
-        # built once, and one batch evolves every pair's f and g once for
-        # the 4 default exponents
-        calls = {"evolve": 0, "build": 0}
+        # built once, one batch evolves every pair's f and g once, and one
+        # pointwise call per pair checks the 4 default exponents
+        calls = {"evolve": 0, "build": 0, "pointwise": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -331,15 +343,19 @@ class TestCli:
 
         monkeypatch.setattr(hz, "evolve", counting("evolve", evolve))
         monkeypatch.setattr(cli, "build_scenario", counting("build", build_scenario))
+        monkeypatch.setattr(hz, "pointwise_check", counting("pointwise", hz.pointwise_check))
         rc = main(["sweep", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        assert calls == {"evolve": 1, "build": len(ps.PRESET_NAMES) * 2}
+        cells = len(ps.PRESET_NAMES) * 2
+        assert calls == {"evolve": 1, "build": cells, "pointwise": cells}
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(ps.PRESET_NAMES) * 2 * 4
 
     @pytest.mark.parametrize("argv", [
         ["bellman-verify", "--p", "1.5"],
         ["bellman-verify", "--p", "0", "--points", "10"],
+        ["sweep", "--p", "1.5"],
+        ["sweep", "--p", "nan"],
         ["bellman-verify", "--points", "0"],
         ["bellman-verify", "--points", "-3"],
         ["embed", "--T", "0"],
@@ -361,7 +377,13 @@ class TestCli:
         (["semigroup-verify", "--p", "1.5"], "--p"),
         (["bellman-verify", "--preset", "rotation"], "--preset"),
         (["pointwise", "--points", "5"], "--points"),
-    ], ids=["sweep-config", "sweep-grid", "semigroup-p", "bellman-preset", "pointwise-points"])
+        (["offdiag", "--T", "5", "--dt", "0.5", "--p", "9"], "--p"),
+        (["operator-verify", "--T", "5", "--p", "9"], "--p"),
+        (["offdiag", "--dt", "0.5"], "--dt"),
+        (["operator-verify", "--T", "5"], "--T"),
+    ], ids=["sweep-config", "sweep-grid", "semigroup-p", "bellman-preset", "pointwise-points",
+            "offdiag-time-and-p", "operator-verify-time-and-p", "offdiag-dt",
+            "operator-verify-T"])
     def test_flag_the_command_does_not_read_exits_two(self, argv, flag, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
@@ -384,8 +406,9 @@ class TestCli:
 
     def test_embed_and_ibp_and_offdiag(self, tmp_path):
         for cmd in ("embed", "ibp", "offdiag"):
-            rc = main([cmd, "--preset", "identity", "--grid", "64",
-                       "--T", "0.4", "--out", str(tmp_path / cmd), "--quiet"])
+            horizon = ["--T", "0.4"] if cmd != "offdiag" else []
+            rc = main([cmd, "--preset", "identity", "--grid", "64", *horizon,
+                       "--out", str(tmp_path / cmd), "--quiet"])
             assert rc == 0, cmd
 
     @pytest.mark.parametrize("p", ["200", "1000"])
@@ -448,6 +471,8 @@ class TestCli:
         ("[cutoff]\nradii = 0\n", "[cutoff] radii"),
         ("[cutoff]\nradii = nan 1.0\n", "[cutoff] radii"),
         ("[cutoff]\nradii = 1.0 3.0\n", "[cutoff] radii"),
+        ("[cutoff]\nradii = 1.0\n", "[cutoff] radii: need two or more distinct radii"),
+        ("[cutoff]\nradii = 1.5 1.5\n", "[cutoff] radii: need two or more distinct radii"),
         ("[coefficients]\nbeta = nan\n", "[coefficients] beta"),
         ("[coefficients]\ngamma-min = inf\n", "[coefficients] gamma-min"),
         ("[coefficients]\nvalues = " + "1 " * 32 + "nan\n", "[coefficients] values"),
@@ -461,7 +486,7 @@ class TestCli:
             "zero-tol", "nan-tol", "zero-max-iter", "negative-max-iter",
             "negative-stride", "non-integer-stride", "empty-datum",
             "empty-radii", "negative-radius", "zero-radius", "nan-radius",
-            "radius-beyond-half-width",
+            "radius-beyond-half-width", "single-radius", "repeated-radius",
             "nan-beta", "inf-gamma-min", "nan-coefficient", "nan-potential",
             "nan-bump-radius", "inf-bump-amp", "zero-bump-radius", "infinite-extent",
             "vanishing-datum"])
@@ -570,15 +595,16 @@ class TestMarginsMatchVerdicts:
                           time_term_exact=0.0, flux_term=0.0, potential_term=0.0)
                 for k, e in enumerate(eps)]
         monkeypatch.setattr(hz, "run_scenario", lambda spec, embedding=True: None)
-        monkeypatch.setattr(hz, "ibp_upper_check", lambda ev: hz.IbpReport(rows, 0.0, 0.0))
+        monkeypatch.setattr(hz, "ibp_upper_check",
+                            lambda ev, params: hz.IbpReport(rows, 0.0, 0.0))
         assert _run_command(["ibp", "--grid", "32"])["ibp-eps-nonincreasing"].passed == passed
 
     def test_ibp_margins_are_its_summary_lines(self, monkeypatch):
         reports = []
         ibp_upper_check = hz.ibp_upper_check
 
-        def recorded(ev):
-            reports.append(ibp_upper_check(ev))
+        def recorded(ev, params):
+            reports.append(ibp_upper_check(ev, params))
             return reports[-1]
 
         monkeypatch.setattr(hz, "ibp_upper_check", recorded)
@@ -635,8 +661,9 @@ class TestMarginsMatchVerdicts:
         pw = hz.PointwiseReport(worst_slack=0.1, eps_h=0.01, lhs=None, rhs=None, slack=None,
                                 arrangement_gap=gap)
         monkeypatch.setattr(hz, "run_scenarios", lambda specs, embedding=True: [ev] * len(specs))
-        monkeypatch.setattr(hz, "pointwise_check", lambda ev: pw)
-        monkeypatch.setattr(hz, "embedding_check", lambda ev: em)
+        monkeypatch.setattr(hz, "pointwise_check",
+                            lambda ev, all_params: hz.PointwiseReports([pw] * len(all_params)))
+        monkeypatch.setattr(hz, "embedding_check", lambda ev, params: em)
         checks = _run_command(["sweep", "--p", "4"])
         assert len(checks) == 2 * len(ps.PRESET_NAMES)
         assert not any(c.passed for c in checks.values())
@@ -791,6 +818,26 @@ def test_benchmark_row_counts_of_pointwise(trace, tmp_path):
     if trace:
         emits = [s for s in record["spans"] if s["name"] == "reports.emit"]
         assert [s["counts"]["rows"] for s in emits] == [written]
+
+
+def test_pointwise_span_counts_every_p(tmp_path):
+    # perfbench/spans.py reads n_mollified from what pointwise_check
+    # returns; a call with 4 p counts the mollified nodes of all four
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    spec = build_scenario(None, preset="checker", dim=2, cells=(12, 12), T=0.1)
+    ev = hz.run_scenario(spec, embedding=False)
+    all_params = [bl.BellmanParams(p) for p in (2.0, 3.0, 4.0, 8.0)]
+    result = hz.pointwise_check(ev, all_params)
+    span = {"counts": {}}
+    spans._count_pointwise(span, (ev, all_params), {}, result)
+    per_p = [rep.n_mollified for rep in result]
+    assert per_p[0] == 0 and min(per_p[1:]) > 0     # p = 2 has no interface
+    assert span["counts"] == {"space_time_nodes": ev.traj_f.values.size,
+                              "mollified_nodes": sum(per_p)}
 
 
 def test_python_dash_m_runs_the_cli():
