@@ -74,7 +74,8 @@ class BellmanParams:
         q = p / (p - 1.0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "delta", q * (q - 1.0) / 8.0)
+        # q - 1 = 1/(p - 1); q * (q - 1) would cancel as q nears 1, and be 0 from p ~ 1e16
+        object.__setattr__(self, "delta", q / (8.0 * (p - 1.0)))
 
 
 # ---------------------------------------------------------------------------

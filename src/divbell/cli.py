@@ -220,17 +220,12 @@ def cmd_embed(args) -> tuple[Summary, dict]:
 
 def cmd_ibp(args) -> tuple[Summary, dict]:
     spec = _scenario_from_args(args)
-    n_snaps = len(spec.timegrid.snapshot_steps())
-    if n_snaps < 3:
-        raise ConfigError(f"ibp: the time grid gives {n_snaps} snapshots; the time "
-                          "derivative needs at least 3 (a smaller dt or stride)")
     ev = hz.run_scenario(spec, embedding=False)
     rep = hz.ibp_upper_check(ev, spec.params)
     header = ["R", "term", "value"]
-    terms = ("I_RT", "bound", "eps_R", "time_term_quad", "time_term_exact", "flux",
-             "potential_term")
-    values = [(r.I_RT, r.bound, r.eps_R, r.time_term_quad, r.time_term_exact,
-               r.flux_term, r.potential_term) for r in rep.rows]
+    terms = ("I_RT", "bound", "eps_R", "time_term", "flux", "potential_term")
+    values = [(r.I_RT, r.bound, r.eps_R, r.time_term, r.flux_term, r.potential_term)
+              for r in rep.rows]
     rows = Columns(np.repeat([r.R for r in rep.rows], len(terms)),
                    np.tile(terms, len(rep.rows)), np.ravel(values))
     summary = Summary()

@@ -307,9 +307,9 @@ def test_criterion_08_ibp_upper_bound():
     decaying by at least a factor 2."""
     spec = _scenario("identity", 1, 128, 2.0, T=0.5, steps=250)
     half = 0.5 * (spec.grid.hi[0] - spec.grid.lo[0])
-    radii = tuple(half * s for s in (0.25, 0.375, 0.5))
+    spec = dataclasses.replace(spec, cutoff_radii=tuple(half * s for s in (0.25, 0.375, 0.5)))
     ev = hz.run_scenario(spec)
-    rep = hz.ibp_upper_check(ev, spec.params, radii=radii)
+    rep = hz.ibp_upper_check(ev, spec.params)
     assert rep.ok
     eps = [r.eps_R for r in rep.rows]
     flux = [abs(r.flux_term) for r in rep.rows]

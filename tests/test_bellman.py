@@ -3,6 +3,7 @@
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,13 +129,15 @@ class TestParams:
         # delta ~ 1/(p-1): delta*(p-1) = q/8 stays in (1/8, 1/4]
         assert 0.125 < P.delta * (P.p - 1.0) <= 0.25 + 1e-15
 
-    @given(st.floats(min_value=2.0, max_value=256.0, allow_nan=False))
+    @given(st.floats(min_value=2.0, max_value=1e300, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_invariants_property(self, p):
         P = BellmanParams(p)
         assert abs(1.0 / P.p + 1.0 / P.q - 1.0) <= 1e-15
         assert 0.0 < P.delta <= 0.25
-        assert abs(P.delta - P.q * (P.q - 1.0) / 8.0) == 0.0
+        # delta = q(q - 1)/8 = p / (8 (p - 1)^2) in exact arithmetic
+        exact = Fraction(P.p) / (8 * (Fraction(P.p) - 1) ** 2)
+        assert abs(Fraction(P.delta) - exact) <= Fraction(4e-16) * exact
 
     def test_rejects_bad_p(self):
         with pytest.raises(DomainError):

@@ -60,6 +60,24 @@ def evolved_identity_1d():
     return hz.run_scenario(make_scenario("identity", T=0.5, steps=250))
 
 
+@pytest.fixture(scope="module")
+def evolved_accretive_2d():
+    """random-accretive 24^2 at p = 4, so V != 0 and L_h is nonsymmetric."""
+    return hz.run_scenario(make_scenario("random-accretive", dim=2, N=24, p=4.0, steps=60),
+                           embedding=False)
+
+
+def with_radii(ev, radii):
+    """``ev`` with its spec's cutoff radii replaced."""
+    return dataclasses.replace(ev, spec=dataclasses.replace(ev.spec, cutoff_radii=radii))
+
+
+def with_snapshots(ev, keep):
+    """``ev`` keeping only the snapshots that the index ``keep`` selects."""
+    f, g = (Trajectory(t.grid, t.times[keep], t.values[keep]) for t in (ev.traj_f, ev.traj_g))
+    return hz.EvolvedScenario(ev.spec, ev.op, f, g)
+
+
 class TestComposeB:
     def test_zero_data(self):
         spec = make_scenario(N=32, steps=10)
@@ -120,19 +138,6 @@ class TestLprime:
         lhs = hz.lprime(ev.op, 2.0 * a1 - 0.5 * a2, t)
         rhs = 2.0 * hz.lprime(ev.op, a1, t) - 0.5 * hz.lprime(ev.op, a2, t)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
-
-    @pytest.mark.parametrize("nt", [3, 4, 5, 51])
-    def test_stencil_defect_is_trapezoid_minus_exact(self, nt):
-        # on random series, and exactly 0 on 3 snapshots
-        rng = np.random.default_rng(nt)
-        m = rng.uniform(0.5, 1.5, (nt, 4))
-        t = np.linspace(0.0, 0.3, nt)
-        ref = np.trapezoid(hz.time_derivative(m, t), t, axis=0) - (m[-1] - m[0])
-        got = hz.time_stencil_defect(m)
-        assert got.shape == (4,)
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(m).max()
-        if nt == 3:
-            assert (got == 0.0).all()
 
     def test_needs_uniform_times(self, evolved_identity_1d):
         ev = evolved_identity_1d
@@ -793,28 +798,28 @@ class TestCutoffAndIbp:
 
     def test_geometry_error(self, evolved_identity_1d):
         with pytest.raises(GeometryError):
-            hz.ibp_upper_check(evolved_identity_1d, BellmanParams(2.0), radii=(3.0,))
+            hz.ibp_upper_check(with_radii(evolved_identity_1d, (3.0,)), BellmanParams(2.0))
 
     @pytest.mark.parametrize("radii", [(), (1.0,), (1.5, 1.5)], ids=["none", "one", "repeated"])
     def test_fewer_than_two_distinct_radii_raise(self, evolved_identity_1d, radii):
         with pytest.raises(DomainError, match="two or more distinct cutoff radii"):
-            hz.ibp_upper_check(evolved_identity_1d, BellmanParams(2.0), radii=radii)
+            hz.ibp_upper_check(with_radii(evolved_identity_1d, radii), BellmanParams(2.0))
 
     def test_radii_are_read_in_ascending_order(self, evolved_identity_1d):
         # the eps and flux margins compare neighbouring radii and the first
         # with the last; descending radii read as ascending ones
         ev = evolved_identity_1d
-        up = hz.ibp_upper_check(ev, ev.spec.params, radii=(1.0, 1.5, 2.0))
+        up = hz.ibp_upper_check(with_radii(ev, (1.0, 1.5, 2.0)), ev.spec.params)
         assert up.ok
         for radii in ((2.0, 1.5, 1.0), (1.5, 2.0, 1.0)):
-            assert hz.ibp_upper_check(ev, ev.spec.params, radii=radii) == up
+            assert hz.ibp_upper_check(with_radii(ev, radii), ev.spec.params) == up
 
     def test_discrete_decomposition_is_exact(self, evolved_identity_1d):
         # I_RT splits exactly into time term + annulus flux + potential term
         # (summation by parts is an identity for G^T A_h G)
         rep = hz.ibp_upper_check(evolved_identity_1d, evolved_identity_1d.spec.params)
         for r in rep.rows:
-            total = r.time_term_quad + r.flux_term + r.potential_term
+            total = r.time_term + r.flux_term + r.potential_term
             assert r.I_RT == pytest.approx(total, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -846,22 +851,22 @@ class TestCutoffAndIbp:
                                               for bk in b]), ev.traj_f.times)
             assert r.flux_term == pytest.approx(loop, rel=1e-13)
 
-    def test_I_RT_matches_the_full_field_route(self):
-        # oracle: L'b, d/dt b and V b as (nt, n) fields, weighted by psi_R
-        # and summed over the nodes, then the trapezoid; V != 0 here
-        ev = hz.run_scenario(make_scenario("random-accretive", dim=2, N=24, p=4.0, steps=60),
-                             embedding=False)
+    def test_I_RT_matches_the_full_field_route(self, evolved_accretive_2d):
+        # oracle: the exact time term w psi_R^T (b(T) - b(0)), plus L_h b and
+        # V b as (nt, n) fields, weighted by psi_R and summed over the nodes,
+        # then the trapezoid; V != 0 here
+        ev = evolved_accretive_2d
         rep = hz.ibp_upper_check(ev, ev.spec.params)
         times = ev.traj_f.times
         b = hz.compose_b(ev, ev.spec.params)
-        lp = hz.lprime(ev.op, b, times)
-        ddt = hz.time_derivative(b, times)
         w = ev.spec.grid.cell_volume
         for r in rep.rows:
             psi = hz.cutoff_values(ev.spec.grid, r.R).ravel()
-            for value, fld in ((r.I_RT, lp), (r.time_term_quad, ddt),
-                               (r.potential_term, ev.op.potential * b)):
-                oracle = np.trapezoid(w * (psi[None, :] * fld).sum(axis=1), times)
+            time_term = w * psi @ (b[-1] - b[0])
+            lb, vb = (np.trapezoid(w * (psi[None, :] * fld).sum(axis=1), times)
+                      for fld in ((ev.op.matrix @ b.T).T, ev.op.potential * b))
+            for value, oracle in ((r.I_RT, time_term + lb), (r.time_term, time_term),
+                                  (r.potential_term, vb)):
                 assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
             assert r.potential_term < -1e-3 * abs(r.I_RT)
 
@@ -872,8 +877,7 @@ class TestCutoffAndIbp:
         spec = make_scenario("random-accretive", dim=2, N=48, p=4.0, T=0.1)
         spec = dataclasses.replace(spec, timegrid=TimeGrid(dt=spec.timegrid.dt, T=0.1))
         ev = hz.run_scenario(spec, embedding=False)
-        short = hz.EvolvedScenario(spec, ev.op, *(Trajectory(t.grid, t.times[:51], t.values[:51])
-                                                  for t in (ev.traj_f, ev.traj_g)))
+        short = with_snapshots(ev, slice(0, 51))
         peaks = []
         for run in (short, ev):
             hz.ibp_upper_check(run, spec.params)
@@ -887,20 +891,46 @@ class TestCutoffAndIbp:
         assert extra_field > 2 ** 21
         assert peaks[1] - peaks[0] <= 0.05 * extra_field
 
-    @pytest.mark.parametrize("case", ["two-snapshots", "nonuniform-times"])
-    def test_trajectories_it_cannot_reduce_raise(self, evolved_identity_1d, case):
+    def test_the_end_snapshots_give_the_time_term(self, evolved_identity_1d):
+        # the time term reads b(0) and b(T) alone, bit for bit
         ev = evolved_identity_1d
-        tf, tg = ev.traj_f, ev.traj_g
-        times, keep = tf.times, slice(None)
-        if case == "two-snapshots":
-            keep = slice(0, 2)
-        elif case == "nonuniform-times":
-            times = times.copy()
-            times[-1] *= 1.5
-        f = Trajectory(tf.grid, times[keep], tf.values[keep])
-        g = Trajectory(tg.grid, times[keep], tg.values[keep])
-        with pytest.raises(DomainError):
-            hz.ibp_upper_check(hz.EvolvedScenario(ev.spec, ev.op, f, g), ev.spec.params)
+        full = hz.ibp_upper_check(ev, ev.spec.params)
+        ends = hz.ibp_upper_check(with_snapshots(ev, [0, -1]), ev.spec.params)
+        assert [r.time_term for r in ends.rows] == [r.time_term for r in full.rows]
+        assert ends.nodewise_initial_margin == full.nodewise_initial_margin
+        assert ends.final_nonpositive_margin == full.final_nonpositive_margin
+
+    def test_nonuniform_times_reduce(self, evolved_identity_1d):
+        # snapshots at steps 0, 1, 2, 4, ..., 32 and the last: the flux and
+        # potential terms are trapezoids over whatever times they are given
+        ev = evolved_identity_1d
+        sub = with_snapshots(ev, [0, 1, 2, 4, 8, 16, 32, -1])
+        times = sub.traj_f.times
+        assert np.ptp(np.diff(times)) > 0.0
+        rep = hz.ibp_upper_check(sub, ev.spec.params)
+        assert rep.ok
+        b, w = hz.compose_b(sub, ev.spec.params), ev.spec.grid.cell_volume
+        full = hz.ibp_upper_check(ev, ev.spec.params)
+        for r, rf in zip(rep.rows, full.rows):
+            assert r.time_term == rf.time_term
+            psi = hz.cutoff_values(ev.spec.grid, r.R).ravel()
+            flux = np.trapezoid(w * (b @ (ev.op.matrix.T @ psi - ev.op.potential * psi)), times)
+            assert r.flux_term == pytest.approx(flux, rel=1e-12)
+
+    @pytest.mark.parametrize("cell", ["identity-1d", "accretive-2d"])
+    def test_doubled_initial_snapshot_fails_the_bound(self, cell, request):
+        # negative control: b(0) from 2f while the bound reads f, so the time
+        # term's -b(0) outgrows ||f||_p^p + ||g||_q^q at every R
+        ev = request.getfixturevalue({"identity-1d": "evolved_identity_1d",
+                                      "accretive-2d": "evolved_accretive_2d"}[cell])
+        values = ev.traj_f.values.copy()
+        values[0] *= 2.0
+        tf = Trajectory(ev.traj_f.grid, ev.traj_f.times, values)
+        rep = hz.ibp_upper_check(hz.EvolvedScenario(ev.spec, ev.op, tf, ev.traj_g),
+                                 ev.spec.params)
+        upper = [m for name, m in rep.margins.items() if name.startswith("ibp-upper-bound")]
+        assert len(upper) == len(ev.spec.cutoff_radii)
+        assert max(upper) < 0.0
 
     def test_report(self, evolved_identity_1d):
         rep = hz.ibp_upper_check(evolved_identity_1d, evolved_identity_1d.spec.params)
