@@ -242,16 +242,6 @@ def _form_coeffs(params: BellmanParams, u, v):
     return _radial_coeffs(*second_order(params.p, params.q, params.delta, u, v))
 
 
-def _phases(zeta, eta):
-    zeta = np.asarray(zeta, dtype=np.complex128)
-    eta = np.asarray(eta, dtype=np.complex128)
-    u = np.abs(zeta)
-    v = np.abs(eta)
-    ph1 = zeta / np.maximum(u, ZERO_MODULUS)
-    ph2 = eta / np.maximum(v, ZERO_MODULUS)
-    return u, v, ph1, ph2
-
-
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
@@ -469,18 +459,6 @@ def _margin_parts(coeffs, delta: float, tau) -> np.ndarray:
     return np.stack([np.minimum(a, b) - gap, ctt - delta * tau, dtt - delta / tau])
 
 
-def _worst_direction(coeffs, delta: float, tau, parts, ph1, ph2):
-    """Unit eigenvectors (s1, s2) of the smallest entry of ``parts``."""
-    crr, _, drr, _, m = coeffs
-    # the block's top eigenvector is (cos theta, sin theta), so the bottom
-    # one is (-sin theta, cos theta)
-    theta = 0.5 * np.arctan2(2.0 * m, (crr - delta * tau) - (drr - delta / tau))
-    k = parts.argmin(axis=0)
-    s1 = np.select([k == 0, k == 1], [-np.sin(theta) * ph1, 1j * ph1], 0.0)
-    s2 = np.select([k == 0, k == 2], [np.cos(theta) * ph2, 1j * ph2], 0.0)
-    return s1, s2
-
-
 def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     """Certify the range bound, the convexity bound and the drift bound at
     arrays of points.
@@ -496,26 +474,21 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
     Points are evaluated with the exact branch formulas; the caller is
     responsible for excluding interface margins (see
     ``sample_certification_points``).  A vanishing modulus is clamped to
-    ZERO_MODULUS and given phase 1: its block of -d2Q becomes isotropic in
-    the radial limit, and the blowup of the eta block on the v = 0 ray only
-    strengthens the convexity inequality.  At the origin, where both moduli
-    are at most ZERO_MODULUS, Q and its derivatives vanish, and the
-    certificate is the trivial one: tau = 1 and both margins 0.
+    ZERO_MODULUS: its block of -d2Q becomes isotropic in the radial limit,
+    and the blowup of the eta block on the v = 0 ray only strengthens the
+    convexity inequality.  At the origin, where both moduli are at most
+    ZERO_MODULUS, Q and its derivatives vanish, and the certificate is the
+    trivial one: tau = 1 and both margins 0.
 
-    Returns a dict of flat arrays; ``worst_direction`` has shape (n, 2) and
-    holds the unit eigenvectors (s1, s2) attaining ``margin_hessian``.
+    Returns a dict of flat arrays.
     """
-    u, v, ph1, ph2 = _phases(np.ravel(zetas), np.ravel(etas))
+    u, v = (np.abs(np.asarray(x, dtype=np.complex128)).ravel() for x in (zetas, etas))
     slack_i = prop_i_slack(params.p, params.q, params.delta, u, v)
-    ph1 = np.where(u > ZERO_MODULUS, ph1, 1.0)
-    ph2 = np.where(v > ZERO_MODULUS, ph2, 1.0)
     coeffs, drift = form_coeffs_and_drift(params, u, v)
     delta = params.delta
     tau_lo, tau_hi = tau_interval(params, u, v)
     tau = np.sqrt(tau_lo) * np.sqrt(tau_hi)
-    parts = _margin_parts(coeffs, delta, tau)
-    s1, s2 = _worst_direction(coeffs, delta, tau, parts, ph1, ph2)
-    mdir = parts.min(axis=0)
+    mdir = _margin_parts(coeffs, delta, tau).min(axis=0)
     mdrift = drift - delta * (tau * u * u + v * v / tau)
     origin = (u <= ZERO_MODULUS) & (v <= ZERO_MODULUS)
     tau = np.where(origin, 1.0, tau)
@@ -527,7 +500,6 @@ def certify_batch(params: BellmanParams, zetas, etas) -> dict:
         "tau": tau,
         "margin_hessian": mdir,
         "margin_drift": mdrift,
-        "worst_direction": np.stack([s1, s2], axis=1),
         "valid": valid,
     }
 

@@ -11,7 +11,6 @@ and can run concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +32,9 @@ from .semigroup import RESIDUAL_GATE, Scheme, SolverConfig, TimeGrid, Trajectory
 EPS_SLACK_C1 = 0.05
 EPS_SLACK_C2 = 1.0
 
-# The factored and a_ij double-sum arrangements of the chain rule are equal
-# by the symmetry of the second form; a larger relative gap is an error.
+# The factored arrangement of the chain rule equals the a_ij double sum,
+# by the symmetry of the second form, when S^T S = sym A for the root
+# S = (sym A)^(1/2); a larger relative error of S^T S is an error.
 ARRANGEMENT_TOL = 1e-10
 
 # Mollified Bellman derivatives are used only within this relative distance
@@ -321,25 +321,22 @@ def _node_matvec(M: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _arrangements(form, grads, th, ag):
-    """Both arrangements of sum_ij a_ij form(g_i, g_j), d calls of the
-    symmetric bilinear ``form(a1, a2, b1, b2)`` each: (factored, double) with
-    factored = sum_k form(theta_k, theta_k), theta = S g, and double =
-    sum_i form(g_i, (A g)_i).  ``grads`` holds the real gradients g of both
-    fields as (d, 2, P, ..., n), P parts each, and ``th`` and ``ag`` hold
-    S g and A g in the same layout, for S = (sym A)^(1/2)."""
-    factored = sum(form(*th[k], *th[k]) for k in range(len(grads)))
-    double = sum(form(*grads[i], *ag[i]) for i in range(len(grads)))
-    return factored, double
+def _factored(coeffs, ph, th) -> np.ndarray:
+    """sum_k B(theta_k, theta_k) in d calls of ``bilinear_forms``, for the
+    form B of the radial coefficients ``coeffs`` (crr, ctt, drr, dtt, m) and
+    the phases ``ph`` (2, P, ..., n).  ``th`` holds theta = S g, for the
+    real gradients g of both fields and S = (sym A)^(1/2), as (d, 2, P, ...,
+    n), P parts each."""
+    return sum(bilinear_forms(*coeffs, *ph, *t, *t) for t in th)
 
 
 @dataclass
 class ChainRuleField:
-    """L'b evaluated through the chain rule, and the largest gap between
-    its two arrangements."""
+    """L'b evaluated through the chain rule, and the relative error of the
+    root S that its factored gradient term rests on."""
 
     rhs: np.ndarray                 # (nt, n) total: factored A-part + V-part
-    arrangement_gap: float
+    arrangement_gap: float          # max |S^T S - sym A| / max(1, |sym A|)
     n_mollified: int
 
 
@@ -347,42 +344,45 @@ def chain_rule_rhs(ev: EvolvedScenario, ps) -> list[ChainRuleField]:
     """Evaluate L'b(x,t) = sum_ij a_ij <-d2Q(v) d_i v, d_j v> + V [Q - dQ v]
     on the trajectories of ``ev``, one field per ``BellmanParams`` of ``ps``.
 
-    The primary value is computed in the factored arrangement, summing the
-    quadratic form over the root-weighted gradients (sym A)^(1/2) grad v_k
-    per axis; the a_ij double sum is evaluated as well, and their largest
-    relative gap is returned for the caller to hold against
+    The gradient term is computed in the factored arrangement, summing the
+    quadratic form B over the root-weighted gradients theta = S grad v,
+    S = (sym A)^(1/2).  B is symmetric, so this differs from the a_ij
+    double sum by exactly sum_ij (S^T S - sym A)_ij B(d_i v, d_j v); the
+    largest relative entry of S^T S - sym A, which does not depend on p,
+    is returned as ``arrangement_gap`` for the caller to hold against
     ``ARRANGEMENT_TOL``.  Near the interface the exact radial coefficients
     are replaced by the mollified ones of ``mollified_form_coeffs``, which
-    take the same form and the same arrangements.  Spatial gradients use
-    the fourth-order centered stencil so the Bellman-side discretization
-    error stays below the operator-side signal.  All of it is real
-    arithmetic on the parts that the trajectories hold: a real trajectory
-    is one part, a complex one its real and imaginary parts.
+    take the same form.  Spatial gradients use the fourth-order centered
+    stencil so the Bellman-side discretization error stays below the
+    operator-side signal.  All of it is real arithmetic on the parts that
+    the trajectories hold: a real trajectory is one part, a complex one
+    its real and imaginary parts.
 
     Every quantity is local in time, so the snapshots are walked in blocks
     of about ``SNAPSHOT_BLOCK_VALUES`` node values: apart from the (nt, n)
     outputs, memory is O(block).  Each block computes what does not depend
-    on p once (the parts, phases, gradients, S grad and A grad, the
-    negligible nodes and the mollification scale); only the forms, the
-    interface mask, the mollified coefficients and the V term run per p.
+    on p once (the parts, phases, gradients, S grad, the negligible nodes
+    and the mollification scale); only the forms, the interface mask, the
+    mollified coefficients and the V term run per p.
     """
     op, grid = ev.op, ev.op.grid
     f, g = ev.traj_f.values, ev.traj_g.values            # (nt, n)
     parts = _stored_parts(f, g)
     A = node_coefficients(op.coefficients)              # (n, d, d)
-    S = matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
-    A, S = (np.ascontiguousarray(np.moveaxis(M, 0, -1)) for M in (A, S))  # (d, d, n)
+    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+    S = matrix_sqrt_spd(sym)
+    gap = float(np.max(np.abs(np.swapaxes(S, -1, -2) @ S - sym) / np.maximum(1.0, np.abs(sym))))
+    S = np.ascontiguousarray(np.moveaxis(S, 0, -1))      # (d, d, n)
     scale = _modulus_scale(f, g)
     h = min(grid.spacing)
-    fields = [ChainRuleField(np.empty(f.shape), 0.0, 0) for _ in ps]
+    fields = [ChainRuleField(np.empty(f.shape), gap, 0) for _ in ps]
     for blk in _snapshot_blocks(*f.shape):
         v1, v2 = f[blk], g[blk]
         u, v = np.abs(v1), np.abs(v2)
         x = np.array([[part(w) for part in parts] for w in (v1, v2)])  # (2, P, block, n)
         # phases x * (1/|x|), rounded as complex division by a real rounds
         ph = x * (1.0 / np.maximum(np.stack([u, v]), ZERO_MODULUS))[:, None]
-        grads = grad4(grid, x)                           # (d, 2, P, block, n)
-        th, ag = _node_matvec(S, grads), _node_matvec(A, grads)
+        th = _node_matvec(S, grad4(grid, x))              # (d, 2, P, block, n)
         # nodes where both fields are negligibly small contribute nothing in
         # the continuum; evaluating v^(q-2)-type tables against stencil
         # leakage at the support edge would produce pure artifacts there
@@ -390,18 +390,12 @@ def chain_rule_rhs(ev: EvolvedScenario, ps) -> list[ChainRuleField]:
         eps = _mollify_scale(u, v, h)
         for params, cr in zip(ps, fields):
             coeffs, drift = form_coeffs_and_drift(params, u, v)
-            a_part, aij_part = _arrangements(
-                functools.partial(bilinear_forms, *coeffs, *ph), grads, th, ag)
-            a_part[negligible] = aij_part[negligible] = 0.0
+            a_part = _factored(coeffs, ph, th)
+            a_part[negligible] = 0.0
             ti, ni = np.nonzero(_interface_margin_mask(params, u, v, eps, scale))
             if ti.size:
                 mollified = mollified_form_coeffs(params, u[ti, ni], v[ti, ni], eps[ti, ni])
-                a_part[ti, ni], aij_part[ti, ni] = _arrangements(
-                    functools.partial(bilinear_forms, *mollified, *ph[..., ti, ni]),
-                    *(w[..., ti, ni] for w in (grads, th, ag)))
-            gap = np.max(np.abs(a_part - aij_part) / np.maximum(1.0, np.abs(a_part)))
-            # np.maximum, unlike Python's max, keeps a NaN gap
-            cr.arrangement_gap = float(np.maximum(cr.arrangement_gap, gap))
+                a_part[ti, ni] = _factored(mollified, ph[..., ti, ni], th[..., ti, ni])
             cr.n_mollified += ti.size
             cr.rhs[blk] = a_part + op.potential * drift
     return fields
@@ -440,8 +434,8 @@ class PointwiseReport(_Verdict):
 
     @property
     def margins(self) -> dict[str, float]:
-        """The slack floor against -eps_h, and the chain rule's two
-        arrangements against ``ARRANGEMENT_TOL``."""
+        """The slack floor against -eps_h, and the chain rule's root error
+        against ``ARRANGEMENT_TOL``."""
         return {"pointwise-lower-bound": self.worst_slack + self.eps_h,
                 "chain-rule-arrangements": ARRANGEMENT_TOL - self.arrangement_gap}
 

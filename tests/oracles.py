@@ -16,8 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 
 import divbell.bellman as bl
+import divbell.harness as hz
+import divbell.operators as ops
 import divbell.semigroup as sg
-from divbell.bellman import BellmanParams, _form_coeffs, _phases
+from divbell.bellman import ZERO_MODULUS, BellmanParams, _form_coeffs
 from divbell.errors import AccuracyError, DomainError, SingularityError
 from divbell.grids import GridFunction
 
@@ -139,6 +141,17 @@ def _guard_second_order(params: BellmanParams, u: float, v: float,
                                f"({u}, {v}) is within the interface margin {interface_margin}")
 
 
+def phases(zeta, eta):
+    """The moduli u = |zeta|, v = |eta| and the phases zeta / u, eta / v of
+    complex points, a modulus below ``ZERO_MODULUS`` dividing as
+    ``ZERO_MODULUS``."""
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    eta = np.asarray(eta, dtype=np.complex128)
+    u = np.abs(zeta)
+    v = np.abs(eta)
+    return u, v, zeta / np.maximum(u, ZERO_MODULUS), eta / np.maximum(v, ZERO_MODULUS)
+
+
 def neg_hess_matrix(params: BellmanParams, xi: ComplexPair, *,
                     interface_margin: float = INTERFACE_REL_THRESHOLD,
                     modulus_floor: float = 1e-12) -> np.ndarray:
@@ -147,7 +160,7 @@ def neg_hess_matrix(params: BellmanParams, xi: ComplexPair, *,
     zeta = complex(xi[0])
     eta = complex(xi[1])
     _guard_second_order(params, abs(zeta), abs(eta), interface_margin, modulus_floor)
-    u, v, ph1, ph2 = _phases([zeta], [eta])
+    u, v, ph1, ph2 = phases([zeta], [eta])
     crr, ctt, drr, dtt, m = _form_coeffs(params, u, v)
     return _assemble_neg_hess(crr, ctt, drr, dtt, m, ph1, ph2)[0]
 
@@ -196,11 +209,6 @@ def second_order_ref(p, q, delta, u, v, r1=None, vpow=None):
     return phi_uu, phi_uv, phi_vv, phi_u_over_u, phi_v_over_v
 
 
-def pair_to_real4(sigma: ComplexPair) -> np.ndarray:
-    return np.array([complex(sigma[0]).real, complex(sigma[0]).imag,
-                     complex(sigma[1]).real, complex(sigma[1]).imag])
-
-
 def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER, *,
                              phase_frame=True):
     """The mollified -d2Q at the scales given as the full (k, nq, 4, 4)
@@ -213,11 +221,11 @@ def stack_mollified_neg_hess(params, zeta, eta, eps, order=bl.MOLLIFIER_ORDER, *
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), zeta.shape)
-    _, _, ph1, ph2 = bl._phases(zeta, eta) if phase_frame else (None, None, 1.0, 1.0)
+    _, _, ph1, ph2 = phases(zeta, eta) if phase_frame else (None, None, 1.0, 1.0)
     y = mol.nodes
     zs = zeta[:, None] - (eps * ph1)[:, None] * (y[None, :, 0] + 1j * y[None, :, 1])
     es = eta[:, None] - (eps * ph2)[:, None] * (y[None, :, 2] + 1j * y[None, :, 3])
-    u, v, ph1, ph2 = bl._phases(zs.ravel(), es.ravel())
+    u, v, ph1, ph2 = phases(zs.ravel(), es.ravel())
     coeffs = bl._form_coeffs(params, np.maximum(u, bl.ZERO_MODULUS),
                              np.maximum(v, bl.ZERO_MODULUS))
     mats = _assemble_neg_hess(*coeffs, ph1, ph2).reshape(zeta.size, mol.weights.size, 4, 4)
@@ -238,7 +246,7 @@ def mollified_matrix(params, zeta, eta, eps) -> np.ndarray:
     """The (k, 4, 4) stack of mollified -d2Q matrices that
     ``bellman.mollified_form_coeffs`` gives at the moduli of the points,
     assembled with the points' phases."""
-    u, v, ph1, ph2 = bl._phases(np.atleast_1d(zeta), np.atleast_1d(eta))
+    u, v, ph1, ph2 = phases(np.atleast_1d(zeta), np.atleast_1d(eta))
     return _assemble_neg_hess(*bl.mollified_form_coeffs(params, u, v, eps), ph1, ph2)
 
 
@@ -342,7 +350,7 @@ def advance_complex(stepper, u: np.ndarray):
 
 def parts(z) -> np.ndarray:
     """The (2, ...) real stack (Re z, Im z) of a complex array: the parts
-    layout of ``bellman.bilinear_forms`` and ``harness._arrangements``."""
+    layout of ``bellman.bilinear_forms`` and ``harness._factored``."""
     z = np.asarray(z, dtype=complex)
     return np.stack([z.real, z.imag])
 
@@ -378,6 +386,35 @@ def node_matvec_complex(M, g):
     parts stack."""
     z = _from_parts(np.moveaxis(g, 2, 0))
     return np.moveaxis(parts(np.einsum("ijn,j...n->i...n", M, z)), 0, 2)
+
+
+def chain_rule_double_sum(ev, params) -> np.ndarray:
+    """Reference for ``harness.chain_rule_rhs``: the (nt, n) field
+    sum_ij a_ij <M d_i w, d_j w> + V [Q - dQ w] on the trajectories of the
+    evolved scenario ``ev``, at exponent ``params``.  The double sum runs
+    over the raw, possibly nonsymmetric A, with no symmetric part and no
+    root; M is the 4x4 -d2Q of ``_assemble_neg_hess`` in the coordinates
+    (Re, Im) of each field, exact or, at the harness's interface nodes, the
+    mollified one, and w's gradients are the harness's ``grad4``.  Nodes
+    where both fields are negligible keep only the V term, as in the
+    harness."""
+    grid = ev.op.grid
+    f, g = ev.traj_f.values, ev.traj_g.values
+    u, v, ph1, ph2 = phases(f, g)
+    coeffs, drift = bl.form_coeffs_and_drift(params, u, v)
+    mats = _assemble_neg_hess(*(np.ravel(c) for c in (*coeffs, ph1, ph2))).reshape(
+        f.shape + (4, 4))
+    scale = hz._modulus_scale(f, g)
+    eps = hz._mollify_scale(u, v, min(grid.spacing))
+    mol = hz._interface_margin_mask(params, u, v, eps, scale)
+    if mol.any():
+        mats[mol] = mollified_matrix(params, f[mol], g[mol], eps[mol])
+    grads = np.concatenate([parts(hz.grad4(grid, f)), parts(hz.grad4(grid, g))])  # (4, d, nt, n)
+    A = ops.node_coefficients(ev.op.coefficients)                                # (n, d, d)
+    m_grads = np.einsum("tnab,bjtn->ajtn", mats, grads)
+    term = np.einsum("nij,aitn,ajtn->tn", A, grads, m_grads)
+    term[np.maximum(u, v) < 1e-14 * scale] = 0.0
+    return term + ev.op.potential * drift
 
 
 def star_norm_field(grid, fld, V) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import ast
 import filecmp
+import inspect
 import json
 import os
 import pathlib
@@ -25,7 +26,8 @@ from divbell.reports import Columns, FieldRows, fmt
 import divbell.scenario as scenario
 from divbell.scenario import SCENARIO_KEYS, build_scenario, parse_scenario_text
 from divbell.semigroup import evolve
-from oracles import _assemble_neg_hess, field_rows, second_order_ref, smooth_random_full
+from oracles import (_assemble_neg_hess, field_rows, phases, second_order_ref,
+                     smooth_random_full)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -243,7 +245,7 @@ class TestCli:
             sel = rows[(rows[:, 0] == p) & (rows[:, 10] == 1)]
             assert sel.shape[0] == 2500
             params = bl.BellmanParams(p)
-            u, v, ph1, ph2 = bl._phases(sel[:, 2] + 1j * sel[:, 3], sel[:, 4] + 1j * sel[:, 5])
+            u, v, ph1, ph2 = phases(sel[:, 2] + 1j * sel[:, 3], sel[:, 4] + 1j * sel[:, 5])
             mats = _assemble_neg_hess(*bl._form_coeffs(params, u, v), ph1, ph2)
             tau = sel[:, 7]
             w = np.stack([tau, tau, 1.0 / tau, 1.0 / tau], axis=1)
@@ -543,6 +545,28 @@ class TestCli:
         assert "PASS  pointwise-lower-bound" in out
         assert "FAIL  chain-rule-arrangements" in out
         assert (tmp_path / "pointwise.csv").exists()
+
+    def test_wrong_root_fails_its_line(self, tmp_path, capsys, monkeypatch):
+        # sym A for its own root on a sym A that varies over the nodes
+        monkeypatch.setattr(hz, "matrix_sqrt_spd", lambda M: M)
+        rc = main(["pointwise", "--preset", "random-accretive", "--grid", "16,16",
+                   "--p", "4", "--out", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL  chain-rule-arrangements" in out
+
+    def test_misread_cross_coefficient_fails_adjointness(self, tmp_path, capsys, monkeypatch):
+        # a_ab read at x instead of x + s e_a breaks L_h(A^T) = L_h(A)^T
+        source = inspect.getsource(ops.assemble)
+        misread = source.replace("A.values[..., a, b], s * e[a])", "A.values[..., a, b], centre)")
+        assert misread != source
+        namespace = dict(vars(ops))
+        exec(misread, namespace)
+        monkeypatch.setattr(ops, "assemble", namespace["assemble"])
+        rc = main(["operator-verify", "--preset", "random-accretive", "--grid", "24,24",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAIL  adjoint-consistency" in capsys.readouterr().out
 
     def test_nan_operator_fails_operator_verify(self, tmp_path, capsys, monkeypatch):
         # a NaN in L_h makes the ellipticity slack NaN, which must FAIL

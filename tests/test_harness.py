@@ -18,7 +18,7 @@ from divbell.grids import Boundary, Grid, GridFunction
 from divbell.scenario import build_scenario
 from divbell.semigroup import Scheme, SolverConfig, TimeGrid, Trajectory, evolve
 import oracles as orc
-from oracles import mollified_matrix, stack_mollified_form_coeffs
+from oracles import stack_mollified_form_coeffs
 
 TIGHT = SolverConfig(tol=1e-12)
 
@@ -238,32 +238,19 @@ class TestChainRule:
         ev = hz.run_scenario(spec)
         cr, = hz.chain_rule_rhs(ev, [spec.params])
         assert cr.n_mollified > 0
-        # the largest gap over nodes; max|rhs| is about 1e74 at the t = 0,
-        # eta = 0 nodes
         assert cr.arrangement_gap <= 1e-10
-        # at the mollified nodes rhs holds the explicit a_ij double sum of
-        # the mollified -d2Q
-        f, g = ev.traj_f.values, ev.traj_g.values
-        u, v, _, _ = bl._phases(f, g)
-        eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
-        scale = hz._modulus_scale(f, g)
-        ti, ni = np.nonzero(hz._interface_margin_mask(spec.params, u, v, eps, scale))
-        assert ti.size == cr.n_mollified
-        mats = mollified_matrix(spec.params, f[ti, ni], g[ti, ni], eps[ti, ni])
-        grads = np.stack([*orc.parts(hz.grad4(spec.grid, f)[:, ti, ni]),
-                          *orc.parts(hz.grad4(spec.grid, g)[:, ti, ni])], axis=-1)  # (d, k, 4)
-        A = ops.node_coefficients(spec.coefficients)[ni]
-        _, drift = bl.form_coeffs_and_drift(spec.params, u[ti, ni], v[ti, ni])
-        expected = (np.einsum("kij,ika,kab,jkb->k", A, grads, mats, grads)
-                    + ev.op.potential[ni] * drift)
-        assert (np.abs(cr.rhs[ti, ni] - expected)
-                <= 1e-12 * np.maximum(1.0, np.abs(expected))).all()
+        # at every node, exact and mollified, rhs is the explicit a_ij
+        # double sum of -d2Q over the raw A; max|rhs| is about 1e74 at the
+        # t = 0, eta = 0 nodes
+        expected = orc.chain_rule_double_sum(ev, spec.params)
+        assert (np.abs(cr.rhs - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
     def test_arrangements_match_double_sum(self, d):
         # random gradients on (nt, n) = (5, 7) nodes, their real parts alone
         # and both parts, a nonsymmetric A per node, and radial coefficients
-        # that make the form positive
+        # that make the form positive: the factored kernel on S g against
+        # the explicit a_ij sum
         rng = np.random.default_rng(d)
         shape = (5, 7)
         z1, z2 = (rng.standard_normal((d,) + shape) + 1j * rng.standard_normal((d,) + shape)
@@ -271,30 +258,23 @@ class TestChainRule:
         B = rng.standard_normal((shape[1], d, d))
         K = rng.standard_normal((shape[1], d, d))
         A = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(d) + K - np.swapaxes(K, -1, -2)
-        S = ops.matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2)))
-        crr, ctt, drr, dtt = rng.uniform(1.0, 2.0, (4,) + shape)
-        m = rng.uniform(-0.5, 0.5, shape)
+        S = np.moveaxis(ops.matrix_sqrt_spd(0.5 * (A + np.swapaxes(A, -1, -2))), 0, -1)
+        coeffs = (*rng.uniform(1.0, 2.0, (4,) + shape), rng.uniform(-0.5, 0.5, shape))
         phases = np.exp(2j * np.pi * rng.uniform(size=(2,) + shape))
         for n_parts in (1, 2):
             grads = np.moveaxis(np.stack([orc.parts(z1), orc.parts(z2)]), 2, 0)[:, :, :n_parts]
-            ph1, ph2 = (orc.parts(ph)[:n_parts] for ph in phases)
-
-            def form(a1, a2, b1, b2):
-                return bl.bilinear_forms(crr, ctt, drr, dtt, m, ph1, ph2, a1, a2, b1, b2)
-
-            explicit = sum(A[:, i, j] * form(*grads[i], *grads[j])
+            ph = np.stack([orc.parts(x)[:n_parts] for x in phases])
+            explicit = sum(A[:, i, j] * bl.bilinear_forms(*coeffs, *ph, *grads[i], *grads[j])
                            for i in range(d) for j in range(d))
             assert (explicit > 0.0).all()
-            node_last = (np.moveaxis(M, 0, -1) for M in (S, A))      # (d, d, n)
-            th, ag = (hz._node_matvec(M, grads) for M in node_last)
-            for total in hz._arrangements(form, grads, th, ag):
-                assert total.shape == shape
-                assert (np.abs(total - explicit) <= 1e-13 * explicit).all()
+            total = hz._factored(coeffs, ph, hz._node_matvec(S, grads))
+            assert total.shape == shape
+            assert (np.abs(total - explicit) <= 1e-13 * explicit).all()
 
     @pytest.mark.parametrize("case", ["real", "complex", "mixed"])
     def test_chain_rule_matches_complex_oracle(self, case, monkeypatch):
         # the real-part chain rule against complex arithmetic throughout:
-        # both parts kept, S g and A g as complex einsums and the complex form, at
+        # both parts kept, S g as a complex einsum and the complex form, at
         # exact and mollified nodes (on the real case the t = 0 nodes on the
         # eta = 0 ray, up to 7.9e97, included)
         spec = {"real": lambda: build_scenario(None, preset="random-accretive", dim=2,
@@ -316,23 +296,66 @@ class TestChainRule:
         assert (np.abs(cr.rhs - ref.rhs) <= 1e-12 * np.maximum(1.0, np.abs(ref.rhs))).all()
 
     def test_real_data_take_one_real_part(self, monkeypatch):
-        # real A keeps real data real, so every gradient the arrangements
-        # receive, at exact and at mollified nodes, is one float64 part
+        # real A keeps real data real, so every root-weighted gradient the
+        # factored kernel receives, at exact and at mollified nodes, is one
+        # float64 part
         spec = make_scenario("random-accretive", dim=2, N=12, p=3.0, T=0.1, steps=10)
         ev = hz.run_scenario(spec, embedding=False)
         assert ev.traj_f.values.dtype == ev.traj_g.values.dtype == np.float64
         seen = []
-        arrangements = hz._arrangements
+        factored = hz._factored
 
-        def spy(form, grads, th, ag):
-            seen.append((grads.dtype, grads.shape[2]))
-            return arrangements(form, grads, th, ag)
+        def spy(coeffs, ph, th):
+            seen.append((th.dtype, th.shape[2]))
+            return factored(coeffs, ph, th)
 
-        monkeypatch.setattr(hz, "_arrangements", spy)
+        monkeypatch.setattr(hz, "_factored", spy)
         cr, = hz.chain_rule_rhs(ev, [spec.params])
         assert cr.n_mollified > 0
         assert len(seen) > len(hz._snapshot_blocks(*ev.traj_f.values.shape))
         assert set(seen) == {(np.dtype(np.float64), 1)}
+
+    def test_one_arrangement_per_block(self, monkeypatch):
+        # d form calls per block and per p, d more per block and p with
+        # mollified nodes, and one S g per block: 24 and 6 at random-accretive
+        # 32^2, p = 4, in 6 snapshot blocks
+        spec = build_scenario(None, preset="random-accretive", dim=2, cells=(32, 32), p=4.0)
+        ev = hz.run_scenario(spec, embedding=False)
+        blocks = hz._snapshot_blocks(*ev.traj_f.values.shape)
+        calls = {"bilinear_forms": 0, "_node_matvec": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(hz, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(hz, name, counting)
+        cr, = hz.chain_rule_rhs(ev, [spec.params])
+        f, g = ev.traj_f.values, ev.traj_g.values
+        u, v = np.abs(f), np.abs(g)
+        eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
+        mol = hz._interface_margin_mask(spec.params, u, v, eps, hz._modulus_scale(f, g))
+        assert cr.n_mollified == mol.sum() > 0
+        mollified_blocks = sum(bool(mol[blk].any()) for blk in blocks)
+        assert calls == {"bilinear_forms": 2 * (len(blocks) + mollified_blocks),
+                         "_node_matvec": len(blocks)}
+        assert calls == {"bilinear_forms": 24, "_node_matvec": 6}
+
+    @pytest.mark.parametrize("preset, wrong_root", [
+        # sym A for its own root: S^T S = (sym A)^2, which is not sym A
+        # where sym A varies over the nodes
+        ("checker", lambda M: M),
+        ("random-accretive", lambda M: M),
+        # a nonsymmetric root of sym A = I: S S = I but S^T S is not
+        ("rotation", lambda M: np.broadcast_to([[1.0, 0.5], [0.0, -1.0]], M.shape)),
+    ], ids=["checker", "random-accretive", "rotation-involution"])
+    def test_a_wrong_root_fails_the_arrangement_line(self, preset, wrong_root, monkeypatch):
+        spec = make_scenario(preset, dim=2, N=12, p=4.0, T=0.1, steps=10)
+        ev = hz.run_scenario(spec, embedding=False)
+        rep, = hz.pointwise_check(ev, [spec.params])
+        assert rep.margins["chain-rule-arrangements"] > 0.0
+        monkeypatch.setattr(hz, "matrix_sqrt_spd", wrong_root)
+        rep, = hz.pointwise_check(ev, [spec.params])
+        assert rep.arrangement_gap > 1e-3
+        assert rep.margins["chain-rule-arrangements"] < 0.0 and not rep.ok
 
 
 class TestMollifiedPath:
@@ -434,7 +457,7 @@ class TestSnapshotBlocks:
                          *hz.pointwise_check(ev, [spec.params])))
         assert nt % 7
         (cr1, pw1), (cr, pw) = runs
-        u, v, _, _ = bl._phases(f, g)
+        u, v, _, _ = orc.phases(f, g)
         eps = hz._mollify_scale(u, v, min(spec.grid.spacing))
         mol = hz._interface_margin_mask(spec.params, u, v, eps, hz._modulus_scale(f, g))
         assert cr.n_mollified == cr1.n_mollified == pw.n_mollified == mol.sum() > 0

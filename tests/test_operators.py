@@ -248,6 +248,10 @@ class TestExplicitStencil:
         assert L.has_canonical_format
         assert np.array_equal(L.indptr, ref.indptr) and np.array_equal(L.indices, ref.indices)
         assert np.abs(L.data - ref.data).max() <= 4 * np.finfo(float).eps * np.abs(ref.data).max()
+        # the flux form of A^T is the transpose, bit for bit: the identity
+        # that operator-verify's adjoint-consistency line reads
+        At = ops.CoefficientField(g, np.swapaxes(A.values, -1, -2))
+        assert abs(ops.assemble(g, At, V).matrix - L.T).max() == 0.0
 
     def test_assembly_peak_within_three_matrices(self):
         # no face matrix and no product temporaries: the (nodes, 19) stencil
